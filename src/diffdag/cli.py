@@ -10,15 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import DiffDagError
-from .estimators import (
-    EstimatorConfig,
-    estimate_dantzig,
-    solve_population,
-    threshold,
-)
+from .estimators import EstimatorConfig, threshold
 from .experiments import (
     SweepConfig,
     aggregate,
@@ -29,7 +25,7 @@ from .experiments import (
     write_summary_json,
 )
 from .oracles import check_assumptions, minimax_sample_bound
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, estimate, run_pipeline
 from .sem import (
     CovariancePair,
     SemPairGenConfig,
@@ -64,7 +60,7 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, parser) -> int:
     cfg_dict = _load_json(args.config) if args.config else {}
     overrides = {
         "p": args.p,
@@ -106,25 +102,25 @@ def _covariances_from_args(args, parser: argparse.ArgumentParser) -> CovarianceP
     return CovariancePair.from_data(load_data_csv(args.data1), load_data_csv(args.data2))
 
 
-def _estimator_config(args) -> EstimatorConfig:
+def _pipeline_config(args) -> PipelineConfig:
+    """Exact solves for --population, else the l1 program with the given flags."""
+    if args.population:
+        return PipelineConfig(estimator="population")
     kwargs = {}
     if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
-    if getattr(args, "lambda_", None) is not None:
+    if args.lambda_ is not None:
         kwargs["lambda_n"] = args.lambda_
     if args.lambda_auto:
         kwargs["lambda_auto"] = True
-    return EstimatorConfig(**kwargs)
+    return PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(**kwargs))
 
 
 def _cmd_estimate_delta(args, parser) -> int:
     cov = _covariances_from_args(args, parser)
-    if args.population:
-        dp = solve_population(cov)
-        if args.epsilon is not None:
-            dp = threshold(dp, args.epsilon)
-    else:
-        dp = estimate_dantzig(cov, _estimator_config(args))
+    dp = estimate(cov, _pipeline_config(args))
+    if args.population and args.epsilon is not None:
+        dp = threshold(dp, args.epsilon)
     out = _out_dir(args)
     _write_json(dp.to_json(), out / "delta.json")
     print(f"wrote delta.json to {out} ({dp.support_size()} nonzero entries)")
@@ -144,12 +140,7 @@ def _cmd_run_pipeline(args, parser) -> int:
                     print(f"error: {msg}", file=sys.stderr)
                     return 1
                 print(f"warning: {msg}", file=sys.stderr)
-        cfg = PipelineConfig(estimator="population", record_trace=args.trace)
-    else:
-        cfg = PipelineConfig(
-            estimator="dantzig", est_cfg=_estimator_config(args), record_trace=args.trace
-        )
-    result = run_pipeline(cov, cfg)
+    result = run_pipeline(cov, replace(_pipeline_config(args), record_trace=args.trace))
     out = _out_dir(args)
     _write_json(result.to_json(), out / "pipeline.json")
     print(f"wrote pipeline.json to {out} ({len(result.delta.edges)} difference edges, "
@@ -157,7 +148,7 @@ def _cmd_run_pipeline(args, parser) -> int:
     return 0
 
 
-def _cmd_check_assumptions(args) -> int:
+def _cmd_check_assumptions(args, parser) -> int:
     report = check_assumptions(load_sem(args.sem1), load_sem(args.sem2), args.epsilon)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if not report.passed and args.strict:
@@ -165,7 +156,7 @@ def _cmd_check_assumptions(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, parser) -> int:
     cfg_dict = _load_json(args.config) if args.config else {}
     if args.seed is not None:
         cfg_dict["seed_base"] = args.seed
@@ -186,7 +177,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args, parser) -> int:
     print(minimax_sample_bound(args.p, args.d))
     return 0
 
@@ -220,36 +211,36 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--min-delta-omega", type=float, default=None)
     g.add_argument("--config", help="generator config JSON; flags override")
     g.add_argument("--output-dir", default=".")
-    g.set_defaults(func=lambda a, p=None: _cmd_generate(a))
+    g.set_defaults(func=_cmd_generate)
 
     e = sub.add_parser("estimate-delta", help="estimate the precision-matrix difference")
     add_io(e)
-    e.set_defaults(func=_cmd_estimate_delta, needs_parser=True)
+    e.set_defaults(func=_cmd_estimate_delta)
 
     r = sub.add_parser("run-pipeline", help="recover the difference DAG")
     add_io(r)
     r.add_argument("--strict", action="store_true",
                    help="fail when the assumption check fails (SEM inputs only)")
     r.add_argument("--trace", action="store_true", help="record intermediate estimates")
-    r.set_defaults(func=_cmd_run_pipeline, needs_parser=True)
+    r.set_defaults(func=_cmd_run_pipeline)
 
     c = sub.add_parser("check-assumptions", help="report whether a SEM pair is recoverable")
     c.add_argument("--sem1", required=True)
     c.add_argument("--sem2", required=True)
     c.add_argument("--epsilon", type=float, default=0.125)
     c.add_argument("--strict", action="store_true", help="exit 1 when the check fails")
-    c.set_defaults(func=lambda a, p=None: _cmd_check_assumptions(a))
+    c.set_defaults(func=_cmd_check_assumptions)
 
     s = sub.add_parser("sweep", help="run the synthetic benchmark grid")
     s.add_argument("--config", help="sweep config JSON")
     s.add_argument("--seed", type=int, default=None, help="override the base seed")
     s.add_argument("--output-dir", default=".")
-    s.set_defaults(func=lambda a, p=None: _cmd_sweep(a))
+    s.set_defaults(func=_cmd_sweep)
 
     b = sub.add_parser("bound", help="sample-count lower bound for recoverability")
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--d", type=int, required=True)
-    b.set_defaults(func=lambda a, p=None: _cmd_bound(a))
+    b.set_defaults(func=_cmd_bound)
 
     return parser
 
@@ -258,9 +249,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "needs_parser", False):
-            return args.func(args, parser)
-        return args.func(args)
+        return args.func(args, parser)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

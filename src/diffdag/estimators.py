@@ -36,8 +36,8 @@ class DeltaPrecision:
     """A symmetric matrix of precision differences with its label index.
 
     ``threshold_applied`` records the hard threshold used to zero small
-    entries (0 for population-exact solutions); after thresholding no entry
-    may sit in (0, threshold].
+    entries (0 when none was applied); after thresholding no entry may sit
+    in (0, threshold].
     """
 
     matrix: np.ndarray
@@ -156,35 +156,45 @@ class EstimatorConfig:
         return cls(**obj)
 
 
-def auto_lambda(p: int, n1: int, n2: int, scale: float = 1.0, delta: float = 0.05) -> float:
-    """Sample-size driven constraint radius scale * sqrt(log(2p/delta) / n)."""
-    n = min(n1, n2)
+def resolve_lambda(cov: CovariancePair, cfg: EstimatorConfig) -> EstimatorConfig:
+    """``cfg`` with a fixed radius: the auto rule, if set, applied at cov's p.
+
+    The auto radius is ``lambda_scale * sqrt(log(2 p / lambda_delta) / n)``
+    with n = min(n1, n2). Resolving once and reusing the result keeps one
+    radius across the submatrix estimates of a pipeline run.
+    """
+    if not cfg.lambda_auto:
+        return cfg
+    n = min(cov.n1, cov.n2)
     if n < 1:
         raise ValueError("auto lambda needs positive sample counts")
-    return scale * math.sqrt(math.log(2.0 * p / delta) / n)
+    lam = cfg.lambda_scale * math.sqrt(math.log(2.0 * cov.p / cfg.lambda_delta) / n)
+    return replace(cfg, lambda_n=lam, lambda_auto=False)
 
 
-def resolve_lambda(cov: CovariancePair, cfg: EstimatorConfig) -> float:
-    if not cfg.lambda_auto:
-        return cfg.lambda_n
-    return auto_lambda(cov.p, cov.n1, cov.n2, cfg.lambda_scale, cfg.lambda_delta)
+def _exact_solve(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """The unique X with s1 X s2 = s2 - s1, through Cholesky factors.
+
+    Raises ``np.linalg.LinAlgError`` when either matrix is not positive
+    definite.
+    """
+    c1 = sla.cho_factor(s1)
+    c2 = sla.cho_factor(s2)
+    return sla.cho_solve(c2, sla.cho_solve(c1, s2 - s1).T).T
 
 
 def solve_population(cov: CovariancePair) -> DeltaPrecision:
     """Exact precision difference from positive-definite covariances.
 
     Solves Sigma1 X Sigma2 = Sigma2 - Sigma1, whose unique solution is
-    Omega1 - Omega2.
+    Omega1 - Omega2. The result is not thresholded.
     """
     try:
-        c1 = sla.cho_factor(cov.sigma1)
-        c2 = sla.cho_factor(cov.sigma2)
+        dm = _exact_solve(cov.sigma1, cov.sigma2)
     except np.linalg.LinAlgError:
         raise InvalidCovarianceError(
             "population solve requires positive-definite covariance matrices"
         ) from None
-    t = sla.cho_solve(c1, cov.sigma2 - cov.sigma1)
-    dm = sla.cho_solve(c2, t.T).T
     return DeltaPrecision(_symmetrize(dm), cov.labels, 0.0)
 
 
@@ -205,15 +215,12 @@ def dantzig_selector(
     s1 = np.asarray(sigma1, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
     p = s1.shape[0]
-    rhs = s2 - s1
-    b = rhs.flatten(order="F")
+    b = (s2 - s1).flatten(order="F")
     if lambda_n >= float(np.abs(b).max()):
         return np.zeros((p, p))
     if lambda_n == 0.0:
         try:
-            c1 = sla.cho_factor(s1)
-            c2 = sla.cho_factor(s2)
-            return sla.cho_solve(c2, sla.cho_solve(c1, rhs).T).T
+            return _exact_solve(s1, s2)
         except np.linalg.LinAlgError:
             pass  # rank-deficient: fall through to the LP
 
@@ -256,46 +263,20 @@ def dantzig_selector(
     return beta.reshape((p, p), order="F")
 
 
-def _apply_threshold(m: np.ndarray, epsilon: float) -> np.ndarray:
-    out = m.copy()
-    out[np.abs(out) <= epsilon] = 0.0
-    return out
-
-
-def estimate_dantzig(cov: CovariancePair, cfg: EstimatorConfig) -> DeltaPrecision:
-    """Constrained-l1 estimate, symmetrized and hard-thresholded at epsilon."""
-    lam = resolve_lambda(cov, cfg)
-    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, cfg.solver_tol, cfg.max_iter)
-    sym = _symmetrize(raw)
-    return DeltaPrecision(_apply_threshold(sym, cfg.epsilon), cov.labels, cfg.epsilon)
-
-
-def estimate_submatrix(
-    cov: CovariancePair, subset, cfg: EstimatorConfig, method: str = "auto"
-) -> DeltaPrecision:
-    """Estimate the precision difference of the marginal models over a subset.
-
-    The covariance pair is restricted to the subset and the configured
-    estimator runs on the restriction; "auto" picks the exact solver for
-    population pairs and the constrained-l1 program otherwise. For population
-    inputs the result equals the difference of marginal precisions (Schur
-    complements) over the subset.
-    """
-    sub = cov.restrict(subset)
-    if method == "auto":
-        method = "population" if sub.is_population else "dantzig"
-    if method == "population":
-        return solve_population(sub)
-    if method == "dantzig":
-        return estimate_dantzig(sub, cfg)
-    raise ValueError(f"unknown estimator method {method!r}")
-
-
 def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
     """Zero all entries with magnitude at or below epsilon (inclusive)."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    return DeltaPrecision(_apply_threshold(dp.matrix, epsilon), dp.labels, epsilon)
+    m = dp.matrix.copy()
+    m[np.abs(m) <= epsilon] = 0.0
+    return DeltaPrecision(m, dp.labels, epsilon)
+
+
+def estimate_dantzig(cov: CovariancePair, cfg: EstimatorConfig) -> DeltaPrecision:
+    """Constrained-l1 estimate, symmetrized and hard-thresholded at epsilon."""
+    lam = resolve_lambda(cov, cfg).lambda_n
+    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, cfg.solver_tol, cfg.max_iter)
+    return threshold(DeltaPrecision(_symmetrize(raw), cov.labels), cfg.epsilon)
 
 
 @dataclass(frozen=True)
@@ -355,10 +336,3 @@ def incoherence_diagnostics(cov: CovariancePair, dp: DeltaPrecision) -> Incohere
         bound=bound,
         inequality_holds=bool(k_o_max <= bound),
     )
-
-
-def with_resolved_lambda(cov: CovariancePair, cfg: EstimatorConfig) -> EstimatorConfig:
-    """A copy of cfg with the auto rule applied once, for reuse on submatrices."""
-    if not cfg.lambda_auto:
-        return cfg
-    return replace(cfg, lambda_n=resolve_lambda(cov, cfg), lambda_auto=False)

@@ -18,10 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DiffDagError
-from .sem import Sem, covariance, difference_edge_set, precision
-
-# Tolerance for reading structural zeros off population matrices.
-_ZERO_TOL = 1e-10
+from .sem import ZERO_TOL, Sem, covariance, difference_edge_set, precision
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ def is_terminal_invariant(sem1: Sem, sem2: Sem, i) -> bool:
     invariant = bool(np.array_equal(sem1.b[:, ii], sem2.b[:, ii]))
     if invariant:
         dd = float((precision(sem1) - precision(sem2))[ii, ii])
-        if abs(dd) > _ZERO_TOL:
+        if abs(dd) > ZERO_TOL:
             raise DiffDagError(
                 f"column-invariant vertex {i!r} has nonzero precision-difference "
                 f"diagonal {dd:g}; shared noise variances were violated"
@@ -237,7 +234,7 @@ def check_assumptions(
     dom = precision(sem1) - precision(sem2)
     p = sem1.p
     labels = sem1.labels
-    row_zero = np.abs(dom).max(axis=1) <= _ZERO_TOL
+    row_zero = np.abs(dom).max(axis=1) <= ZERO_TOL
     invariant = frozenset(labels[k] for k in np.flatnonzero(row_zero))
 
     def fail(cond: str, detail: str, checked: int = 0) -> AssumptionReport:

@@ -20,16 +20,16 @@ import itertools
 import warnings as _warnings
 from dataclasses import dataclass, replace
 
-from .errors import OrderStallError, VertexMismatchError
+from .errors import OrderStallError
 from .estimators import (
     DeltaPrecision,
     EstimatorConfig,
     estimate_dantzig,
+    resolve_lambda,
     solve_population,
     threshold,
-    with_resolved_lambda,
 )
-from .sem import CovariancePair, DagEdgeSet
+from .sem import ZERO_TOL, CovariancePair, DagEdgeSet
 
 
 class PartialPruneWarning(UserWarning):
@@ -79,23 +79,18 @@ class PipelineConfig:
     """How the pipeline estimates and reads the precision difference.
 
     ``estimator`` picks exact population solves or the constrained-l1
-    program. Finite-sample zero tests use ``est_cfg.epsilon``; population
-    estimates are thresholded at ``population_zero_tol`` instead, a numerical
-    zero for values the algebra makes exactly zero. Descendant sets larger
-    than ``prune_subset_cap`` are only partially searched (with a warning).
+    program; ``estimate`` says how each is read. Descendant sets larger than
+    ``prune_subset_cap`` are only partially searched (with a warning).
     """
 
     estimator: str = "population"
     est_cfg: EstimatorConfig = EstimatorConfig()
     record_trace: bool = False
-    population_zero_tol: float = 1e-9
     prune_subset_cap: int = 12
 
     def __post_init__(self):
         if self.estimator not in ("population", "dantzig"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.population_zero_tol <= 0.0:
-            raise ValueError("population_zero_tol must be positive")
         if self.prune_subset_cap < 0:
             raise ValueError("prune_subset_cap must be nonnegative")
 
@@ -135,16 +130,18 @@ class PipelineResult:
         return out
 
 
-def _estimate(cov: CovariancePair, cfg: PipelineConfig) -> DeltaPrecision:
-    """One thresholded estimate in the configured mode."""
+def estimate(cov: CovariancePair, cfg: PipelineConfig) -> DeltaPrecision:
+    """The thresholded precision difference in the configured mode.
+
+    Population estimates are exact up to rounding and are thresholded at the
+    numerical zero ``sem.ZERO_TOL``; constrained-l1 estimates are
+    thresholded at ``est_cfg.epsilon``. An auto radius is resolved at cov's
+    own p unless the caller resolved it first (``run_pipeline`` does, at the
+    full p). A submatrix estimate is ``estimate(cov.restrict(labels), cfg)``.
+    """
     if cfg.estimator == "population":
-        return threshold(solve_population(cov), cfg.population_zero_tol)
+        return threshold(solve_population(cov), ZERO_TOL)
     return estimate_dantzig(cov, cfg.est_cfg)
-
-
-def invariant_vertices(dp: DeltaPrecision) -> frozenset:
-    """Labels whose entire (thresholded) difference row is zero."""
-    return dp.zero_rows()
 
 
 def compute_order(
@@ -163,7 +160,7 @@ def compute_order(
     """
     remaining = list(cov.labels)
     layers: list[frozenset] = []
-    dp = initial if initial is not None else _estimate(cov, cfg)
+    dp = initial if initial is not None else estimate(cov, cfg)
     while len(remaining) > 1:
         peeled = [lab for lab in remaining if dp.entry(lab, lab) == 0.0]
         if not peeled:
@@ -179,7 +176,7 @@ def compute_order(
             trace.append({"stage": "order_layer", "layer": sorted(peeled), "remaining": sorted(remaining)})
         if len(remaining) <= 1:
             break
-        dp = _estimate(cov.restrict(remaining), cfg)
+        dp = estimate(cov.restrict(remaining), cfg)
         if trace is not None:
             trace.append({"stage": "order_estimate", "labels": sorted(remaining), "delta": dp})
     if len(remaining) == 1:
@@ -230,7 +227,7 @@ def prune(
     def estimate_over(retained: tuple) -> DeltaPrecision:
         key = frozenset(retained)
         if key not in cache:
-            cache[key] = _estimate(cov.restrict(retained), cfg)
+            cache[key] = estimate(cov.restrict(retained), cfg)
         return cache[key]
 
     for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
@@ -282,12 +279,12 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
     is an empty edge set over an empty vertex set.
     """
     if cfg.estimator == "dantzig":
-        cfg = replace(cfg, est_cfg=with_resolved_lambda(cov, cfg.est_cfg))
+        cfg = replace(cfg, est_cfg=resolve_lambda(cov, cfg.est_cfg))
     trace: list | None = [] if cfg.record_trace else None
-    dp_full = _estimate(cov, cfg)
+    dp_full = estimate(cov, cfg)
     if trace is not None:
         trace.append({"stage": "estimate_full", "labels": sorted(cov.labels), "delta": dp_full})
-    invariant = invariant_vertices(dp_full)
+    invariant = dp_full.zero_rows()
     v_labels = [lab for lab in cov.labels if lab not in invariant]
     if trace is not None:
         trace.append({"stage": "invariant_vertices", "invariant": sorted(invariant)})
@@ -314,13 +311,3 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
         trace=tuple(trace) if trace is not None else None,
         warnings=tuple(sink),
     )
-
-
-def hamming_distance(a: DagEdgeSet, b: DagEdgeSet) -> int:
-    """Size of the symmetric difference of directed edge sets.
-
-    Orientation counts: an edge present in both but reversed contributes two.
-    """
-    if a.vertices != b.vertices:
-        raise VertexMismatchError("edge sets are over different vertex sets")
-    return len(a.edges ^ b.edges)

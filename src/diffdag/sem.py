@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import GenerationExhaustedError, InvalidCovarianceError, InvalidModelError
 
-# Entries smaller than this are treated as structural zeros when reading
-# supports off population matrices.
-STRUCTURAL_ZERO_TOL = 1e-10
+# The one numerical zero for population matrices: entries at or below it are
+# structural zeros. Rounding noise of exact solves on generated pairs stays
+# below 1e-13, and their real entries lie above 1e-6.
+ZERO_TOL = 1e-9
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -251,8 +252,9 @@ def empirical_covariance(data: np.ndarray) -> np.ndarray:
 class CovariancePair:
     """Two covariance matrices over a shared label ordering.
 
-    ``n1 == n2 == 0`` marks population-exact matrices, which must be positive
-    definite; empirical matrices only need to be symmetric.
+    Entries must be finite. ``n1 == n2 == 0`` marks population-exact
+    matrices, which must be positive definite; empirical matrices only need
+    to be symmetric.
     """
 
     sigma1: np.ndarray
@@ -267,6 +269,8 @@ class CovariancePair:
         for name, s in (("sigma1", s1), ("sigma2", s2)):
             if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
                 raise InvalidCovarianceError(f"{name} must be square and non-empty, got {s.shape}")
+            if not np.isfinite(s).all():
+                raise InvalidCovarianceError(f"{name} has non-finite entries (NaN or inf)")
             scale = max(1.0, float(np.abs(s).max()))
             if float(np.abs(s - s.T).max()) > 1e-12 * scale:
                 raise InvalidCovarianceError(f"{name} is not symmetric")
@@ -455,7 +459,7 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
         sem2 = Sem(b2, noise)
 
         delta_omega = precision(sem1) - precision(sem2)
-        nonzero = np.abs(delta_omega) > STRUCTURAL_ZERO_TOL
+        nonzero = np.abs(delta_omega) > ZERO_TOL
         if nonzero.any() and float(np.abs(delta_omega)[nonzero].min()) < cfg.min_delta_omega:
             continue
         if not check_assumptions(sem1, sem2, cfg.min_delta_omega / 2.0).passed:

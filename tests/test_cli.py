@@ -10,6 +10,8 @@ import diffdag as dd
 from diffdag.cli import main
 from helpers import random_sem
 
+POP = dd.PipelineConfig(estimator="population")
+
 
 def _write_pair(tmp_path, seed=3, p=5):
     sem1, sem2, delta = dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
@@ -123,8 +125,19 @@ class TestEstimateDelta:
         assert main(["estimate-delta", "--population", "--sem1", a, "--sem2", b,
                      "--output-dir", str(out)]) == 0
         payload = json.loads((out / "delta.json").read_text())
-        direct = dd.solve_population(dd.CovariancePair.from_sems(sem1, sem2))
+        direct = dd.estimate(dd.CovariancePair.from_sems(sem1, sem2), POP)
         assert payload == direct.to_json()
+
+    def test_population_support_is_the_exact_difference_support(self, tmp_path, capsys):
+        # rounding noise of the exact solve (around 1e-15) is not support
+        sem1, sem2, _, a, b = _write_pair(tmp_path, seed=0, p=10)
+        out = tmp_path / "out"
+        assert main(["estimate-delta", "--population", "--sem1", a, "--sem2", b,
+                     "--output-dir", str(out)]) == 0
+        truth = np.abs(dd.precision(sem1) - dd.precision(sem2)) > 1e-6
+        matrix = np.array(json.loads((out / "delta.json").read_text())["matrix"])
+        np.testing.assert_array_equal(matrix != 0.0, truth)
+        assert f"({truth.sum()} nonzero entries)" in capsys.readouterr().out
 
     def test_data_golden_against_library(self, tmp_path):
         sem1, sem2, _, _, _ = _write_pair(tmp_path, seed=13, p=5)

@@ -15,8 +15,9 @@ from diffdag import (
     EstimatorConfig,
     EstimatorConvergenceError,
     InfeasibleEstimateError,
+    PipelineConfig,
+    estimate,
     estimate_dantzig,
-    estimate_submatrix,
     incoherence_diagnostics,
     precision,
     solve_population,
@@ -24,6 +25,8 @@ from diffdag import (
 )
 from diffdag.estimators import dantzig_selector
 from helpers import perturb_sem, random_sem
+
+POP = PipelineConfig(estimator="population")
 
 
 def _population_pair(seed, p=6, n_changes=2):
@@ -181,8 +184,8 @@ def recovery_counter(request):
 class TestEstimateSubmatrix:
     def test_full_subset_equals_full_estimate(self):
         _, _, cov = _population_pair(5, p=6)
-        full = solve_population(cov)
-        sub = estimate_submatrix(cov, set(cov.labels), EstimatorConfig())
+        full = estimate(cov, POP)
+        sub = estimate(cov.restrict(set(cov.labels)), POP)
         np.testing.assert_allclose(sub.matrix, full.matrix, atol=1e-12)
         assert sub.labels == full.labels
 
@@ -198,7 +201,7 @@ class TestEstimateSubmatrix:
                 oracle = np.linalg.inv(cov.sigma1[np.ix_(idx, idx)]) - np.linalg.inv(
                     cov.sigma2[np.ix_(idx, idx)]
                 )
-                got = estimate_submatrix(cov, set(subset), EstimatorConfig())
+                got = estimate(cov.restrict(subset), POP)
                 assert np.abs(got.matrix - oracle).max() < 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
@@ -212,13 +215,13 @@ class TestEstimateSubmatrix:
             oracle = np.linalg.inv(cov.sigma1[np.ix_(idx, idx)]) - np.linalg.inv(
                 cov.sigma2[np.ix_(idx, idx)]
             )
-            got = estimate_submatrix(cov, subset, EstimatorConfig())
+            got = estimate(cov.restrict(subset), POP)
             assert np.abs(got.matrix - oracle).max() < 1e-8
 
     def test_singleton_subset(self):
         _, _, cov = _population_pair(6, p=5)
         lab = cov.labels[2]
-        got = estimate_submatrix(cov, {lab}, EstimatorConfig())
+        got = estimate(cov.restrict({lab}), POP)
         i = cov.index(lab)
         expected = 1.0 / cov.sigma1[i, i] - 1.0 / cov.sigma2[i, i]
         assert got.matrix.shape == (1, 1)
@@ -227,7 +230,7 @@ class TestEstimateSubmatrix:
     def test_unknown_label_raises(self):
         _, _, cov = _population_pair(7, p=4)
         with pytest.raises(KeyError):
-            estimate_submatrix(cov, {99}, EstimatorConfig())
+            estimate(cov.restrict({99}), POP)
 
 
 class TestThreshold:

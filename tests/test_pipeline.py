@@ -21,11 +21,11 @@ from diffdag import (
     Sem,
     VertexMismatchError,
     compute_order,
-    hamming_distance,
-    invariant_vertices,
+    estimate,
     orient_edges,
     prune,
     run_pipeline,
+    score,
 )
 from helpers import random_sem
 
@@ -46,12 +46,12 @@ def _reweighted(sem, changes):
 class TestInvariantVertices:
     def test_zero_matrix_all_invariant(self):
         dp = DeltaPrecision(np.zeros((4, 4)))
-        assert invariant_vertices(dp) == frozenset(range(4))
+        assert dp.zero_rows() == frozenset(range(4))
 
     def test_single_nonzero_pair(self):
         m = np.zeros((4, 4))
         m[1, 2] = m[2, 1] = 0.5
-        assert invariant_vertices(DeltaPrecision(m)) == frozenset({0, 3})
+        assert DeltaPrecision(m).zero_rows() == frozenset({0, 3})
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force_rows(self, seed):
@@ -60,8 +60,7 @@ class TestInvariantVertices:
         expected = frozenset(
             int(i) for i in range(8) if np.abs(dom[i]).max() <= 1e-9
         )
-        dp = dd.threshold(dd.solve_population(_pair_cov(sem1, sem2)), 1e-9)
-        assert invariant_vertices(dp) == expected
+        assert estimate(_pair_cov(sem1, sem2), POP).zero_rows() == expected
 
 
 class TestComputeOrder:
@@ -130,7 +129,7 @@ class TestOrientEdges:
         sem1 = Sem(b, np.ones(3))
         sem2 = _reweighted(sem1, {(2, 0): 0.3})
         cov = _pair_cov(sem1, sem2)
-        dp = dd.threshold(dd.solve_population(cov), 1e-9)
+        dp = estimate(cov, POP)
         order = compute_order(cov, POP, initial=dp)
         assert order.layers == (frozenset({1, 2}), frozenset({0}))
         rough = orient_edges(dp, order)
@@ -145,7 +144,7 @@ class TestPrune:
         sem1 = Sem(b, np.ones(3))
         sem2 = _reweighted(sem1, {(2, 0): 0.3})
         cov = _pair_cov(sem1, sem2)
-        dp = dd.threshold(dd.solve_population(cov), 1e-9)
+        dp = estimate(cov, POP)
         order = compute_order(cov, POP, initial=dp)
         rough = orient_edges(dp, order)
         return cov, order, rough
@@ -161,7 +160,7 @@ class TestPrune:
         sem1 = Sem(b, np.ones(2))
         sem2 = _reweighted(sem1, {(0, 1): 0.9})
         cov = _pair_cov(sem1, sem2)
-        dp = dd.threshold(dd.solve_population(cov), 1e-9)
+        dp = estimate(cov, POP)
         order = compute_order(cov, POP, initial=dp)
         rough = orient_edges(dp, order)
         assert prune(rough, cov, order, POP).edges == rough.edges == frozenset({(0, 1)})
@@ -180,23 +179,23 @@ class TestPrune:
 class TestHamming:
     def test_equal_sets(self):
         a = DagEdgeSet(frozenset({1, 2}), frozenset({(1, 2)}))
-        assert hamming_distance(a, a) == 0
+        assert score(a, a).hamming == 0
 
     def test_empty_versus_single(self):
         v = frozenset({1, 2})
-        assert hamming_distance(DagEdgeSet(v, frozenset()), DagEdgeSet(v, {(1, 2)})) == 1
+        assert score(DagEdgeSet(v, frozenset()), DagEdgeSet(v, {(1, 2)})).hamming == 1
 
     def test_orientation_counts_twice(self):
         v = frozenset({1, 2})
         a = DagEdgeSet(v, frozenset({(1, 2)}))
         b = DagEdgeSet(v, frozenset({(2, 1)}))
-        assert hamming_distance(a, b) == 2
+        assert score(a, b).hamming == 2
 
     def test_vertex_mismatch(self):
         a = DagEdgeSet(frozenset({1}), frozenset())
         b = DagEdgeSet(frozenset({2}), frozenset())
         with pytest.raises(VertexMismatchError):
-            hamming_distance(a, b)
+            score(a, b)
 
 
 class TestRunPipeline:
@@ -229,8 +228,8 @@ class TestRunPipeline:
     def test_supergraph_and_layer_consistency(self, seed):
         sem1, sem2, truth = dd.generate_sem_pair(dd.SemPairGenConfig(p=10, seed=seed))
         cov = _pair_cov(sem1, sem2)
-        dp = dd.threshold(dd.solve_population(cov), 1e-9)
-        inv = invariant_vertices(dp)
+        dp = estimate(cov, POP)
+        inv = dp.zero_rows()
         v = [lab for lab in cov.labels if lab not in inv]
         if not v:
             return

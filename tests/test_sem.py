@@ -161,6 +161,17 @@ class TestCovariancePair:
         with pytest.raises(InvalidCovarianceError):
             CovariancePair(m, np.eye(2), n1=10, n2=10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected_naming_the_matrix(self, bad):
+        m = np.eye(2)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(InvalidCovarianceError, match="sigma2"):
+            CovariancePair(np.eye(2), m, n1=10, n2=10)
+        x = np.ones((5, 2))
+        x[3, 0] = bad
+        with pytest.raises(InvalidCovarianceError, match="sigma1"):
+            CovariancePair.from_data(x, np.ones((5, 2)))
+
     def test_restrict_preserves_label_order(self):
         sem = random_sem(np.random.default_rng(2), p=5)
         cov = CovariancePair.from_sems(sem, sem)
