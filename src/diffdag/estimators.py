@@ -3,13 +3,22 @@
 The population identity Sigma1 (Omega1 - Omega2) Sigma2 = Sigma2 - Sigma1
 means the difference solves a linear system without ever forming either dense
 precision matrix. The finite-sample estimator is a Dantzig-selector-type
-program: minimize ||beta||_1 subject to
+program over p x p matrices D: minimize ||D||_1 subject to
 
-    || (S2 kron S1) beta - vec(S2 - S1) ||_inf <= lambda_n,
+    max |S1 D S2 - (S2 - S1)| <= lambda_n   (entrywise).
 
-solved as a linear program after splitting beta into positive and negative
-parts. The reshaped solution is symmetrized and hard-thresholded, since only
-entries clearly away from zero should count as support.
+It is solved as a sparse linear program in the factored form: D is split
+into nonnegative parts beta+ and beta-, and M = S1 D is a free auxiliary
+variable, so
+
+    vec(M) - (I kron S1)(beta+ - beta-) = 0,
+    vec(S2 - S1) - lambda_n <= (S2' kron I) vec(M) <= vec(S2 - S1) + lambda_n.
+
+Each block has p^3 nonzeros (2 p^3 for the equality rows), where the same
+program written over the Kronecker lift S2 kron S1 is a dense
+(2 p^2) x (2 p^2) matrix. The reshaped solution is symmetrized and
+hard-thresholded, since only entries clearly away from zero should count as
+support.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import (
@@ -224,16 +234,39 @@ def dantzig_selector(
         except np.linalg.LinAlgError:
             pass  # rank-deficient: fall through to the LP
 
+    # Variables [beta+, beta-, m], m = vec(S1 D) free. vec is column-major,
+    # so entry (i, j) sits at i + p j. The blocks are built from coordinates:
+    # scipy's sparse kron and stacking cost more than the whole solve at the
+    # small p that prune asks for.
     n = p * p
-    kron = np.kron(s2, s1)
-    cost = np.ones(2 * n)
-    a_ub = np.block([[kron, -kron], [-kron, kron]])
+    i, j, k = np.indices((p, p, p)).reshape(3, -1)
+    row = i + p * j
+    # (I kron S1) vec(D) = vec(S1 D): row (i, j) holds S1[i, k] at column (k, j)
+    col1, val1 = k + p * j, s1[i, k]
+    # (S2' kron I) vec(M) = vec(M S2): row (i, j) holds S2[k, j] at column (i, k)
+    col2, val2 = i + p * k, s2[k, j]
+    diag = np.arange(n)
+    a_eq = sp.csr_array(
+        (
+            np.concatenate([-val1, val1, np.ones(n)]),
+            (np.concatenate([row, row, diag]), np.concatenate([col1, col1 + n, diag + 2 * n])),
+        ),
+        shape=(n, 3 * n),
+    )
+    a_ub = sp.csr_array(
+        (np.concatenate([val2, -val2]), (np.concatenate([row, row + n]), np.tile(col2 + 2 * n, 2))),
+        shape=(2 * n, 3 * n),
+    )
     b_ub = np.concatenate([b + lambda_n, lambda_n - b])
+    cost = np.concatenate([np.ones(2 * n), np.zeros(n)])
+    bounds = np.array([(0.0, np.inf)] * (2 * n) + [(-np.inf, np.inf)] * n)
     res = linprog(
         cost,
         A_ub=a_ub,
         b_ub=b_ub,
-        bounds=(0.0, None),
+        A_eq=a_eq,
+        b_eq=np.zeros(n),
+        bounds=bounds,
         method="highs",
         options={"maxiter": max_iter, "primal_feasibility_tolerance": max(solver_tol, 1e-10)},
     )
@@ -242,25 +275,23 @@ def dantzig_selector(
             f"constrained l1 program infeasible at lambda_n={lambda_n:g}; "
             "increase lambda_n (the empirical system is inconsistent)"
         )
-    if res.status in (1, 4) or res.x is None:
-        best = None
-        if res.x is not None:
-            beta = res.x[:n] - res.x[n:]
-            best = float(np.abs(kron @ beta - b).max())
+    delta = residual = None
+    if res.x is not None:
+        delta = (res.x[:n] - res.x[n : 2 * n]).reshape((p, p), order="F")
+        residual = float(np.abs(s1 @ delta @ s2 - (s2 - s1)).max())
+    if res.status in (1, 4) or delta is None:
         raise EstimatorConvergenceError(
             f"LP solver stopped early (status {res.status}) at lambda_n={lambda_n:g}",
-            best_residual=best,
+            best_residual=residual,
         )
     if res.status != 0:
         raise DiffDagError(f"unexpected LP status {res.status}")
-    beta = res.x[:n] - res.x[n:]
-    residual = float(np.abs(kron @ beta - b).max())
     if residual > lambda_n + 100.0 * solver_tol:
         raise EstimatorConvergenceError(
             f"LP solution violates the residual bound ({residual:g} > {lambda_n:g} + tol)",
             best_residual=residual,
         )
-    return beta.reshape((p, p), order="F")
+    return delta
 
 
 def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:

@@ -38,7 +38,8 @@ DCI_REFERENCE = {
 _METRICS = ("hamming", "norm_hamming", "precision", "recall", "f_score")
 
 CSV_COLUMNS = (
-    "p,c,n,rep,seed,d_prime,hamming,norm_hamming,precision,recall,f_score,failed,runtime_ms"
+    "p,c,n,rep,seed,d_prime,hamming,norm_hamming,precision,recall,f_score,failed,runtime_ms,"
+    "failure"
 )
 
 
@@ -88,9 +89,12 @@ def sample_budget(p: int, c: int, d_prime: int) -> int:
 class ExperimentRecord:
     """One benchmark trial, including the edge sets it was scored on.
 
-    A failed trial (``failed`` set) is scored as an empty estimate, which
-    matches an empty truth at Hamming distance 0. Code that counts exact
-    recoveries must also check ``failed``.
+    ``failure`` names the exception class that stopped the pipeline
+    (``OrderStallError``, ``InfeasibleEstimateError`` or
+    ``EstimatorConvergenceError``), or is empty when it returned. A failed
+    trial is scored as an empty estimate, which matches an empty truth at
+    Hamming distance 0. Code that counts exact recoveries must also check
+    ``failed``.
     """
 
     p: int
@@ -106,8 +110,12 @@ class ExperimentRecord:
     precision: float
     recall: float
     f_score: float
-    failed: bool
+    failure: str
     runtime_ms: int
+
+    @property
+    def failed(self) -> bool:
+        return self.failure != ""
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,11 @@ class SweepConfig:
             raise ValueError("need c_values or fixed_n")
         if self.fixed_n is not None and self.fixed_n < 2:
             raise ValueError("fixed_n must be at least 2")
+        if self.fixed_n is not None and self.fixed_n < max(self.p_values):
+            raise ValueError(
+                f"fixed_n={self.fixed_n} is below the largest p={max(self.p_values)}; "
+                "every trial needs at least p samples per model"
+            )
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
@@ -174,13 +187,13 @@ def run_trial(cfg: SweepConfig, p: int, c: int | None, rep: int) -> ExperimentRe
         x1 = sample(sem1, n, np.random.default_rng((seed, 1)))
         x2 = sample(sem2, n, np.random.default_rng((seed, 2)))
         cov = CovariancePair.from_data(x1, x2, sem1.labels)
-    failed = False
+    failure = ""
     t0 = time.perf_counter()
     try:
         result = run_pipeline(cov, cfg.pipeline)
         estimated = result.delta.with_vertices(true_delta.vertices)
-    except (OrderStallError, InfeasibleEstimateError, EstimatorConvergenceError):
-        failed = True
+    except (OrderStallError, InfeasibleEstimateError, EstimatorConvergenceError) as exc:
+        failure = type(exc).__name__
         estimated = DagEdgeSet(vertices=true_delta.vertices, edges=frozenset())
     runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))
     sc = score(true_delta, estimated)
@@ -199,7 +212,7 @@ def run_trial(cfg: SweepConfig, p: int, c: int | None, rep: int) -> ExperimentRe
         precision=sc.precision,
         recall=sc.recall,
         f_score=sc.f_score,
-        failed=failed,
+        failure=failure,
         runtime_ms=runtime_ms,
     )
 
@@ -210,8 +223,9 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     Trials are independent (per-trial seeds are derived, not shared), so the
     loop parallelizes trivially; this runner keeps them sequential and the
     output order canonical. Pipeline failures are recorded as empty estimates
-    with the failure flag set; against an empty truth such a record scores
-    Hamming 0, so a count of recoveries must also check ``failed``.
+    with the exception class name in ``failure``; against an empty truth such
+    a record scores Hamming 0, so a count of recoveries must also check
+    ``failed``.
     Generator exhaustion aborts the sweep, since it signals an unsatisfiable
     configuration.
     """
@@ -286,7 +300,8 @@ def write_records_csv(records: list[ExperimentRecord], path) -> None:
 
     The runtime_ms column is left empty so that repeated runs with the same
     seeds produce byte-identical files; measured runtimes live on the record
-    objects.
+    objects. The trailing failure column holds the exception class name of a
+    failed trial and is empty otherwise.
     """
     lines = [CSV_COLUMNS]
     for r in records:
@@ -306,6 +321,7 @@ def write_records_csv(records: list[ExperimentRecord], path) -> None:
                     repr(r.f_score),
                     str(int(r.failed)),
                     "",
+                    r.failure,
                 ]
             )
         )

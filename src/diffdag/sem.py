@@ -254,7 +254,7 @@ class CovariancePair:
 
     Entries must be finite. ``n1 == n2 == 0`` marks population-exact
     matrices, which must be positive definite; empirical matrices only need
-    to be symmetric.
+    to be symmetric, but a positive sample count below p is rejected.
     """
 
     sigma1: np.ndarray
@@ -279,6 +279,12 @@ class CovariancePair:
         if self.n1 < 0 or self.n2 < 0:
             raise InvalidCovarianceError("sample counts must be nonnegative")
         p = s1.shape[0]
+        for name, n in (("n1", self.n1), ("n2", self.n2)):
+            if 0 < n < p:
+                raise InvalidCovarianceError(
+                    f"{name}={n} samples are fewer than the p={p} variables; "
+                    "the empirical covariance is singular"
+                )
         labels = tuple(self.labels) if len(self.labels) else tuple(range(p))
         if len(labels) != p or len(set(labels)) != p:
             raise InvalidCovarianceError("labels must be unique and match the dimension")

@@ -154,6 +154,16 @@ class TestEstimateDelta:
         direct = dd.estimate_dantzig(cov, dd.EstimatorConfig(lambda_n=0.2, epsilon=0.125))
         assert payload == direct.to_json()
 
+    def test_fewer_samples_than_variables_is_a_domain_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
+        dd.save_data_csv(rng.standard_normal((6, 10)), d1)
+        dd.save_data_csv(rng.standard_normal((50, 10)), d2)
+        assert main(["estimate-delta", "--data1", str(d1), "--data2", str(d2),
+                     "--lambda-auto", "--output-dir", str(tmp_path / "out")]) == 1
+        assert "n1=6 samples are fewer than the p=10 variables" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCheckAssumptions:
     def _planted(self, tmp_path):

@@ -1,12 +1,16 @@
 """Population solver, constrained-l1 program, thresholding, diagnostics.
 
 Oracles: direct matrix inversion for the population difference, inverses of
-restricted covariances (Schur complements) for submatrices, and exhaustive
+restricted covariances (Schur complements) for submatrices, the dense
+Kronecker-lift LP for the factored constrained-l1 program, and exhaustive
 index-quadruple enumeration for the incoherence constants.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import diffdag as dd
 from diffdag import (
@@ -23,7 +27,7 @@ from diffdag import (
     solve_population,
     threshold,
 )
-from diffdag.estimators import dantzig_selector
+from diffdag.estimators import dantzig_selector, resolve_lambda
 from helpers import perturb_sem, random_sem
 
 POP = PipelineConfig(estimator="population")
@@ -166,6 +170,114 @@ class TestDantzig:
         recovery_counter.append(
             bool(((np.abs(truth) > 1e-10) == (dp.matrix != 0)).all())
         )
+
+
+def _dense_kronecker_lp(s1, s2, lambda_n, solver_tol=1e-7, max_iter=50_000):
+    """Reference: the constrained-l1 program over the dense Kronecker lift.
+
+    Minimizes ||beta||_1 subject to |(S2 kron S1) beta - vec(S2 - S1)| <= lambda
+    with beta = beta+ - beta-, the (2 p^2) x (2 p^2) form the factored LP
+    replaces. Returns the p x p minimizer or raises like dantzig_selector.
+    """
+    p = s1.shape[0]
+    n = p * p
+    b = (s2 - s1).flatten(order="F")
+    if lambda_n >= float(np.abs(b).max()):
+        return np.zeros((p, p))
+    kron = np.kron(s2, s1)
+    res = linprog(
+        np.ones(2 * n),
+        A_ub=np.block([[kron, -kron], [-kron, kron]]),
+        b_ub=np.concatenate([b + lambda_n, lambda_n - b]),
+        bounds=(0.0, None),
+        method="highs",
+        options={"maxiter": max_iter, "primal_feasibility_tolerance": max(solver_tol, 1e-10)},
+    )
+    if res.status == 2:
+        raise InfeasibleEstimateError("dense reference infeasible")
+    if res.status != 0:
+        raise EstimatorConvergenceError(f"dense reference stopped (status {res.status})")
+    return (res.x[:n] - res.x[n:]).reshape((p, p), order="F")
+
+
+def _outcome(solve, s1, s2, lam):
+    try:
+        return solve(s1, s2, lam)
+    except (InfeasibleEstimateError, EstimatorConvergenceError) as exc:
+        return type(exc)
+
+
+def _support(raw):
+    """Support of the symmetrized estimate at the default epsilon 0.125."""
+    return np.abs(raw + raw.T) / 2.0 > 0.125
+
+
+def _reference_cases():
+    """(id, s1, s2, lambda) for population and sampled pairs at p = 3, 5, 8, 12."""
+    cases = []
+    for p in (3, 5, 8, 12):
+        rng = np.random.default_rng(500 + p)
+        sem1 = random_sem(rng, p, edge_prob=0.3)
+        sem2 = perturb_sem(rng, sem1, 2)
+        pop = CovariancePair.from_sems(sem1, sem2)
+        top = float(np.abs(pop.sigma2 - pop.sigma1).max())
+        cases.append((f"p{p}-population-lam0.05", pop.sigma1, pop.sigma2, 0.05))
+        cases.append((f"p{p}-population-below-max", pop.sigma1, pop.sigma2, 0.99 * top))
+        for n in (p + 1, 2000):
+            x1 = dd.sample(sem1, n, np.random.default_rng((p, n, 1)))
+            x2 = dd.sample(sem2, n, np.random.default_rng((p, n, 2)))
+            cov = CovariancePair.from_data(x1, x2)
+            lam = resolve_lambda(cov, EstimatorConfig(lambda_auto=True)).lambda_n
+            top = float(np.abs(cov.sigma2 - cov.sigma1).max())
+            cases.append((f"p{p}-n{n}-auto", cov.sigma1, cov.sigma2, lam))
+            cases.append((f"p{p}-n{n}-below-max", cov.sigma1, cov.sigma2, 0.99 * top))
+        # singular S1 at lambda 0: no Cholesky shortcut, and S1 D = I - S1 has
+        # no solution, so both forms must report infeasibility
+        singular = np.diag(np.r_[np.ones(p - 1), 0.0])
+        cases.append((f"p{p}-singular-lam0", singular, np.eye(p), 0.0))
+    return cases
+
+
+_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("case", _CASES, ids=[c[0] for c in _CASES])
+def test_factored_lp_matches_dense_kronecker_reference(case):
+    _, s1, s2, lam = case
+    tol = 1e-7
+    got = _outcome(dantzig_selector, s1, s2, lam)
+    ref = _outcome(_dense_kronecker_lp, s1, s2, lam)
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert isinstance(got, np.ndarray)
+    l1_ref = np.abs(ref).sum()
+    assert abs(np.abs(got).sum() - l1_ref) <= 1e-9 * max(l1_ref, 1e-12)
+    b = (s2 - s1).flatten(order="F")
+    resid = np.abs(np.kron(s2, s1) @ got.flatten(order="F") - b).max()
+    assert resid <= lam + tol
+    np.testing.assert_array_equal(_support(got), _support(ref))
+
+
+def test_lp_memory_stays_below_the_dense_lift():
+    # the dense LP block [[K, -K], [-K, K]] over K = S2 kron S1 is 32 p^4
+    # bytes (26 MB at p = 30) before the solver copies it; the factored
+    # blocks hold O(p^3) entries
+    rng = np.random.default_rng(30)
+    sem1 = random_sem(rng, 30, edge_prob=0.1)
+    sem2 = perturb_sem(rng, sem1, 3)
+    cov = CovariancePair.from_data(
+        dd.sample(sem1, 2000, np.random.default_rng(1)),
+        dd.sample(sem2, 2000, np.random.default_rng(2)),
+    )
+    lam = resolve_lambda(cov, EstimatorConfig(lambda_auto=True)).lambda_n
+    tracemalloc.start()
+    try:
+        dantzig_selector(cov.sigma1, cov.sigma2, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB inside dantzig_selector"
 
 
 @pytest.fixture(scope="module")

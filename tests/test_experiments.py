@@ -20,6 +20,7 @@ from diffdag import (
 )
 from diffdag.experiments import (
     format_summary_table,
+    run_trial,
     write_plot_tsv,
     write_records_csv,
     write_summary_json,
@@ -74,14 +75,14 @@ class TestScore:
             score(_edges(range(3)), _edges(range(4)))
 
 
-def _record(p=5, c=5, rep=0, hamming=0, norm=0.0, prec=1.0, rec=1.0, f=1.0, failed=False):
+def _record(p=5, c=5, rep=0, hamming=0, norm=0.0, prec=1.0, rec=1.0, f=1.0, failure=""):
     edges = _edges(range(p))
     return ExperimentRecord(
         p=p, c=c, n=20, rep=rep, seed=rep, d_prime=1,
         true_edges=edges, estimated_edges=edges,
         hamming=hamming, norm_hamming=norm,
         precision=prec, recall=rec, f_score=f,
-        failed=failed, runtime_ms=3,
+        failure=failure, runtime_ms=3,
     )
 
 
@@ -104,7 +105,7 @@ class TestAggregate:
         assert len(cells) == 3
 
     def test_failures_counted(self):
-        cells = aggregate([_record(failed=True), _record(rep=1)])
+        cells = aggregate([_record(failure="OrderStallError"), _record(rep=1)])
         assert cells[0].failures == 1
 
     def test_empty_rejected(self):
@@ -123,6 +124,15 @@ def _tiny_sweep(seed_base=0):
         ),
         seed_base=seed_base,
     )
+
+
+class TestSweepConfig:
+    def test_fixed_n_below_largest_p_rejected(self):
+        with pytest.raises(ValueError, match="fixed_n=9 is below the largest p=10"):
+            SweepConfig(p_values=(5, 10), fixed_n=9)
+
+    def test_fixed_n_equal_to_largest_p_accepted(self):
+        assert SweepConfig(p_values=(5, 10), fixed_n=10).fixed_n == 10
 
 
 class TestRunSweep:
@@ -179,6 +189,24 @@ class TestRunSweep:
         assert rec.estimated_edges.edges == frozenset()
         assert rec.hamming == len(rec.true_edges.edges)
 
+    def test_stalled_trial_records_its_cause(self, tmp_path):
+        # rep 3 of p = 10, c = 20 has an empty difference sampled at n = 11,
+        # where layer peeling finds no zero-diagonal vertex
+        cfg = SweepConfig(p_values=(10,), c_values=(20,), repetitions=4, seed_base=0)
+        rec = run_trial(cfg, 10, 20, 3)
+        assert rec.failure == "OrderStallError"
+        assert rec.failed
+        path = tmp_path / "records.csv"
+        write_records_csv([rec], path)
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[11] == "1"
+        assert row[-1] == "OrderStallError"
+
+    def test_returned_trial_records_no_failure(self):
+        rec = run_sweep(_tiny_sweep())[0]
+        assert rec.failure == ""
+        assert not rec.failed
+
     def test_norm_hamming_convention(self):
         records = run_sweep(_tiny_sweep())
         for r in records:
@@ -207,7 +235,7 @@ class TestOutputs:
         header = p1.read_text().splitlines()[0]
         assert header == (
             "p,c,n,rep,seed,d_prime,hamming,norm_hamming,precision,recall,"
-            "f_score,failed,runtime_ms"
+            "f_score,failed,runtime_ms,failure"
         )
 
     def test_summary_json_and_plot_tsv(self, tmp_path):

@@ -172,6 +172,25 @@ class TestCovariancePair:
         with pytest.raises(InvalidCovarianceError, match="sigma1"):
             CovariancePair.from_data(x, np.ones((5, 2)))
 
+    @pytest.mark.parametrize("name", ["n1", "n2"])
+    def test_fewer_samples_than_variables_rejected_naming_the_count(self, name):
+        counts = {"n1": 10, "n2": 10, name: 2}
+        with pytest.raises(InvalidCovarianceError, match=f"{name}=2 samples"):
+            CovariancePair(np.eye(3), np.eye(3), **counts)
+
+    def test_from_data_with_fewer_rows_than_columns_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidCovarianceError, match="n1=6 samples"):
+            CovariancePair.from_data(rng.standard_normal((6, 10)), rng.standard_normal((20, 10)))
+
+    def test_sample_count_equal_to_p_and_population_pairs_accepted(self):
+        assert CovariancePair(np.eye(3), np.eye(3), n1=3, n2=3).p == 3
+        assert CovariancePair(np.eye(3), np.eye(3)).is_population
+
+    def test_restrict_keeps_a_valid_sample_count(self):
+        cov = CovariancePair(np.eye(4), np.eye(4), n1=4, n2=4)
+        assert cov.restrict({0, 2}).n1 == 4
+
     def test_restrict_preserves_label_order(self):
         sem = random_sem(np.random.default_rng(2), p=5)
         cov = CovariancePair.from_sems(sem, sem)
