@@ -19,6 +19,21 @@ program written over the Kronecker lift S2 kron S1 is a dense
 (2 p^2) x (2 p^2) matrix. The reshaped solution is symmetrized and
 hard-thresholded, since only entries clearly away from zero should count as
 support.
+
+The pipeline solves this program over many vertex subsets R of one pair:
+once per peeled layer, and once per candidate set of common children in
+prune. Those are all the same model with other bounds. Whenever D is zero
+outside R x R, (S1 D S2)_RR = S1_RR D_RR S2_RR, so the program over
+(S1_RR, S2_RR) is the full program with beta+- fixed at 0 outside R x R and
+the two-sided rows outside R x R freed. The program is therefore kept as one
+HiGHS model per pair, through scipy's bundled HiGHS binding, and re-solved
+warm after those bound changes. A restricted ``CovariancePair`` remembers the
+pair it came from, and ``estimate_dantzig`` solves it through that pair's
+model. The pipeline restricts ``cov_v``, the pair without its invariant
+vertices, so peeling and prune share one model over ``cov_v``. A model over
+the full pair would give the same optima, but its blocks hold p^3 rather
+than p_v^3 nonzeros, and every solve would carry the invariant vertices'
+rows and columns only to free and fix them.
 """
 
 from __future__ import annotations
@@ -30,10 +45,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+)
+from scipy.optimize._highspy._core.simplex_constants import SimplexStrategy
 
 from .errors import (
-    DiffDagError,
     EstimatorConvergenceError,
     InfeasibleEstimateError,
     InvalidCovarianceError,
@@ -208,12 +229,124 @@ def solve_population(cov: CovariancePair) -> DeltaPrecision:
     return DeltaPrecision(_symmetrize(dm), cov.labels, 0.0)
 
 
+# scipy's linprog status codes for HiGHS model states, which the error
+# messages report; a state not listed maps to 4.
+_LINPROG_STATUS = {
+    HighsModelStatus.kOptimal: 0,
+    HighsModelStatus.kTimeLimit: 1,
+    HighsModelStatus.kIterationLimit: 1,
+    HighsModelStatus.kInfeasible: 2,
+    HighsModelStatus.kModelError: 2,
+    HighsModelStatus.kUnbounded: 3,
+}
+
+
+class _FactoredProgram:
+    """The factored program of one covariance pair, held in one HiGHS model.
+
+    The model is built once and solves the program of any principal
+    submatrix pair (S1_RR, S2_RR) by bound changes: the upper bounds of
+    beta+- are 0 outside R x R, and the rows of the two-sided constraint
+    outside R x R are freed.
+    This is exact because (S1 D S2)_RR = S1_RR D_RR S2_RR whenever D is zero
+    outside R x R; the equality rows outside R x R only define m entries that
+    no live row reads. Each solve starts from the last one's basis, and a
+    solve that ends without an optimum drops it.
+    """
+
+    def __init__(self, s1: np.ndarray, s2: np.ndarray, lambda_n: float, solver_tol: float, max_iter: int):
+        # Variables [beta+, beta-, m], m = vec(S1 D) free. vec is
+        # column-major, so entry (i, j) sits at i + p j. Rows are the upper
+        # and the lower half of the two-sided constraint, then the equality
+        # rows: the order linprog stacked A_ub over A_eq in. The matrix is built from coordinates: scipy's
+        # sparse kron and stacking cost more than a whole small solve.
+        p = s1.shape[0]
+        n = p * p
+        i, j, k = np.indices((p, p, p)).reshape(3, -1)
+        row = i + p * j
+        # (S2' kron I) vec(M) = vec(M S2): row (i, j) holds S2[k, j] at column (i, k)
+        col2, val2 = i + p * k + 2 * n, s2[k, j]
+        # (I kron S1) vec(D) = vec(S1 D): row (i, j) holds S1[i, k] at column (k, j)
+        col1, val1 = k + p * j, s1[i, k]
+        diag = np.arange(n)
+        a = sp.csc_array(
+            (
+                np.concatenate([val2, -val2, -val1, val1, np.ones(n)]),
+                (
+                    np.concatenate([row, row + n, row + 2 * n, row + 2 * n, diag + 2 * n]),
+                    np.concatenate([col2, col2, col1, col1 + n, diag + 2 * n]),
+                ),
+            ),
+            shape=(3 * n, 3 * n),
+        )
+        b = (s2 - s1).flatten(order="F")
+        self._rhs = np.concatenate([b + lambda_n, lambda_n - b])
+        self._row_upper = self._rhs.copy()
+        self._col_upper = np.full(2 * n, np.inf)
+        self.p = p
+
+        lp = HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = 3 * n
+        lp.num_row_ = lp.a_matrix_.num_row_ = 3 * n
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = np.concatenate([np.ones(2 * n), np.zeros(n)])
+        lp.col_lower_ = np.concatenate([np.zeros(2 * n), np.full(n, -np.inf)])
+        lp.col_upper_ = np.full(3 * n, np.inf)
+        lp.row_lower_ = np.concatenate([np.full(2 * n, -np.inf), np.zeros(n)])
+        lp.row_upper_ = np.concatenate([self._rhs, np.zeros(n)])
+        self._highs = _Highs()
+        for name, value in (
+            ("output_flag", False),
+            ("presolve", "on"),
+            ("simplex_strategy", SimplexStrategy.kSimplexStrategyDual),
+            ("simplex_iteration_limit", max_iter),
+            ("ipm_iteration_limit", max_iter),
+            ("primal_feasibility_tolerance", max(solver_tol, 1e-10)),
+        ):
+            self._highs.setOptionValue(name, value)
+        if self._highs.passModel(lp) == HighsStatus.kError:
+            raise ValueError("HiGHS rejected the constrained-l1 program")
+
+    def solve(self, index: np.ndarray) -> tuple[int, np.ndarray | None]:
+        """linprog's status code and, if optimal, the raw minimizer over R = index."""
+        p = self.p
+        n = p * p
+        inside = np.zeros(p, dtype=bool)
+        inside[index] = True
+        live = np.tile(np.outer(inside, inside).flatten(order="F"), 2)
+        col_upper = np.where(live, np.inf, 0.0)
+        cols = np.flatnonzero(col_upper != self._col_upper)
+        if cols.size:
+            self._highs.changeColsBounds(
+                cols.size, cols.astype(np.int32), np.zeros(cols.size), col_upper[cols]
+            )
+            self._col_upper = col_upper
+        # the binding has changeRowBounds but no changeRowsBounds
+        row_upper = np.where(live, self._rhs, np.inf)
+        for r in np.flatnonzero(row_upper != self._row_upper):
+            self._highs.changeRowBounds(int(r), -np.inf, float(row_upper[r]))
+        self._row_upper = row_upper
+        self._highs.run()
+        status = _LINPROG_STATUS.get(self._highs.getModelStatus(), 4)
+        if status != 0:
+            self._highs.clearSolver()
+            return status, None
+        x = np.asarray(self._highs.getSolution().col_value)
+        raw = (x[:n] - x[n : 2 * n]).reshape((p, p), order="F")
+        return status, raw[np.ix_(index, index)]
+
+
 def dantzig_selector(
     sigma1: np.ndarray,
     sigma2: np.ndarray,
     lambda_n: float,
     solver_tol: float = 1e-7,
     max_iter: int = 50_000,
+    *,
+    within: tuple[_FactoredProgram, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Raw minimizer of the constrained-l1 program, reshaped to p x p.
 
@@ -221,12 +354,22 @@ def dantzig_selector(
     is feasible it is returned outright (it has the smallest possible l1
     norm); when lambda_n is 0 and both matrices admit a Cholesky factor the
     feasible set is the singleton exact solution, which is computed directly.
+
+    Otherwise the program is solved in HiGHS. ``within`` is
+    ``(program, index)``: a program built at the same settings over a larger
+    pair of which (sigma1, sigma2) is the principal submatrix at ``index``.
+    It is re-solved warm after bound changes, exactly, since
+    (S1 D S2)_RR = S1_RR D_RR S2_RR for D zero outside R x R (see the module
+    docstring). Without it a program over (sigma1, sigma2) is built and
+    solved once. Either way the status mapping and the residual check apply
+    to (sigma1, sigma2).
     """
     s1 = np.asarray(sigma1, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
     p = s1.shape[0]
-    b = (s2 - s1).flatten(order="F")
-    if lambda_n >= float(np.abs(b).max()):
+    if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
+        raise ValueError("sigma1 and sigma2 must be finite")
+    if lambda_n >= float(np.abs(s2 - s1).max()):
         return np.zeros((p, p))
     if lambda_n == 0.0:
         try:
@@ -234,58 +377,21 @@ def dantzig_selector(
         except np.linalg.LinAlgError:
             pass  # rank-deficient: fall through to the LP
 
-    # Variables [beta+, beta-, m], m = vec(S1 D) free. vec is column-major,
-    # so entry (i, j) sits at i + p j. The blocks are built from coordinates:
-    # scipy's sparse kron and stacking cost more than the whole solve at the
-    # small p that prune asks for.
-    n = p * p
-    i, j, k = np.indices((p, p, p)).reshape(3, -1)
-    row = i + p * j
-    # (I kron S1) vec(D) = vec(S1 D): row (i, j) holds S1[i, k] at column (k, j)
-    col1, val1 = k + p * j, s1[i, k]
-    # (S2' kron I) vec(M) = vec(M S2): row (i, j) holds S2[k, j] at column (i, k)
-    col2, val2 = i + p * k, s2[k, j]
-    diag = np.arange(n)
-    a_eq = sp.csr_array(
-        (
-            np.concatenate([-val1, val1, np.ones(n)]),
-            (np.concatenate([row, row, diag]), np.concatenate([col1, col1 + n, diag + 2 * n])),
-        ),
-        shape=(n, 3 * n),
-    )
-    a_ub = sp.csr_array(
-        (np.concatenate([val2, -val2]), (np.concatenate([row, row + n]), np.tile(col2 + 2 * n, 2))),
-        shape=(2 * n, 3 * n),
-    )
-    b_ub = np.concatenate([b + lambda_n, lambda_n - b])
-    cost = np.concatenate([np.ones(2 * n), np.zeros(n)])
-    bounds = np.array([(0.0, np.inf)] * (2 * n) + [(-np.inf, np.inf)] * n)
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=np.zeros(n),
-        bounds=bounds,
-        method="highs",
-        options={"maxiter": max_iter, "primal_feasibility_tolerance": max(solver_tol, 1e-10)},
-    )
-    if res.status == 2:
+    if within is None:
+        within = (_FactoredProgram(s1, s2, lambda_n, solver_tol, max_iter), np.arange(p))
+    program, index = within
+    status, delta = program.solve(index)
+    if status == 2:
         raise InfeasibleEstimateError(
             f"constrained l1 program infeasible at lambda_n={lambda_n:g}; "
             "increase lambda_n (the empirical system is inconsistent)"
         )
-    delta = residual = None
-    if res.x is not None:
-        delta = (res.x[:n] - res.x[n : 2 * n]).reshape((p, p), order="F")
-        residual = float(np.abs(s1 @ delta @ s2 - (s2 - s1)).max())
-    if res.status in (1, 4) or delta is None:
+    if delta is None:
         raise EstimatorConvergenceError(
-            f"LP solver stopped early (status {res.status}) at lambda_n={lambda_n:g}",
-            best_residual=residual,
+            f"LP solver stopped early (status {status}) at lambda_n={lambda_n:g}",
+            best_residual=None,
         )
-    if res.status != 0:
-        raise DiffDagError(f"unexpected LP status {res.status}")
+    residual = float(np.abs(s1 @ delta @ s2 - (s2 - s1)).max())
     if residual > lambda_n + 100.0 * solver_tol:
         raise EstimatorConvergenceError(
             f"LP solution violates the residual bound ({residual:g} > {lambda_n:g} + tol)",
@@ -306,7 +412,14 @@ def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
 def estimate_dantzig(cov: CovariancePair, cfg: EstimatorConfig) -> DeltaPrecision:
     """Constrained-l1 estimate, symmetrized and hard-thresholded at epsilon."""
     lam = resolve_lambda(cov, cfg).lambda_n
-    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, cfg.solver_tol, cfg.max_iter)
+    within = None
+    if cov._source is not None:
+        source, index = cov._source
+        key = (lam, cfg.solver_tol, cfg.max_iter)
+        if key not in source._programs:
+            source._programs[key] = _FactoredProgram(source.sigma1, source.sigma2, *key)
+        within = (source._programs[key], index)
+    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, cfg.solver_tol, cfg.max_iter, within=within)
     return threshold(DeltaPrecision(_symmetrize(raw), cov.labels), cfg.epsilon)
 
 

@@ -16,6 +16,7 @@ separated from zero.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,8 +287,13 @@ class CovariancePair:
                     "the empirical covariance is singular"
                 )
         labels = tuple(self.labels) if len(self.labels) else tuple(range(p))
-        if len(labels) != p or len(set(labels)) != p:
-            raise InvalidCovarianceError("labels must be unique and match the dimension")
+        if len(labels) != p:
+            raise InvalidCovarianceError(
+                f"labels must match the dimension: {len(labels)} labels for p={p} variables"
+            )
+        if len(set(labels)) != p:
+            duplicated = sorted((lab for lab, k in Counter(labels).items() if k > 1), key=repr)
+            raise InvalidCovarianceError(f"labels must be unique; duplicated: {duplicated!r}")
         if self.n1 == 0 and self.n2 == 0:
             for name, s in (("sigma1", s1), ("sigma2", s2)):
                 try:
@@ -302,6 +308,11 @@ class CovariancePair:
         object.__setattr__(self, "sigma2", s2)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
+        # (pair, index) this pair was restricted from, and the estimators'
+        # constrained-l1 programs over this pair, keyed by their settings:
+        # every restriction of one pair re-solves that pair's program
+        object.__setattr__(self, "_source", None)
+        object.__setattr__(self, "_programs", {})
 
     @property
     def p(self) -> int:
@@ -326,14 +337,16 @@ class CovariancePair:
             raise KeyError(f"unknown vertex labels {sorted(missing, key=repr)!r}")
         if not keep:
             raise InvalidCovarianceError("cannot restrict to an empty label set")
-        idx = [self.index(lab) for lab in keep]
-        return CovariancePair(
+        idx = np.array([self.index(lab) for lab in keep])
+        sub = CovariancePair(
             sigma1=self.sigma1[np.ix_(idx, idx)],
             sigma2=self.sigma2[np.ix_(idx, idx)],
             n1=self.n1,
             n2=self.n2,
             labels=tuple(keep),
         )
+        object.__setattr__(sub, "_source", (self, idx))
+        return sub
 
     @classmethod
     def from_sems(cls, sem1: Sem, sem2: Sem) -> "CovariancePair":
@@ -346,7 +359,9 @@ class CovariancePair:
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1]:
-            raise InvalidCovarianceError("data matrices must be 2-d with equal column counts")
+            raise InvalidCovarianceError(
+                f"data matrices must be 2-d with equal column counts, got shapes {x1.shape} and {x2.shape}"
+            )
         return cls(
             empirical_covariance(x1),
             empirical_covariance(x2),

@@ -164,6 +164,15 @@ class TestEstimateDelta:
         assert "n1=6 samples are fewer than the p=10 variables" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_mismatched_column_counts_are_a_domain_error_naming_both_shapes(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
+        dd.save_data_csv(rng.standard_normal((50, 4)), d1)
+        dd.save_data_csv(rng.standard_normal((50, 3)), d2)
+        assert main(["estimate-delta", "--data1", str(d1), "--data2", str(d2),
+                     "--lambda-auto", "--output-dir", str(tmp_path / "out")]) == 1
+        assert "got shapes (50, 4) and (50, 3)" in capsys.readouterr().err
+
 
 class TestCheckAssumptions:
     def _planted(self, tmp_path):

@@ -2,11 +2,14 @@
 
 Oracles: direct matrix inversion for the population difference, inverses of
 restricted covariances (Schur complements) for submatrices, the dense
-Kronecker-lift LP for the factored constrained-l1 program, and exhaustive
-index-quadruple enumeration for the incoherence constants.
+Kronecker-lift LP for the factored constrained-l1 program, a fresh program
+per submatrix pair for restrictions re-solved on their source's program, and
+exhaustive index-quadruple enumeration for the incoherence constants.
 """
 
+import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from diffdag import (
     solve_population,
     threshold,
 )
+from diffdag import estimators
 from diffdag.estimators import dantzig_selector, resolve_lambda
 from helpers import perturb_sem, random_sem
 
@@ -278,6 +282,137 @@ def test_lp_memory_stays_below_the_dense_lift():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB inside dantzig_selector"
+
+
+def test_non_finite_matrices_rejected_before_the_solver():
+    s2 = 2.0 * np.eye(3)
+    s2[0, 1] = s2[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        dantzig_selector(np.eye(3), s2, 0.1)
+
+
+def test_highs_binding_has_everything_the_program_uses():
+    # scipy's HiGHS binding is private; this pins the names the persistent
+    # program relies on, so a scipy that moves them fails here
+    from scipy.optimize._highspy._core import HighsLp, HighsStatus, _Highs
+
+    for method in (
+        "setOptionValue", "passModel", "changeColsBounds", "changeRowBounds",
+        "run", "getModelStatus", "getSolution", "clearSolver",
+    ):
+        assert callable(getattr(_Highs, method, None)), method
+    highs = _Highs()
+    for option in (
+        "output_flag", "presolve", "simplex_strategy", "simplex_iteration_limit",
+        "ipm_iteration_limit", "primal_feasibility_tolerance",
+    ):
+        assert highs.getOptionValue(option)[0] == HighsStatus.kOk, option
+    lp = HighsLp()
+    for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_"):
+        assert hasattr(lp, field), field
+    for field in ("num_col_", "num_row_", "format_", "start_", "index_", "value_"):
+        assert hasattr(lp.a_matrix_, field), field
+
+
+DANTZIG = PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(lambda_auto=True))
+
+
+@pytest.fixture
+def raw_solves(monkeypatch):
+    """Every raw minimizer dantzig_selector returns during the test, in order."""
+    seen = []
+    real = estimators.dantzig_selector
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(estimators, "dantzig_selector", spy)
+    return seen
+
+
+def _sampled_pair(p, n, zero_vertex=None):
+    rng = np.random.default_rng(700 + p)
+    sem1 = random_sem(rng, p, edge_prob=0.3)
+    sem2 = perturb_sem(rng, sem1, 2)
+    x1 = dd.sample(sem1, n, np.random.default_rng((p, n, 1)))
+    x2 = dd.sample(sem2, n, np.random.default_rng((p, n, 2)))
+    if zero_vertex is not None:
+        x1[:, zero_vertex] = 0.0
+    return CovariancePair.from_data(x1, x2)
+
+
+def _assert_restrictions_match_fresh_solves(cov, raw_solves):
+    """Every drop set of size 0-2, in prune's order, then one of them again.
+
+    Each restriction goes through cov's program; each is compared with the
+    estimate of a pair built from the same submatrices, which has no source
+    and so solves a program of its own.
+    """
+    cfg = replace(DANTZIG, est_cfg=resolve_lambda(cov, DANTZIG.est_cfg))
+    lam = cfg.est_cfg.lambda_n
+    drops = [d for size in range(3) for d in itertools.combinations(cov.labels, size)]
+    outcomes = []
+    for drop in drops + [drops[len(drops) // 2]]:
+        sub = cov.restrict(lab for lab in cov.labels if lab not in drop)
+        fresh = CovariancePair(sub.sigma1, sub.sigma2, sub.n1, sub.n2, sub.labels)
+        (got, got_raw), (ref, ref_raw) = (_estimate_with_raw(c, cfg, raw_solves) for c in (sub, fresh))
+        outcomes.append(ref if isinstance(ref, type) else DeltaPrecision)
+        if isinstance(ref, type):
+            assert got is ref, drop
+            continue
+        assert isinstance(got, DeltaPrecision), drop
+        l1_ref = np.abs(ref_raw).sum()
+        assert abs(np.abs(got_raw).sum() - l1_ref) <= 1e-9 * max(l1_ref, 1e-12), drop
+        b = (sub.sigma2 - sub.sigma1).flatten(order="F")
+        resid = np.abs(np.kron(sub.sigma2, sub.sigma1) @ got_raw.flatten(order="F") - b).max()
+        assert resid <= lam + 1e-7, drop
+        np.testing.assert_array_equal(got.matrix != 0, ref.matrix != 0)
+    assert list(cov._programs) == [(lam, cfg.est_cfg.solver_tol, cfg.est_cfg.max_iter)]
+    return outcomes
+
+
+def _estimate_with_raw(cov, cfg, raw_solves):
+    """The estimate or the error class it raised, and the raw minimizer."""
+    try:
+        return estimate(cov, cfg), raw_solves[-1]
+    except (InfeasibleEstimateError, EstimatorConvergenceError) as exc:
+        return type(exc), None
+
+
+@pytest.mark.parametrize("p", [5, 8, 12])
+@pytest.mark.parametrize("n_rule", ["p+1", "2000"])
+def test_restrictions_through_one_program_match_fresh_solves(p, n_rule, raw_solves):
+    cov = _sampled_pair(p, p + 1 if n_rule == "p+1" else 2000)
+    _assert_restrictions_match_fresh_solves(cov, raw_solves)
+
+
+def test_program_recovers_after_an_infeasible_restriction(raw_solves):
+    # vertex 0 is constant in the first sample, so S1's row 0 vanishes and
+    # every restriction keeping vertex 0 is infeasible; those that drop it
+    # must still match fresh solves after the failed ones
+    outcomes = _assert_restrictions_match_fresh_solves(_sampled_pair(8, 2000, zero_vertex=0), raw_solves)
+    assert outcomes[0] is InfeasibleEstimateError
+    assert outcomes[1] is DeltaPrecision
+    assert {InfeasibleEstimateError, DeltaPrecision} <= set(outcomes[2:])
+
+
+def test_a_failed_solve_drops_the_basis():
+    # after a non-optimal status the next solve starts cold, so it repeats a
+    # new program's first solve of the same restriction bit for bit
+    cov = _sampled_pair(8, 2000, zero_vertex=0)
+    settings = (resolve_lambda(cov, DANTZIG.est_cfg).lambda_n, 1e-7, 50_000)
+    program = estimators._FactoredProgram(cov.sigma1, cov.sigma2, *settings)
+    checked, failed_before = 0, False
+    for drop in (d for size in range(3) for d in itertools.combinations(range(8), size)):
+        index = np.array([k for k in range(8) if k not in drop])
+        status, raw = program.solve(index)
+        if failed_before and status == 0:
+            fresh = estimators._FactoredProgram(cov.sigma1, cov.sigma2, *settings)
+            np.testing.assert_array_equal(raw, fresh.solve(index)[1])
+            checked += 1
+        failed_before = status != 0
+    assert checked == 2
 
 
 @pytest.fixture(scope="module")

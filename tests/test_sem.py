@@ -199,6 +199,22 @@ class TestCovariancePair:
         idx = [1, 3]
         np.testing.assert_array_equal(sub.sigma1, cov.sigma1[np.ix_(idx, idx)])
 
+    def test_label_count_mismatch_gives_both_counts(self):
+        with pytest.raises(InvalidCovarianceError, match="2 labels for p=3 variables"):
+            CovariancePair(np.eye(3), np.eye(3), labels=("a", "b"))
+
+    def test_duplicate_labels_are_named(self):
+        with pytest.raises(InvalidCovarianceError, match=r"duplicated: \['a', 'c'\]"):
+            CovariancePair(np.eye(5), np.eye(5), labels=("c", "a", "b", "a", "c"))
+
+    def test_from_data_column_mismatch_gives_both_shapes(self):
+        with pytest.raises(InvalidCovarianceError, match=r"got shapes \(5, 3\) and \(5, 2\)"):
+            CovariancePair.from_data(np.ones((5, 3)), np.ones((5, 2)))
+
+    def test_restriction_record_stays_out_of_repr(self):
+        sub = CovariancePair(np.eye(3), 2.0 * np.eye(3)).restrict({0, 2})
+        assert repr(sub) == repr(CovariancePair(sub.sigma1, sub.sigma2, sub.n1, sub.n2, sub.labels))
+
     def test_restrict_unknown_label(self):
         cov = CovariancePair(np.eye(2), np.eye(2))
         with pytest.raises(KeyError):

@@ -1,0 +1,178 @@
+"""Record a before/after benchmark comparison as a BENCH_<n>.json file.
+
+    python3 tools/bench_record.py --parent PARENT_CHECKOUT --out BENCH_6.json
+
+Compares two full checkouts of the repository: ``--parent`` and ``--change``
+(by default the checkout holding this script). Everything runs one process
+at a time, from each tree's own files:
+
+- for each workload, ``--pairs`` pairs of
+  ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+  alternating which tree runs first, with seed ``--seed-base + k`` for pair k;
+- one traced run (``--trace 1 --seed 0``) per workload and tree;
+- the C07/C08 acceptance fixture's sweep (360 Dantzig trials) in a fresh
+  interpreter, timed, with the sha256 of the ``records.csv`` it writes;
+- the Tier-1 suite, timed.
+
+The file holds every run's end-to-end metrics, each metric's median and
+quartiles per side, the pairs the change wins on ``ops_per_s``, the traced
+per-layer metrics, and the host's core count and RAM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+WORKLOADS = ("sweep-dantzig", "pipeline-large", "sweep-population")
+SIDES = ("parent", "change")
+
+# The trend_records fixture of tests/test_acceptance.py.
+C07_GRID = """
+import sys
+import diffdag as dd
+from diffdag.experiments import write_records_csv
+cfg = dd.SweepConfig(
+    p_values=(5, 10, 15),
+    c_values=(5, 10, 15, 20),
+    repetitions=30,
+    gen=dd.SemPairGenConfig(p=10),
+    pipeline=dd.PipelineConfig(
+        estimator="dantzig",
+        est_cfg=dd.EstimatorConfig(lambda_auto=True, epsilon=0.125),
+    ),
+    seed_base=0,
+)
+write_records_csv(dd.run_sweep(cfg), sys.argv[1])
+"""
+
+
+def _env(tree: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The last stdout line of one perfbench run, plus its ``# env`` line."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        raise RuntimeError(f"{workload} seed {seed} failed in {tree.name}:\n{out.stderr}")
+    result = json.loads(lines[-1])
+    env_line = next(line for line in lines if line.startswith("# env "))
+    result["env"] = json.loads(env_line[len("# env "):])
+    return result
+
+
+def traced(tree: Path, workload: str) -> dict:
+    result = run_bench(tree, workload, 0, 0.0, 1)
+    with open(tree / "perfbench" / "out" / f"{workload}-seed0-trace.json", encoding="utf-8") as fh:
+        absent = json.load(fh)["absent"]
+    return {"absent": absent, "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def c07_grid(tree: Path) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        t = time.perf_counter()
+        subprocess.run([sys.executable, "-c", C07_GRID, str(path)], env=_env(tree), check=True)
+        seconds = time.perf_counter() - t
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"s": seconds, "records_sha256": digest}
+
+
+def tier1(tree: Path) -> dict:
+    t = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
+        cwd=tree, env=_env(tree), capture_output=True, text=True, check=False,
+    )
+    seconds = time.perf_counter() - t
+    return {"s": seconds, "summary": out.stdout.strip().splitlines()[-1]}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare_workload(trees: dict, workload: str, pairs: int, seconds: float, seed_base: int) -> dict:
+    runs = []
+    for k in range(pairs):
+        seed = seed_base + k
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            result = run_bench(trees[side], workload, seed, seconds, 0)
+            pair[side] = {
+                "correct": result["correct"],
+                "attempted": result["attempted"],
+                "failed": result["failed"],
+                **{name: m["value"] for name, m in result["metrics"].items()},
+            }
+            env = result["env"]
+        runs.append(pair)
+        print(f"{workload} seed {seed}: " + ", ".join(
+            f"{side} {pair[side]['ops_per_s']:.4f}/s" for side in SIDES), flush=True)
+    metrics = [m for m in runs[0]["parent"] if m not in ("correct", "attempted", "failed")]
+    summary = {m: {side: spread([r[side][m] for r in runs]) for side in SIDES} for m in metrics}
+    wins = sum(r["change"]["ops_per_s"] > r["parent"]["ops_per_s"] for r in runs)
+    return {
+        "env": {k: env[k] for k in ("nproc", "cpus_usable", "ram_mb", "python", "numpy", "scipy")},
+        "summary": summary,
+        "ops_per_s_wins": f"{wins}/{pairs}",
+        "runs": runs,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seed-base", type=int, default=100)
+    args = parser.parse_args()
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    record: dict = {
+        "command": f"python3 perfbench/run.py --seconds {args.seconds:g} --trace 0",
+        "pairs": args.pairs,
+        "workloads": {},
+        "traced": {},
+    }
+
+    def save() -> None:
+        # after every stage, so a failed later stage keeps the earlier ones
+        args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+    for workload in WORKLOADS:
+        record["workloads"][workload] = compare_workload(
+            trees, workload, args.pairs, args.seconds, args.seed_base)
+        save()
+    for workload in WORKLOADS:
+        record["traced"][workload] = {side: traced(trees[side], workload) for side in SIDES}
+        save()
+    record["c07_grid"] = {side: c07_grid(trees[side]) for side in SIDES}
+    save()
+    record["tier1"] = {side: tier1(trees[side]) for side in SIDES}
+    save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
