@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .experiments import (
     write_summary_json,
 )
 from .oracles import check_assumptions, minimax_sample_bound
-from .pipeline import PipelineConfig, estimate, run_pipeline
+from .pipeline import PartialPruneWarning, PipelineConfig, estimate, run_pipeline
 from .sem import (
     CovariancePair,
     SemPairGenConfig,
@@ -140,9 +141,21 @@ def _cmd_run_pipeline(args, parser) -> int:
                     print(f"error: {msg}", file=sys.stderr)
                     return 1
                 print(f"warning: {msg}", file=sys.stderr)
-    result = run_pipeline(cov, replace(_pipeline_config(args), record_trace=args.trace))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PartialPruneWarning)
+        result = run_pipeline(cov, replace(_pipeline_config(args), record_trace=args.trace))
+    payload = result.to_json()
+    partial = []
+    for w in caught:
+        if issubclass(w.category, PartialPruneWarning):
+            partial.append(str(w.message))
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if partial:
+        payload["warnings"] = partial
     out = _out_dir(args)
-    _write_json(result.to_json(), out / "pipeline.json")
+    _write_json(payload, out / "pipeline.json")
     print(f"wrote pipeline.json to {out} ({len(result.delta.edges)} difference edges, "
           f"{len(result.invariant_vertices)} invariant vertices)")
     return 0
@@ -221,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(r)
     r.add_argument("--strict", action="store_true",
                    help="fail when the assumption check fails (SEM inputs only)")
-    r.add_argument("--trace", action="store_true", help="record intermediate estimates")
+    r.add_argument("--trace", action="store_true",
+                   help="add each stage's steps and estimates to pipeline.json as \"trace\"")
     r.set_defaults(func=_cmd_run_pipeline)
 
     c = sub.add_parser("check-assumptions", help="report whether a SEM pair is recoverable")

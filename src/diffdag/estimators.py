@@ -28,17 +28,17 @@ outside R x R, (S1 D S2)_RR = S1_RR D_RR S2_RR, so the program over
 the two-sided rows outside R x R freed. The program is therefore kept as one
 HiGHS model per pair, through scipy's bundled HiGHS binding, and re-solved
 warm after those bound changes. A restricted ``CovariancePair`` remembers the
-pair it came from, and ``estimate_dantzig`` solves it through that pair's
-model. The pipeline restricts ``cov_v``, the pair without its invariant
-vertices, so peeling and prune share one model over ``cov_v``. A model over
-the full pair would give the same optima, but its blocks hold p^3 rather
-than p_v^3 nonzeros, and every solve would carry the invariant vertices'
-rows and columns only to free and fix them.
+pair it came from, and ``dantzig_selector`` solves it through that pair's
+model, which it builds on the first solve that reaches HiGHS. The pipeline
+restricts ``cov_v``, the pair without its invariant vertices, so peeling and
+prune share one model over ``cov_v``. A model over the full pair would give
+the same optima, but its blocks hold p^3 rather than p_v^3 nonzeros, and
+every solve would carry the invariant vertices' rows and columns only to
+free and fix them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -59,11 +59,11 @@ from .errors import (
     InfeasibleEstimateError,
     InvalidCovarianceError,
 )
-from .sem import CovariancePair, _symmetrize
+from .sem import CovariancePair, _Labeled, _symmetrize
 
 
 @dataclass(frozen=True, eq=False)
-class DeltaPrecision:
+class DeltaPrecision(_Labeled):
     """A symmetric matrix of precision differences with its label index.
 
     ``threshold_applied`` records the hard threshold used to zero small
@@ -83,9 +83,7 @@ class DeltaPrecision:
         scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
         if m.size and float(np.abs(m - m.T).max()) > 1e-10 * scale:
             raise ValueError("matrix must be symmetric")
-        labels = tuple(self.labels) if len(self.labels) else tuple(range(p))
-        if len(labels) != p or len(set(labels)) != p:
-            raise ValueError("labels must be unique and match the dimension")
+        self._set_labels(p, ValueError)
         if self.threshold_applied < 0.0:
             raise ValueError("threshold_applied must be nonnegative")
         if self.threshold_applied > 0.0:
@@ -95,18 +93,10 @@ class DeltaPrecision:
                 raise ValueError("entries at or below the threshold must be exactly zero")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
 
     @property
     def p(self) -> int:
         return self.matrix.shape[0]
-
-    def index(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown vertex label {label!r}") from None
 
     def entry(self, i, j) -> float:
         return float(self.matrix[self.index(i), self.index(j)])
@@ -346,7 +336,7 @@ def dantzig_selector(
     solver_tol: float = 1e-7,
     max_iter: int = 50_000,
     *,
-    within: tuple[_FactoredProgram, np.ndarray] | None = None,
+    within: tuple[CovariancePair, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Raw minimizer of the constrained-l1 program, reshaped to p x p.
 
@@ -356,13 +346,14 @@ def dantzig_selector(
     feasible set is the singleton exact solution, which is computed directly.
 
     Otherwise the program is solved in HiGHS. ``within`` is
-    ``(program, index)``: a program built at the same settings over a larger
-    pair of which (sigma1, sigma2) is the principal submatrix at ``index``.
-    It is re-solved warm after bound changes, exactly, since
-    (S1 D S2)_RR = S1_RR D_RR S2_RR for D zero outside R x R (see the module
-    docstring). Without it a program over (sigma1, sigma2) is built and
-    solved once. Either way the status mapping and the residual check apply
-    to (sigma1, sigma2).
+    ``(source, index)``, a restricted pair's ``_source``: a larger
+    ``CovariancePair`` of which (sigma1, sigma2) is the principal submatrix
+    at ``index``. The program over the source at these settings is built on
+    first use, kept on the source, and re-solved warm after bound changes,
+    exactly, since (S1 D S2)_RR = S1_RR D_RR S2_RR for D zero outside R x R
+    (see the module docstring). Without it a program over (sigma1, sigma2) is
+    built and solved once. Either way the status mapping and the residual
+    check apply to (sigma1, sigma2).
     """
     s1 = np.asarray(sigma1, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
@@ -377,9 +368,14 @@ def dantzig_selector(
         except np.linalg.LinAlgError:
             pass  # rank-deficient: fall through to the LP
 
+    key = (lambda_n, solver_tol, max_iter)
     if within is None:
-        within = (_FactoredProgram(s1, s2, lambda_n, solver_tol, max_iter), np.arange(p))
-    program, index = within
+        program, index = _FactoredProgram(s1, s2, *key), np.arange(p)
+    else:
+        source, index = within
+        if key not in source._programs:
+            source._programs[key] = _FactoredProgram(source.sigma1, source.sigma2, *key)
+        program = source._programs[key]
     status, delta = program.solve(index)
     if status == 2:
         raise InfeasibleEstimateError(
@@ -412,71 +408,7 @@ def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
 def estimate_dantzig(cov: CovariancePair, cfg: EstimatorConfig) -> DeltaPrecision:
     """Constrained-l1 estimate, symmetrized and hard-thresholded at epsilon."""
     lam = resolve_lambda(cov, cfg).lambda_n
-    within = None
-    if cov._source is not None:
-        source, index = cov._source
-        key = (lam, cfg.solver_tol, cfg.max_iter)
-        if key not in source._programs:
-            source._programs[key] = _FactoredProgram(source.sigma1, source.sigma2, *key)
-        within = (source._programs[key], index)
-    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, cfg.solver_tol, cfg.max_iter, within=within)
-    return threshold(DeltaPrecision(_symmetrize(raw), cov.labels), cfg.epsilon)
-
-
-@dataclass(frozen=True)
-class IncoherenceReport:
-    """Advisory constants governing when the constrained-l1 program is sharp.
-
-    ``k_o_max`` is the largest off-diagonal magnitude of the Kronecker lift
-    Sigma2 kron Sigma1, i.e. the maximum of |Sigma1_ij * Sigma2_kl| over index
-    quadruples other than (i==j and k==l). ``k_d_min`` is the smallest
-    matching-diagonal product. The reported inequality compares k_o_max
-    against lambda_min(Sigma1) * lambda_min(Sigma2) / (2 * nnz(delta)).
-    """
-
-    k_o_max: float
-    k_d_min: float
-    lambda_min_1: float
-    lambda_min_2: float
-    delta_l0: int
-    bound: float
-    inequality_holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "k_o_max": self.k_o_max,
-            "k_d_min": self.k_d_min,
-            "lambda_min_1": self.lambda_min_1,
-            "lambda_min_2": self.lambda_min_2,
-            "delta_l0": self.delta_l0,
-            "bound": self.bound if math.isfinite(self.bound) else None,
-            "inequality_holds": self.inequality_holds,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def incoherence_diagnostics(cov: CovariancePair, dp: DeltaPrecision) -> IncoherenceReport:
-    """Advisory incoherence constants for a covariance pair and an estimate."""
-    a1 = np.abs(cov.sigma1)
-    a2 = np.abs(cov.sigma2)
-    p = cov.p
-    off = ~np.eye(p, dtype=bool)
-    off1 = float(a1[off].max()) if p > 1 else 0.0
-    off2 = float(a2[off].max()) if p > 1 else 0.0
-    k_o_max = max(off1 * float(a2.max()), float(np.diag(a1).max()) * off2)
-    k_d_min = float((np.diag(cov.sigma1) * np.diag(cov.sigma2)).min())
-    lam1 = float(np.linalg.eigvalsh(cov.sigma1).min())
-    lam2 = float(np.linalg.eigvalsh(cov.sigma2).min())
-    nnz = dp.support_size()
-    bound = math.inf if nnz == 0 else lam1 * lam2 / (2.0 * nnz)
-    return IncoherenceReport(
-        k_o_max=k_o_max,
-        k_d_min=k_d_min,
-        lambda_min_1=lam1,
-        lambda_min_2=lam2,
-        delta_l0=nnz,
-        bound=bound,
-        inequality_holds=bool(k_o_max <= bound),
+    raw = dantzig_selector(
+        cov.sigma1, cov.sigma2, lam, cfg.solver_tol, cfg.max_iter, within=cov._source
     )
+    return threshold(DeltaPrecision(_symmetrize(raw), cov.labels), cfg.epsilon)

@@ -4,14 +4,13 @@ A sweep walks a grid of vertex counts and sample-size constants, runs
 repeated trials with per-trial derived seeds, and scores each recovered edge
 set against the generator's ground truth. Records are deterministic given the
 base seed; the emitted CSV, JSON summary and plot table are byte-stable
-across runs (measured runtimes stay on the in-memory records only).
+across runs, and no runtime is measured.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -27,20 +26,9 @@ from .estimators import EstimatorConfig
 from .pipeline import PipelineConfig, run_pipeline
 from .sem import CovariancePair, DagEdgeSet, SemPairGenConfig, generate_sem_pair, sample
 
-# Published baseline numbers for the DCI comparison at n=1000; reference
-# annotations only, never computed by this package.
-DCI_REFERENCE = {
-    5: {"precision": (0.65, 0.13), "recall": (0.70, 0.13), "f_score": (0.65, 0.12)},
-    10: {"precision": (0.35, 0.07), "recall": (0.52, 0.11), "f_score": (0.41, 0.08)},
-    15: {"precision": (0.78, 0.06), "recall": (0.95, 0.04), "f_score": (0.84, 0.05)},
-}
-
 _METRICS = ("hamming", "norm_hamming", "precision", "recall", "f_score")
 
-CSV_COLUMNS = (
-    "p,c,n,rep,seed,d_prime,hamming,norm_hamming,precision,recall,f_score,failed,runtime_ms,"
-    "failure"
-)
+CSV_COLUMNS = "p,c,n,rep,seed,d_prime,hamming,norm_hamming,precision,recall,f_score,failed,failure"
 
 
 class ScoreResult(NamedTuple):
@@ -111,7 +99,6 @@ class ExperimentRecord:
     recall: float
     f_score: float
     failure: str
-    runtime_ms: int
 
     @property
     def failed(self) -> bool:
@@ -188,14 +175,12 @@ def run_trial(cfg: SweepConfig, p: int, c: int | None, rep: int) -> ExperimentRe
         x2 = sample(sem2, n, np.random.default_rng((seed, 2)))
         cov = CovariancePair.from_data(x1, x2, sem1.labels)
     failure = ""
-    t0 = time.perf_counter()
     try:
         result = run_pipeline(cov, cfg.pipeline)
         estimated = result.delta.with_vertices(true_delta.vertices)
     except (OrderStallError, InfeasibleEstimateError, EstimatorConvergenceError) as exc:
         failure = type(exc).__name__
         estimated = DagEdgeSet(vertices=true_delta.vertices, edges=frozenset())
-    runtime_ms = int(round((time.perf_counter() - t0) * 1000.0))
     sc = score(true_delta, estimated)
     norm = sc.hamming / max(1, len(true_delta.edges) + len(estimated.edges))
     return ExperimentRecord(
@@ -213,7 +198,6 @@ def run_trial(cfg: SweepConfig, p: int, c: int | None, rep: int) -> ExperimentRe
         recall=sc.recall,
         f_score=sc.f_score,
         failure=failure,
-        runtime_ms=runtime_ms,
     )
 
 
@@ -298,10 +282,9 @@ def aggregate(records: list[ExperimentRecord]) -> list[CellSummary]:
 def write_records_csv(records: list[ExperimentRecord], path) -> None:
     """Long-format trial records, one row per trial.
 
-    The runtime_ms column is left empty so that repeated runs with the same
-    seeds produce byte-identical files; measured runtimes live on the record
-    objects. The trailing failure column holds the exception class name of a
-    failed trial and is empty otherwise.
+    Repeated runs with the same seeds produce byte-identical files. The
+    trailing failure column holds the exception class name of a failed trial
+    and is empty otherwise.
     """
     lines = [CSV_COLUMNS]
     for r in records:
@@ -320,7 +303,6 @@ def write_records_csv(records: list[ExperimentRecord], path) -> None:
                     repr(r.recall),
                     repr(r.f_score),
                     str(int(r.failed)),
-                    "",
                     r.failure,
                 ]
             )
@@ -345,12 +327,8 @@ def write_plot_tsv(summaries: list[CellSummary], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def format_summary_table(summaries: list[CellSummary], reference: bool = True) -> str:
-    """Mean (sd) table for precision, recall and F-score, one row per cell.
-
-    With ``reference`` the published DCI baseline numbers are appended,
-    clearly marked as reference values that this package does not compute.
-    """
+def format_summary_table(summaries: list[CellSummary]) -> str:
+    """Mean (sd) table for precision, recall and F-score, one row per cell."""
 
     def cell(summary: CellSummary, metric: str) -> str:
         return f"{summary.means[metric]:.2f} ({summary.sds[metric]:.2f})"
@@ -361,13 +339,4 @@ def format_summary_table(summaries: list[CellSummary], reference: bool = True) -
             f"{s.p}\t{s.c if s.c is not None else s.n}\t"
             f"{cell(s, 'precision')}\t{cell(s, 'recall')}\t{cell(s, 'f_score')}"
         )
-    if reference:
-        lines.append("")
-        lines.append("# reference: published DCI baseline at n=1000 (not computed here)")
-        for p in sorted(DCI_REFERENCE):
-            vals = DCI_REFERENCE[p]
-            lines.append(
-                f"{p}\t-\t"
-                + "\t".join(f"{vals[m][0]:.2f} ({vals[m][1]:.2f})" for m in ("precision", "recall", "f_score"))
-            )
     return "\n".join(lines) + "\n"

@@ -17,7 +17,8 @@ the pruned result equals the support of B1 - B2 exactly.
 from __future__ import annotations
 
 import itertools
-import warnings as _warnings
+import sys
+import warnings
 from dataclasses import dataclass, replace
 
 from .errors import OrderStallError
@@ -110,7 +111,6 @@ class PipelineResult:
     invariant_vertices: frozenset
     order: LayeredOrder
     trace: tuple | None = None
-    warnings: tuple = ()
 
     def to_json(self) -> dict:
         out = {
@@ -118,8 +118,6 @@ class PipelineResult:
             "layers": self.order.to_json(),
             "edges": [list(e) for e in self.delta.sorted_edges()],
         }
-        if self.warnings:
-            out["warnings"] = list(self.warnings)
         if self.trace is not None:
             out["trace"] = [
                 {**entry, "delta": entry["delta"].to_json()}
@@ -208,7 +206,6 @@ def prune(
     order: LayeredOrder,
     cfg: PipelineConfig,
     trace: list | None = None,
-    warn_sink: list | None = None,
 ) -> DagEdgeSet:
     """Drop edges whose difference entry vanishes once common children go.
 
@@ -216,13 +213,15 @@ def prune(
     eliminated strictly before j (descendants of j in the layered order),
     excluding i. Subsets are removed in increasing size and the difference is
     re-estimated over the rest; the first subset that zeroes the (i, j) entry
-    kills the edge. Descendant sets above ``cfg.prune_subset_cap`` are only
-    searched within a 2**cap subset budget.
+    kills the edge. Only the first 2**cap subsets in that order are tested,
+    so a descendant set above ``cfg.prune_subset_cap`` is searched in part;
+    an edge that survives such a search raises a ``PartialPruneWarning``.
     """
     kept = set(delta.edges)
     cache: dict[frozenset, DeltaPrecision] = {}
     all_labels = list(cov.labels)
-    budget = 2 ** cfg.prune_subset_cap
+    # islice's stop must fit in a C ssize_t; no search reaches a larger budget
+    budget = min(2 ** cfg.prune_subset_cap, sys.maxsize)
 
     def estimate_over(retained: tuple) -> DeltaPrecision:
         key = frozenset(retained)
@@ -237,38 +236,30 @@ def prune(
             descendants |= layer
         descendants.discard(i)
         desc = sorted(descendants, key=repr)
-        truncated = len(desc) > cfg.prune_subset_cap
-        tested = 0
-        removed = False
-        for size in range(len(desc) + 1):
-            for drop in itertools.combinations(desc, size):
-                if truncated and tested >= budget:
-                    break
-                tested += 1
-                drop_set = set(drop)
-                retained = tuple(lab for lab in all_labels if lab not in drop_set)
-                dp_s = estimate_over(retained)
-                entry = dp_s.entry(i, j)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(desc, size) for size in range(len(desc) + 1)
+        )
+        for drop in itertools.islice(subsets, budget):
+            drop_set = set(drop)
+            retained = tuple(lab for lab in all_labels if lab not in drop_set)
+            entry = estimate_over(retained).entry(i, j)
+            if trace is not None:
+                trace.append(
+                    {"stage": "prune_test", "edge": [i, j], "dropped": sorted(drop), "entry": entry}
+                )
+            if entry == 0.0:
+                kept.discard((i, j))
                 if trace is not None:
-                    trace.append(
-                        {"stage": "prune_test", "edge": [i, j], "dropped": sorted(drop), "entry": entry}
-                    )
-                if entry == 0.0:
-                    kept.discard((i, j))
-                    removed = True
-                    if trace is not None:
-                        trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": sorted(drop)})
-                    break
-            if removed or (truncated and tested >= budget):
+                    trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": sorted(drop)})
                 break
-        if truncated and not removed:
-            msg = (
-                f"edge ({i!r}, {j!r}): descendant set of size {len(desc)} exceeds the "
-                f"cap {cfg.prune_subset_cap}; searched {tested} subsets before giving up"
-            )
-            _warnings.warn(msg, PartialPruneWarning, stacklevel=2)
-            if warn_sink is not None:
-                warn_sink.append(msg)
+        else:
+            if len(desc) > cfg.prune_subset_cap:
+                warnings.warn(
+                    f"edge ({i!r}, {j!r}): descendant set of size {len(desc)} exceeds the "
+                    f"cap {cfg.prune_subset_cap}; searched {budget} subsets before giving up",
+                    PartialPruneWarning,
+                    stacklevel=2,
+                )
     return DagEdgeSet(vertices=delta.vertices, edges=frozenset(kept))
 
 
@@ -294,7 +285,6 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
             invariant_vertices=invariant,
             order=LayeredOrder(()),
             trace=tuple(trace) if trace is not None else None,
-            warnings=(),
         )
     cov_v = cov.restrict(v_labels)
     dp_v = dp_full.restrict(v_labels)
@@ -302,12 +292,10 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
     rough = orient_edges(dp_v, order)
     if trace is not None:
         trace.append({"stage": "orient_edges", "edges": [list(e) for e in rough.sorted_edges()]})
-    sink: list = []
-    pruned = prune(rough, cov_v, order, cfg, trace=trace, warn_sink=sink)
+    pruned = prune(rough, cov_v, order, cfg, trace=trace)
     return PipelineResult(
         delta=pruned,
         invariant_vertices=invariant,
         order=order,
         trace=tuple(trace) if trace is not None else None,
-        warnings=tuple(sink),
     )

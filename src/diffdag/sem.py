@@ -52,8 +52,33 @@ def _canonical_topo_positions(support: np.ndarray) -> list[int]:
     return placed
 
 
+class _Labeled:
+    """Vertex labels with an index, shared by every labeled matrix type."""
+
+    def _set_labels(self, p: int, error: type[Exception]) -> None:
+        """Default the labels to 0..p-1, check them, and index them.
+
+        A wrong count or a duplicated label raises ``error``, naming the
+        problem.
+        """
+        labels = tuple(self.labels) if len(self.labels) else tuple(range(p))
+        if len(labels) != p:
+            raise error(f"labels must match the dimension: {len(labels)} labels for p={p} variables")
+        if len(set(labels)) != p:
+            duplicated = sorted((lab for lab, k in Counter(labels).items() if k > 1), key=repr)
+            raise error(f"labels must be unique; duplicated: {duplicated!r}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
+
+    def index(self, label) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(f"unknown vertex label {label!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
-class Sem:
+class Sem(_Labeled):
     """One linear SEM: edge-weight matrix, noise variances, vertex labels.
 
     ``b`` must have zero diagonal and acyclic support; ``noise_vars`` must be
@@ -79,27 +104,17 @@ class Sem:
             raise InvalidModelError("noise_vars length must match matrix dimension")
         if not np.isfinite(nv).all() or np.any(nv <= 0.0):
             raise InvalidModelError("noise variances must be strictly positive and finite")
-        labels = tuple(self.labels) if len(self.labels) else tuple(range(p))
-        if len(labels) != p or len(set(labels)) != p:
-            raise InvalidModelError("labels must be unique and match the dimension")
+        self._set_labels(p, InvalidModelError)
         topo = _canonical_topo_positions(b != 0.0)
         b.setflags(write=False)
         nv.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "noise_vars", nv)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_topo_positions", tuple(topo))
-        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
 
     @property
     def p(self) -> int:
         return self.b.shape[0]
-
-    def index(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown vertex label {label!r}") from None
 
     def topological_order(self) -> tuple:
         """Canonical (lexicographically minimal) topological order, as labels.
@@ -250,7 +265,7 @@ def empirical_covariance(data: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CovariancePair:
+class CovariancePair(_Labeled):
     """Two covariance matrices over a shared label ordering.
 
     Entries must be finite. ``n1 == n2 == 0`` marks population-exact
@@ -286,14 +301,7 @@ class CovariancePair:
                     f"{name}={n} samples are fewer than the p={p} variables; "
                     "the empirical covariance is singular"
                 )
-        labels = tuple(self.labels) if len(self.labels) else tuple(range(p))
-        if len(labels) != p:
-            raise InvalidCovarianceError(
-                f"labels must match the dimension: {len(labels)} labels for p={p} variables"
-            )
-        if len(set(labels)) != p:
-            duplicated = sorted((lab for lab, k in Counter(labels).items() if k > 1), key=repr)
-            raise InvalidCovarianceError(f"labels must be unique; duplicated: {duplicated!r}")
+        self._set_labels(p, InvalidCovarianceError)
         if self.n1 == 0 and self.n2 == 0:
             for name, s in (("sigma1", s1), ("sigma2", s2)):
                 try:
@@ -306,8 +314,6 @@ class CovariancePair:
         s2.setflags(write=False)
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
         # (pair, index) this pair was restricted from, and the estimators'
         # constrained-l1 programs over this pair, keyed by their settings:
         # every restriction of one pair re-solves that pair's program
@@ -321,12 +327,6 @@ class CovariancePair:
     @property
     def is_population(self) -> bool:
         return self.n1 == 0 and self.n2 == 0
-
-    def index(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown vertex label {label!r}") from None
 
     def restrict(self, labels) -> "CovariancePair":
         """The pair restricted to a label subset, in this pair's label order."""
@@ -375,13 +375,13 @@ class CovariancePair:
 class SemPairGenConfig:
     """Parameters of the random SEM pair generator.
 
-    ``expected_neighbors`` defaults to sqrt(p) and ``edge_change_prob`` to
-    0.5/p when left unset. ``weight_range`` is the magnitude interval of edge
-    weights; signs are drawn uniformly, so the default corresponds to weights
-    in [-1, -0.25] union [0.25, 1]. ``min_delta_omega`` is enforced on every
-    nonzero entry of the population precision difference by rejection
-    sampling, together with the 2*eps partial-correlation separations at
-    eps = min_delta_omega / 2.
+    ``expected_neighbors`` defaults to sqrt(p), at most p - 1, and
+    ``edge_change_prob`` to 0.5/p when left unset. ``weight_range`` is the
+    magnitude interval of edge weights; signs are drawn uniformly, so the
+    default corresponds to weights in [-1, -0.25] union [0.25, 1].
+    ``min_delta_omega`` is enforced on every nonzero entry of the population
+    precision difference by rejection sampling, together with the 2*eps
+    partial-correlation separations at eps = min_delta_omega / 2.
     """
 
     p: int
@@ -397,7 +397,7 @@ class SemPairGenConfig:
         if self.p < 2:
             raise ValueError("p must be at least 2")
         if self.expected_neighbors is None:
-            object.__setattr__(self, "expected_neighbors", float(np.sqrt(self.p)))
+            object.__setattr__(self, "expected_neighbors", float(min(np.sqrt(self.p), self.p - 1)))
         if self.edge_change_prob is None:
             object.__setattr__(self, "edge_change_prob", 0.5 / self.p)
         if not 0.0 < self.edge_change_prob < 1.0:

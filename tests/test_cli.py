@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ class TestRunPipeline:
         ])
         assert code == 0
         assert (out / "pipeline.json").exists()
+
+    def test_partial_prune_lands_in_warnings_and_on_stderr(self, tmp_path, monkeypatch, capsys):
+        msg = "edge (1, 0): descendant set of size 3 exceeds the cap 1; searched 2 subsets"
+        real = dd.run_pipeline
+
+        def partial(cov, cfg):
+            warnings.warn(msg, dd.PartialPruneWarning)
+            warnings.warn("not prune's", RuntimeWarning)
+            return real(cov, cfg)
+
+        monkeypatch.setattr("diffdag.cli.run_pipeline", partial)
+        _, _, _, a, b = _write_pair(tmp_path)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="not prune's"):
+            code = main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+                         "--output-dir", str(out)])
+        assert code == 0
+        assert json.loads((out / "pipeline.json").read_text())["warnings"] == [msg]
+        assert f"warning: {msg}\n" in capsys.readouterr().err
 
     def test_sem_inputs_without_population_flag_is_usage_error(self, tmp_path):
         _, _, _, a, b = _write_pair(tmp_path)

@@ -1,10 +1,10 @@
-"""Population solver, constrained-l1 program, thresholding, diagnostics.
+"""Population solver, constrained-l1 program and thresholding.
 
 Oracles: direct matrix inversion for the population difference, inverses of
 restricted covariances (Schur complements) for submatrices, the dense
-Kronecker-lift LP for the factored constrained-l1 program, a fresh program
-per submatrix pair for restrictions re-solved on their source's program, and
-exhaustive index-quadruple enumeration for the incoherence constants.
+Kronecker-lift LP for the factored constrained-l1 program, and a fresh
+program per submatrix pair for restrictions re-solved on their source's
+program.
 """
 
 import itertools
@@ -25,7 +25,6 @@ from diffdag import (
     PipelineConfig,
     estimate,
     estimate_dantzig,
-    incoherence_diagnostics,
     precision,
     solve_population,
     threshold,
@@ -397,6 +396,16 @@ def test_program_recovers_after_an_infeasible_restriction(raw_solves):
     assert {InfeasibleEstimateError, DeltaPrecision} <= set(outcomes[2:])
 
 
+def test_short_cut_restrictions_build_no_model():
+    # zero is feasible at a huge radius, and lambda 0 with a Cholesky factor
+    # is solved directly: neither reaches HiGHS, so the source keeps no model
+    cov = _sampled_pair(5, 2000)
+    sub = cov.restrict(cov.labels[1:])
+    for lam in (1e6, 0.0):
+        estimate(sub, replace(DANTZIG, est_cfg=EstimatorConfig(lambda_n=lam)))
+    assert cov._programs == {}
+
+
 def test_a_failed_solve_drops_the_basis():
     # after a non-optimal status the next solve starts cold, so it repeats a
     # new program's first solve of the same restriction bit for bit
@@ -501,67 +510,3 @@ class TestThreshold:
         dp = DeltaPrecision(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             threshold(dp, 0.0)
-
-
-def _exhaustive_k_o_max(s1, s2):
-    p = s1.shape[0]
-    best = 0.0
-    for i in range(p):
-        for j in range(p):
-            for k in range(p):
-                for l in range(p):
-                    if i == j and k == l:
-                        continue
-                    best = max(best, abs(s1[i, j] * s2[k, l]))
-    return best
-
-
-class TestIncoherenceDiagnostics:
-    def test_identity_covariances(self):
-        cov = CovariancePair(np.eye(3), np.eye(3))
-        dp = DeltaPrecision(np.zeros((3, 3)))
-        rep = incoherence_diagnostics(cov, dp)
-        assert rep.k_o_max == 0.0
-        assert rep.k_d_min == 1.0
-        assert rep.inequality_holds
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_constants_match_exhaustive_enumeration(self, seed):
-        _, _, cov = _population_pair(seed, p=4)
-        dp = solve_population(cov)
-        rep = incoherence_diagnostics(cov, dp)
-        assert rep.k_o_max == pytest.approx(_exhaustive_k_o_max(cov.sigma1, cov.sigma2))
-        assert rep.k_d_min == pytest.approx(
-            min(cov.sigma1[i, i] * cov.sigma2[i, i] for i in range( cov.p))
-        )
-
-    def test_two_vertex_chain_hand_values(self):
-        b = 0.7
-        m = np.zeros((2, 2))
-        m[1, 0] = b
-        sem1 = dd.Sem(m, np.ones(2))
-        sem2 = dd.Sem(np.zeros((2, 2)), np.ones(2))
-        cov = CovariancePair.from_sems(sem1, sem2)
-        rep = incoherence_diagnostics(cov, solve_population(cov))
-        # sigma1 = [[1, .7], [.7, 1.49]], sigma2 = I: only quadruples with a
-        # diagonal identity factor survive, so the max is the off-diagonal 0.7
-        assert rep.k_o_max == pytest.approx(0.7)
-        assert rep.k_d_min == pytest.approx(1.0)
-        assert rep.k_o_max == pytest.approx(_exhaustive_k_o_max(cov.sigma1, cov.sigma2))
-
-    def test_dense_difference_fails_inequality(self):
-        cov = CovariancePair.from_sems(
-            random_sem(np.random.default_rng(1), 6), random_sem(np.random.default_rng(2), 6)
-        )
-        dense = DeltaPrecision(np.ones((6, 6)) * 1000.0)
-        rep = incoherence_diagnostics(cov, dense)
-        assert not rep.inequality_holds
-
-    def test_json_serializes_infinite_bound_as_null(self):
-        import json
-
-        cov = CovariancePair(np.eye(2), np.eye(2))
-        rep = incoherence_diagnostics(cov, DeltaPrecision(np.zeros((2, 2))))
-        payload = json.loads(rep.to_json())
-        assert payload["bound"] is None
-        assert payload["delta_l0"] == 0

@@ -82,7 +82,7 @@ def _record(p=5, c=5, rep=0, hamming=0, norm=0.0, prec=1.0, rec=1.0, f=1.0, fail
         true_edges=edges, estimated_edges=edges,
         hamming=hamming, norm_hamming=norm,
         precision=prec, recall=rec, f_score=f,
-        failure=failure, runtime_ms=3,
+        failure=failure,
     )
 
 
@@ -235,7 +235,7 @@ class TestOutputs:
         header = p1.read_text().splitlines()[0]
         assert header == (
             "p,c,n,rep,seed,d_prime,hamming,norm_hamming,precision,recall,"
-            "f_score,failed,runtime_ms,failure"
+            "f_score,failed,failure"
         )
 
     def test_summary_json_and_plot_tsv(self, tmp_path):
@@ -250,10 +250,14 @@ class TestOutputs:
         assert lines[0] == "p\tc_or_n\tmean_norm_hamming"
         assert len(lines) == 3
 
-    def test_table_marks_reference_rows(self):
+    def test_table_has_one_mean_sd_row_per_cell_and_nothing_else(self):
         cells = aggregate(run_sweep(_tiny_sweep()))
-        table = format_summary_table(cells)
-        assert "reference" in table
-        assert "not computed here" in table
-        # the published baseline values appear verbatim in mean (sd) format
-        assert "0.35 (0.07)" in table
+        lines = format_summary_table(cells).splitlines()
+        assert lines[0] == "p\tc_or_n\tprecision\trecall\tf_score"
+        assert len(lines) == 1 + len(cells)
+        for line, s in zip(lines[1:], cells):
+            assert line.split("\t") == [
+                str(s.p),
+                str(s.c),
+                *(f"{s.means[m]:.2f} ({s.sds[m]:.2f})" for m in ("precision", "recall", "f_score")),
+            ]

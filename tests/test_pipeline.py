@@ -168,12 +168,15 @@ class TestPrune:
     def test_subset_cap_warns_and_keeps_edge(self):
         cov, order, rough = self._common_child_setup()
         tight = PipelineConfig(estimator="population", prune_subset_cap=0)
-        sink = []
-        with pytest.warns(dd.PartialPruneWarning):
-            pruned = prune(rough, cov, order, tight, warn_sink=sink)
+        with pytest.warns(dd.PartialPruneWarning, match="searched 1 subsets before giving up"):
+            pruned = prune(rough, cov, order, tight)
         # budget 2**0 = 1 subset (the empty one): the artifact edge survives
         assert (1, 0) in pruned.edges
-        assert sink
+
+    def test_cap_past_the_largest_index_searches_every_subset(self):
+        cov, order, rough = self._common_child_setup()
+        loose = PipelineConfig(estimator="population", prune_subset_cap=100)
+        assert prune(rough, cov, order, loose).edges == frozenset({(2, 0)})
 
 
 class TestHamming:

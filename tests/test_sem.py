@@ -19,11 +19,12 @@ from diffdag import (
     SemPairGenConfig,
     covariance,
     difference_edge_set,
-    empirical_covariance,
     generate_sem_pair,
     precision,
     sample,
 )
+from diffdag.estimators import DeltaPrecision
+from diffdag.sem import empirical_covariance
 from helpers import random_sem
 
 
@@ -150,6 +151,16 @@ class TestEmpiricalCovariance:
         assert np.array_equal(emp, emp.T)
 
 
+# Every labeled type checks its labels alike: (constructor at p with the
+# given labels, the error class it raises).
+LABELED = [
+    (lambda p, labels: CovariancePair(np.eye(p), np.eye(p), labels=labels), InvalidCovarianceError),
+    (lambda p, labels: Sem(np.zeros((p, p)), np.ones(p), labels), InvalidModelError),
+    (lambda p, labels: DeltaPrecision(np.zeros((p, p)), labels), ValueError),
+]
+LABELED_IDS = ["CovariancePair", "Sem", "DeltaPrecision"]
+
+
 class TestCovariancePair:
     def test_population_requires_positive_definite(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
@@ -199,13 +210,15 @@ class TestCovariancePair:
         idx = [1, 3]
         np.testing.assert_array_equal(sub.sigma1, cov.sigma1[np.ix_(idx, idx)])
 
-    def test_label_count_mismatch_gives_both_counts(self):
-        with pytest.raises(InvalidCovarianceError, match="2 labels for p=3 variables"):
-            CovariancePair(np.eye(3), np.eye(3), labels=("a", "b"))
+    @pytest.mark.parametrize("make, error", LABELED, ids=LABELED_IDS)
+    def test_label_count_mismatch_gives_both_counts(self, make, error):
+        with pytest.raises(error, match="2 labels for p=3 variables"):
+            make(3, ("a", "b"))
 
-    def test_duplicate_labels_are_named(self):
-        with pytest.raises(InvalidCovarianceError, match=r"duplicated: \['a', 'c'\]"):
-            CovariancePair(np.eye(5), np.eye(5), labels=("c", "a", "b", "a", "c"))
+    @pytest.mark.parametrize("make, error", LABELED, ids=LABELED_IDS)
+    def test_duplicate_labels_are_named(self, make, error):
+        with pytest.raises(error, match=r"duplicated: \['a', 'c'\]"):
+            make(5, ("c", "a", "b", "a", "c"))
 
     def test_from_data_column_mismatch_gives_both_shapes(self):
         with pytest.raises(InvalidCovarianceError, match=r"got shapes \(5, 3\) and \(5, 2\)"):
@@ -227,6 +240,12 @@ class TestGenerateSemPair:
         sem1, sem2, delta = generate_sem_pair(cfg)
         assert delta.edges == frozenset()
         np.testing.assert_array_equal(sem1.b, sem2.b)
+
+    def test_two_vertex_defaults_are_valid(self):
+        # sqrt(2) neighbours would exceed the one other vertex
+        assert SemPairGenConfig(p=2).expected_neighbors == 1.0
+        sem1, _, _ = generate_sem_pair(SemPairGenConfig(p=2, seed=0))
+        assert sem1.p == 2
 
     def test_returned_difference_matches_recomputation(self):
         sem1, sem2, delta = generate_sem_pair(SemPairGenConfig(p=5, seed=123))
