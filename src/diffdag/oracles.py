@@ -5,13 +5,16 @@ formulas (verified elsewhere against Schur complements), precision-difference
 entries come from the parent and common-children expansion of
 (I-B)^T D^-1 (I-B), and the assumption checker works from partial
 correlations of restricted covariance matrices. These routines exist to
-validate the estimators and the recovery pipeline; they favor clarity over
-speed.
+validate the estimators and the recovery pipeline. The generator also calls
+``check_assumptions`` on every candidate pair, so that one enumerates its
+subsets lazily, per edge, and inverts them in stacks; the rest favor clarity
+over speed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,11 +172,11 @@ class AssumptionReport:
 
     ``failed_condition`` is None on success, otherwise the first violated
     clause: "invariant-vertex-consistency" (vertices with zero
-    precision-difference rows must have unchanged edges and matching
-    common-children sums) or "separation" (every difference edge must keep a
-    2*eps partial-correlation gap, and its parent a 2*eps conditional-precision
-    diagonal gap, over all order-prefix subsets). "subset-budget" marks an
-    inconclusive check that enumerated too many subsets.
+    precision-difference rows must have unchanged edges) or "separation"
+    (every difference edge must keep a 2*eps partial-correlation gap, and its
+    parent a 2*eps conditional-precision diagonal gap, over all order-prefix
+    subsets). "subset-budget" marks an inconclusive check: the difference DAG
+    has too many such subsets.
     """
 
     passed: bool
@@ -194,25 +197,81 @@ class AssumptionReport:
         }
 
 
-def _ancestor_closed_subsets(vertices: list, parents: dict, cap: int) -> list[frozenset] | None:
-    """All subsets closed under taking parents, or None past the cap.
+# Subsets inverted per stacked np.linalg.inv call: bounds the memory a wide
+# level takes and the work wasted when its first subsets already fail.
+_CHUNK = 256
 
-    These are exactly the prefix sets of parents-first topological orders.
+
+def _closures(parents: dict) -> tuple[dict, dict]:
+    """Each vertex bit's ancestors and descendants, the vertex included.
+
+    ``parents`` maps each vertex bit to the mask of its parents; the result
+    maps each bit to two masks.
     """
-    downsets = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        base = frontier.pop()
-        for v in vertices:
-            if v in base or not parents[v] <= base:
-                continue
-            ext = base | {v}
-            if ext not in downsets:
-                downsets.add(ext)
-                frontier.append(ext)
-                if len(downsets) > cap:
-                    return None
-    return sorted(downsets, key=lambda s: (len(s), sorted(map(repr, s))))
+    anc: dict = {}
+
+    def visit(b: int) -> int:
+        if b not in anc:
+            mask, rest = b, parents[b]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                mask |= visit(low)
+            anc[b] = mask
+        return anc[b]
+
+    for b in parents:
+        visit(b)
+    return anc, {b: sum(c for c in anc if anc[c] & b) for b in anc}
+
+
+def _downset_count(mask: int, anc: dict, desc: dict, memo: dict) -> int:
+    """Number of ancestor-closed subsets of the vertices in ``mask``.
+
+    It is the product over the parts that comparability splits ``mask``
+    into, and a lone vertex counts 2. A larger part splits on its lowest
+    bit x: the subsets without x are those of the part minus x's
+    descendants, the subsets with x those of the part minus x's ancestors.
+    """
+    total = 1
+    while mask:
+        part = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = (anc[low] | desc[low]) & mask & ~part
+            part |= grown
+            frontier |= grown
+        mask &= ~part
+        if part not in memo:
+            x = part & -part
+            memo[part] = 2 if part == x else (
+                _downset_count(part & ~desc[x], anc, desc, memo)
+                + _downset_count(part & ~anc[x], anc, desc, memo)
+            )
+        total *= memo[part]
+    return total
+
+
+def _downsets_above(base: int, parents: dict) -> Iterator[list]:
+    """The ancestor-closed supersets of the ancestor-closed ``base``.
+
+    Yields one list per size, smallest first, each in descending mask
+    order. ``parents`` maps each vertex bit to the mask of its parents.
+    """
+    free = [(b, pb, b | pb) for b, pb in parents.items() if not b & base]
+    level = [base]
+    while level:
+        yield level
+        # b joins m when b is outside m and all of b's parents are inside
+        level = sorted({m | b for m in level for b, pb, bpb in free if m & bpb == pb}, reverse=True)
+
+
+def _members(masks: list, n: int, columns: np.ndarray) -> np.ndarray:
+    """0/1 rows saying which bits each mask holds, bit ``columns[q]`` in column q."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")[:, columns]
 
 
 def check_assumptions(
@@ -221,18 +280,29 @@ def check_assumptions(
     """Report whether a SEM pair supports exact difference-DAG recovery.
 
     Two clauses are verified. First, every vertex whose precision-difference
-    row vanishes must have unchanged incoming and outgoing edges, and each
-    pair of such vertices must have matching per-common-child weight products
-    divided by the child noise variance. Second, for every difference edge
-    (i, j) and every ancestor-closed subset S of the difference DAG containing
-    both endpoints, the two models must differ by at least 2*epsilon both in
-    the partial correlation of X_i, X_j given the rest of S and in the
-    diagonal precision entry of the parent j over S.
+    row vanishes must have unchanged incoming and outgoing edges; with shared
+    noise variances, unchanged outgoing edges also give each pair of such
+    vertices equal per-common-child weight products. Second, for every
+    difference edge (i, j) and every ancestor-closed subset S of the
+    difference DAG over the non-invariant vertices that contains both
+    endpoints, the two models must differ by at least 2*epsilon both in the
+    partial correlation of X_i, X_j given the rest of S and in the diagonal
+    precision entry of the parent j over S.
+
+    Budget: the second clause first counts the ancestor-closed subsets of
+    the difference DAG. If there are more than ``max_subsets``, the report
+    fails with "subset-budget", an inconclusive verdict, and
+    ``subsets_checked`` equal to ``max_subsets``.
+
+    Order: edges are taken by (repr(i), repr(j)). Each edge walks only the
+    subsets that contain the ancestors of i and j, by size and, within one
+    size, by the sorted reprs of their members compared as lists. The first
+    violated gap ends the check; ``subsets_checked`` counts the (edge,
+    subset) pairs examined up to and including it, and ``detail`` names it.
     """
     _require_shared(sem1, sem2)
     delta = difference_edge_set(sem1, sem2)
     dom = precision(sem1) - precision(sem2)
-    p = sem1.p
     labels = sem1.labels
     row_zero = np.abs(dom).max(axis=1) <= ZERO_TOL
     invariant = frozenset(labels[k] for k in np.flatnonzero(row_zero))
@@ -253,29 +323,19 @@ def check_assumptions(
                 "invariant-vertex-consistency",
                 f"vertex {lab!r} has a zero difference row but changed outgoing edges",
             )
-    inv_sorted = sorted(invariant, key=repr)
-    for a_pos, lab_i in enumerate(inv_sorted):
-        ki = sem1.index(lab_i)
-        for lab_j in inv_sorted[a_pos:]:
-            kj = sem1.index(lab_j)
-            for kl in range(p):
-                t1 = sem1.b[kl, ki] * sem1.b[kl, kj] / sem1.noise_vars[kl]
-                t2 = sem2.b[kl, ki] * sem2.b[kl, kj] / sem2.noise_vars[kl]
-                if abs(t1 - t2) > 1e-12:
-                    return fail(
-                        "invariant-vertex-consistency",
-                        f"common-child term at child {labels[kl]!r} differs for "
-                        f"invariant pair ({lab_i!r}, {lab_j!r})",
-                    )
-
     if not delta.edges:
         return AssumptionReport(True, None, None, invariant, delta.edges, 0)
 
-    # clause two: separations over ancestor-closed subsets of the difference DAG
-    v_labels = [lab for lab in labels if lab not in invariant]
-    parents = {lab: delta.parents(lab) & set(v_labels) for lab in v_labels}
-    downsets = _ancestor_closed_subsets(v_labels, parents, max_subsets)
-    if downsets is None:
+    # clause two: separations over ancestor-closed subsets of the difference
+    # DAG. A vertex set is a bitmask in which the vertex of repr rank r has
+    # bit n-1-r, so among sets of one size descending masks are the
+    # canonical order.
+    ranked = sorted((lab for lab in labels if lab not in invariant), key=repr)
+    n = len(ranked)
+    bit = {lab: 1 << (n - 1 - r) for r, lab in enumerate(ranked)}
+    parents = {bit[lab]: sum(bit[q] for q in delta.parents(lab) if q in bit) for lab in ranked}
+    anc, desc = _closures(parents)
+    if _downset_count((1 << n) - 1, anc, desc, {}) > max_subsets:
         return fail(
             "subset-budget",
             f"more than {max_subsets} ancestor-closed subsets; check inconclusive",
@@ -283,39 +343,45 @@ def check_assumptions(
         )
     cov1 = covariance(sem1)
     cov2 = covariance(sem2)
-    index = {lab: k for k, lab in enumerate(labels)}
-    om_cache: dict[frozenset, tuple] = {}
+    # the checked vertices in label order, which orders each submatrix
+    in_order = [lab for lab in labels if lab in bit]
+    rows = np.array([sem1.index(lab) for lab in in_order])
+    columns = np.array([bit[lab].bit_length() - 1 for lab in in_order])
     checked = 0
     for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
-        for s in downsets:
-            if i not in s or j not in s:
-                continue
-            checked += 1
-            if s not in om_cache:
-                keep = [lab for lab in labels if lab in s]
-                idx = [index[lab] for lab in keep]
-                om_cache[s] = (
-                    np.linalg.inv(cov1[np.ix_(idx, idx)]),
-                    np.linalg.inv(cov2[np.ix_(idx, idx)]),
-                    {lab: t for t, lab in enumerate(keep)},
-                )
-            om1, om2, kpos = om_cache[s]
-            si, sj = kpos[i], kpos[j]
-            rho1 = -om1[si, sj] / math.sqrt(om1[si, si] * om1[sj, sj])
-            rho2 = -om2[si, sj] / math.sqrt(om2[si, si] * om2[sj, sj])
-            if abs(rho1 - rho2) < 2.0 * epsilon:
-                return fail(
-                    "separation",
-                    f"edge ({i!r}, {j!r}): partial-correlation gap "
-                    f"{abs(rho1 - rho2):.4g} < {2 * epsilon:g} over subset {sorted(s, key=repr)}",
-                    checked,
-                )
-            if abs(om1[sj, sj] - om2[sj, sj]) < 2.0 * epsilon:
+        qi, qj = in_order.index(i), in_order.index(j)
+        for level in _downsets_above(anc[bit[i]] | anc[bit[j]], parents):
+            for start in range(0, len(level), _CHUNK):
+                masks = level[start : start + _CHUNK]
+                member = _members(masks, n, columns)
+                idx = rows[np.nonzero(member)[1].reshape(len(masks), -1)]
+                t = np.arange(len(masks))
+                si = member[:, :qi].sum(axis=1)
+                sj = member[:, :qj].sum(axis=1)
+                om1 = np.linalg.inv(cov1[idx[:, :, None], idx[:, None, :]])
+                om2 = np.linalg.inv(cov2[idx[:, :, None], idx[:, None, :]])
+                rho1 = -om1[t, si, sj] / np.sqrt(om1[t, si, si] * om1[t, sj, sj])
+                rho2 = -om2[t, si, sj] / np.sqrt(om2[t, si, si] * om2[t, sj, sj])
+                rho_gap = np.abs(rho1 - rho2)
+                diag_gap = np.abs(om1[t, sj, sj] - om2[t, sj, sj])
+                bad = np.flatnonzero((rho_gap < 2.0 * epsilon) | (diag_gap < 2.0 * epsilon))
+                if not bad.size:
+                    checked += len(masks)
+                    continue
+                k = int(bad[0])
+                checked += k + 1
+                s = [lab for lab in ranked if masks[k] & bit[lab]]
+                if rho_gap[k] < 2.0 * epsilon:
+                    return fail(
+                        "separation",
+                        f"edge ({i!r}, {j!r}): partial-correlation gap "
+                        f"{float(rho_gap[k]):.4g} < {2 * epsilon:g} over subset {s}",
+                        checked,
+                    )
                 return fail(
                     "separation",
                     f"edge ({i!r}, {j!r}): parent diagonal gap "
-                    f"{abs(om1[sj, sj] - om2[sj, sj]):.4g} < {2 * epsilon:g} "
-                    f"over subset {sorted(s, key=repr)}",
+                    f"{float(diag_gap[k]):.4g} < {2 * epsilon:g} over subset {s}",
                     checked,
                 )
     return AssumptionReport(True, None, None, invariant, delta.edges, checked)

@@ -15,6 +15,7 @@ separated from zero.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -36,19 +37,26 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 def _canonical_topo_positions(support: np.ndarray) -> list[int]:
     """Lexicographically minimal topological order of the row indices.
 
-    ``support[i, j]`` True means j is a parent of i. Raises on cycles.
+    ``support[i, j]`` True means j is a parent of i. Kahn's sort that always
+    places the smallest ready index. Raises on cycles.
     """
     p = support.shape[0]
-    parents = [set(np.flatnonzero(support[i]).tolist()) for i in range(p)]
+    missing = [0] * p  # unplaced parents of each row
+    children: list[list[int]] = [[] for _ in range(p)]
+    for child, parent in zip(*(k.tolist() for k in np.nonzero(support))):
+        missing[child] += 1
+        children[parent].append(child)
+    ready = [i for i in range(p) if not missing[i]]
     placed: list[int] = []
-    placed_set: set[int] = set()
-    while len(placed) < p:
-        ready = [i for i in range(p) if i not in placed_set and parents[i] <= placed_set]
-        if not ready:
-            raise InvalidModelError("edge support contains a directed cycle")
-        nxt = min(ready)
+    while ready:
+        nxt = heapq.heappop(ready)
         placed.append(nxt)
-        placed_set.add(nxt)
+        for child in children[nxt]:
+            missing[child] -= 1
+            if not missing[child]:
+                heapq.heappush(ready, child)
+    if len(placed) < p:
+        raise InvalidModelError("edge support contains a directed cycle")
     return placed
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import diffdag as dd
+from diffdag import oracles
 from diffdag import (
     Sem,
     check_assumptions,
@@ -22,6 +23,8 @@ from diffdag import (
     partial_correlation,
     precision,
 )
+from diffdag.oracles import AssumptionReport
+from diffdag.sem import difference_edge_set
 from helpers import chain_sem, perturb_sem, random_sem
 
 
@@ -282,3 +285,158 @@ class TestPartialCorrelation:
         assert abs(rho) < 1e-12
         marginal = partial_correlation(cov, sem.labels, 0, 2, ())
         assert abs(marginal) > 0.1
+
+
+def _reference_ancestor_closed_subsets(vertices: list, parents: dict, cap: int):
+    """Every subset closed under taking parents, sorted by (size, sorted
+    reprs), or None past the cap."""
+    downsets = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        base = frontier.pop()
+        for v in vertices:
+            if v in base or not parents[v] <= base:
+                continue
+            ext = base | {v}
+            if ext not in downsets:
+                downsets.add(ext)
+                frontier.append(ext)
+                if len(downsets) > cap:
+                    return None
+    return sorted(downsets, key=lambda s: (len(s), sorted(map(repr, s))))
+
+
+def _reference_check(sem1, sem2, epsilon, max_subsets=100_000):
+    """check_assumptions as it was before the lazy walk: it enumerates every
+    ancestor-closed subset up front and inverts one subset at a time."""
+    delta = difference_edge_set(sem1, sem2)
+    dom = precision(sem1) - precision(sem2)
+    labels = sem1.labels
+    invariant = frozenset(labels[k] for k in np.flatnonzero(np.abs(dom).max(axis=1) <= 1e-9))
+
+    def fail(cond, detail, checked=0):
+        return AssumptionReport(False, cond, detail, invariant, delta.edges, checked)
+
+    for lab in sorted(invariant, key=repr):
+        k = sem1.index(lab)
+        if not np.array_equal(sem1.b[k, :], sem2.b[k, :]):
+            return fail(
+                "invariant-vertex-consistency",
+                f"vertex {lab!r} has a zero difference row but changed incoming edges",
+            )
+        if not np.array_equal(sem1.b[:, k], sem2.b[:, k]):
+            return fail(
+                "invariant-vertex-consistency",
+                f"vertex {lab!r} has a zero difference row but changed outgoing edges",
+            )
+    if not delta.edges:
+        return AssumptionReport(True, None, None, invariant, delta.edges, 0)
+    v_labels = [lab for lab in labels if lab not in invariant]
+    parents = {lab: delta.parents(lab) & set(v_labels) for lab in v_labels}
+    downsets = _reference_ancestor_closed_subsets(v_labels, parents, max_subsets)
+    if downsets is None:
+        return fail(
+            "subset-budget",
+            f"more than {max_subsets} ancestor-closed subsets; check inconclusive",
+            max_subsets,
+        )
+    cov1, cov2 = covariance(sem1), covariance(sem2)
+    checked = 0
+    for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
+        for s in downsets:
+            if i not in s or j not in s:
+                continue
+            checked += 1
+            keep = [lab for lab in labels if lab in s]
+            idx = [sem1.index(lab) for lab in keep]
+            om1 = np.linalg.inv(cov1[np.ix_(idx, idx)])
+            om2 = np.linalg.inv(cov2[np.ix_(idx, idx)])
+            si, sj = keep.index(i), keep.index(j)
+            rho1 = -om1[si, sj] / math.sqrt(om1[si, si] * om1[sj, sj])
+            rho2 = -om2[si, sj] / math.sqrt(om2[si, si] * om2[sj, sj])
+            if abs(rho1 - rho2) < 2.0 * epsilon:
+                return fail(
+                    "separation",
+                    f"edge ({i!r}, {j!r}): partial-correlation gap "
+                    f"{abs(rho1 - rho2):.4g} < {2 * epsilon:g} over subset {sorted(s, key=repr)}",
+                    checked,
+                )
+            if abs(om1[sj, sj] - om2[sj, sj]) < 2.0 * epsilon:
+                return fail(
+                    "separation",
+                    f"edge ({i!r}, {j!r}): parent diagonal gap "
+                    f"{abs(om1[sj, sj] - om2[sj, sj]):.4g} < {2 * epsilon:g} "
+                    f"over subset {sorted(s, key=repr)}",
+                    checked,
+                )
+    return AssumptionReport(True, None, None, invariant, delta.edges, checked)
+
+
+BUDGETS = (100_000, 1, 10, 100, 1000)
+
+
+@pytest.fixture(scope="module")
+def generator_candidates():
+    """Every pair generate_sem_pair hands the checker, at p = 5-20, seeds 0-5."""
+    seen = []
+    real = oracles.check_assumptions
+
+    def recording(sem1, sem2, epsilon, *args):
+        seen.append((sem1, sem2, epsilon))
+        return real(sem1, sem2, epsilon, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "check_assumptions", recording)
+        for p in (5, 8, 10, 12, 15, 18, 20):
+            for seed in range(6):
+                dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
+    return seen
+
+
+def _with_string_labels(sem):
+    return Sem(sem.b, sem.noise_vars, tuple(f"v{k}" for k in range(sem.p)))
+
+
+class TestCheckAssumptionsMatchesReference:
+    """The lazy per-edge walk returns the reference's report, field for field."""
+
+    @pytest.mark.parametrize("max_subsets", BUDGETS)
+    def test_generator_candidates(self, generator_candidates, max_subsets):
+        verdicts = set()
+        for sem1, sem2, eps in generator_candidates:
+            report = check_assumptions(sem1, sem2, eps, max_subsets)
+            assert report == _reference_check(sem1, sem2, eps, max_subsets)
+            verdicts.add(report.failed_condition)
+        # the candidates reach every verdict the budget allows
+        assert verdicts == (
+            {"subset-budget", None} if max_subsets == 1 else {"subset-budget", "separation", None}
+        )
+
+    @pytest.mark.parametrize("max_subsets", BUDGETS)
+    def test_string_labels_out_of_repr_order(self, generator_candidates, max_subsets):
+        wide = [c for c in generator_candidates if c[0].p >= 11]
+        assert wide
+        for sem1, sem2, eps in wide:
+            sem1, sem2 = _with_string_labels(sem1), _with_string_labels(sem2)
+            assert sorted(sem1.labels, key=repr) != list(sem1.labels)  # 'v10' before 'v2'
+            report = check_assumptions(sem1, sem2, eps, max_subsets)
+            assert report == _reference_check(sem1, sem2, eps, max_subsets)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_pairs(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        sem1 = random_sem(rng, int(rng.integers(3, 10)), edge_prob=0.5)
+        sem2 = perturb_sem(rng, sem1, n_changes=int(rng.integers(1, 6)))
+        for eps in (0.01, 0.05, 0.125):
+            assert check_assumptions(sem1, sem2, eps) == _reference_check(sem1, sem2, eps)
+
+    def test_stacked_inverse_is_bitwise_the_single_inverse(self, generator_candidates):
+        # the walk inverts a level's submatrices in one stacked call
+        rng = np.random.default_rng(7)
+        for sem1, _, _ in generator_candidates[::5]:
+            cov = covariance(sem1)
+            k = int(rng.integers(2, sem1.p + 1))
+            idx = np.sort(np.array([rng.choice(sem1.p, size=k, replace=False) for _ in range(9)]))
+            stack = cov[idx[:, :, None], idx[:, None, :]]
+            single = np.stack([np.linalg.inv(cov[np.ix_(row, row)]) for row in idx])
+            assert np.array_equal(np.linalg.inv(stack), single)

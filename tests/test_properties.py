@@ -1,22 +1,34 @@
-"""Properties over generated inputs: relabeling and JSON round-trips.
+"""Properties over generated inputs: relabeling, JSON round-trips, and the
+orders and subset walks behind the generator.
 
 Hypothesis runs derandomized with few examples and no example database, so
 every run draws the same cases.
 """
 
 import json
+from dataclasses import asdict
+from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffdag as dd
+from diffdag.errors import InvalidModelError
+from diffdag.oracles import _closures, _downset_count, _downsets_above
+from diffdag.sem import _canonical_topo_positions
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
 
 def _json_round_trip(obj):
     return json.loads(json.dumps(obj.to_json()))
+
+
+def _fields_round_trip(cfg):
+    """The config's fields as the JSON a sweep config file holds."""
+    return json.loads(json.dumps(asdict(cfg)))
 
 
 @st.composite
@@ -110,3 +122,134 @@ def generator_configs(draw):
 @given(generator_configs())
 def test_generator_config_json_round_trip(cfg):
     assert dd.SemPairGenConfig.from_json(_json_round_trip(cfg)) == cfg
+
+
+def _pipeline_configs():
+    est = st.builds(
+        dd.EstimatorConfig,
+        lambda_n=st.floats(0.0, 10.0),
+        epsilon=st.floats(1e-3, 1.0),
+        lambda_auto=st.booleans(),
+        lambda_scale=st.floats(0.01, 10.0),
+        lambda_delta=st.floats(0.001, 0.999),
+        solver_tol=st.floats(1e-12, 1e-3),
+        max_iter=st.integers(1, 10**6),
+    )
+    return st.builds(
+        dd.PipelineConfig,
+        estimator=st.sampled_from(["population", "dantzig"]),
+        est_cfg=est,
+        record_trace=st.booleans(),
+        prune_subset_cap=st.integers(0, 30),
+    )
+
+
+@FIXED
+@given(_pipeline_configs())
+def test_pipeline_config_json_round_trip(cfg):
+    assert dd.PipelineConfig.from_json(_fields_round_trip(cfg)) == cfg
+
+
+@st.composite
+def sweep_configs(draw):
+    p_values = tuple(draw(st.lists(st.integers(2, 40), min_size=1, max_size=4)))
+    fixed_n = draw(st.none() | st.integers(max(p_values), 5000))
+    return dd.SweepConfig(
+        p_values=p_values,
+        c_values=tuple(draw(st.lists(st.integers(1, 40), min_size=fixed_n is None, max_size=4))),
+        repetitions=draw(st.integers(1, 50)),
+        fixed_n=fixed_n,
+        gen=draw(generator_configs()),
+        pipeline=draw(_pipeline_configs()),
+        seed_base=draw(st.integers(0, 2**32)),
+    )
+
+
+@FIXED
+@given(sweep_configs())
+def test_sweep_config_json_round_trip(cfg):
+    assert dd.SweepConfig.from_json(_fields_round_trip(cfg)) == cfg
+
+
+def _scan_topo_positions(support):
+    """The smallest ready index, found by scanning every row each step."""
+    p = support.shape[0]
+    parents = [set(np.flatnonzero(support[i]).tolist()) for i in range(p)]
+    placed, placed_set = [], set()
+    while len(placed) < p:
+        ready = [i for i in range(p) if i not in placed_set and parents[i] <= placed_set]
+        if not ready:
+            raise InvalidModelError("edge support contains a directed cycle")
+        placed.append(min(ready))
+        placed_set.add(placed[-1])
+    return placed
+
+
+@st.composite
+def supports(draw):
+    """A random parent support; with a back edge it may hold a cycle."""
+    p = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(p)))
+    support = np.zeros((p, p), dtype=bool)
+    for a, c in combinations(range(p), 2):
+        if draw(st.booleans()):
+            support[order[c], order[a]] = True
+    if p > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+        support[i, j] = True
+    return support
+
+
+@settings(FIXED, max_examples=60)
+@given(supports())
+def test_heap_topological_order_is_the_scanned_minimal_order(support):
+    try:
+        expected = _scan_topo_positions(support)
+    except InvalidModelError:
+        with pytest.raises(InvalidModelError):
+            _canonical_topo_positions(support)
+        return
+    assert _canonical_topo_positions(support) == expected
+
+
+@st.composite
+def labeled_dags(draw):
+    """Labels of mixed types and an acyclic parents map over them."""
+    labels = draw(
+        st.lists(st.integers(0, 150) | st.text("abv012", max_size=3), min_size=1, max_size=8, unique=True)
+    )
+    order = draw(st.permutations(labels))
+    parents = {lab: set() for lab in labels}
+    for a, c in combinations(range(len(order)), 2):
+        if draw(st.integers(0, 2)) == 0:
+            parents[order[c]].add(order[a])
+    return labels, parents
+
+
+@settings(FIXED, max_examples=40)
+@given(labeled_dags())
+def test_downset_count_and_walk_match_brute_force(dag):
+    labels, parents = dag
+    ranked = sorted(labels, key=repr)
+    n = len(ranked)
+    bit = {lab: 1 << (n - 1 - r) for r, lab in enumerate(ranked)}
+    masks = {bit[lab]: sum(bit[q] for q in parents[lab]) for lab in labels}
+    anc, desc = _closures(masks)
+
+    closed = [
+        frozenset(s)
+        for k in range(n + 1)
+        for s in combinations(labels, k)
+        if all(parents[v] <= set(s) for v in s)
+    ]
+    closed.sort(key=lambda s: (len(s), sorted(map(repr, s))))
+    assert _downset_count((1 << n) - 1, anc, desc, {}) == len(closed)
+
+    for i in labels:
+        for j in parents[i]:
+            walked = [
+                frozenset(lab for lab in labels if m & bit[lab])
+                for level in _downsets_above(anc[bit[i]] | anc[bit[j]], masks)
+                for m in level
+            ]
+            assert walked == [s for s in closed if {i, j} <= s]
