@@ -7,34 +7,35 @@ program over p x p matrices D: minimize ||D||_1 subject to
 
     max |S1 D S2 - (S2 - S1)| <= lambda_n   (entrywise).
 
-It is solved as a sparse linear program in the factored form: D is split
-into nonnegative parts beta+ and beta-, and M = S1 D is a free auxiliary
-variable, so
+It is solved as a sparse linear program over 3 p^2 variables
+[beta+, beta-, m]: D = beta+ - beta- with beta+- >= 0, and m = vec(S1 D)
+free, vec being column-major. With b = vec(S2 - S1), its 2 p^2 rows are one
+ranged row per entry, then the equality rows:
 
-    vec(M) - (I kron S1)(beta+ - beta-) = 0,
-    vec(S2 - S1) - lambda_n <= (S2' kron I) vec(M) <= vec(S2 - S1) + lambda_n.
+    b - lambda_n <= (S2' kron I) m <= b + lambda_n,
+    m - (I kron S1)(beta+ - beta-) = 0.
 
-Each block has p^3 nonzeros (2 p^3 for the equality rows), where the same
-program written over the Kronecker lift S2 kron S1 is a dense
-(2 p^2) x (2 p^2) matrix. The reshaped solution is symmetrized and
-hard-thresholded, since only entries clearly away from zero should count as
-support.
+They hold 3 p^3 + p^2 nonzeros, where the same program written over the
+Kronecker lift S2 kron S1 is a dense (2 p^2) x (2 p^2) matrix. The reshaped
+solution is symmetrized and hard-thresholded, since only entries clearly away
+from zero should count as support.
 
 The pipeline solves this program over many vertex subsets R of one pair:
 once per peeled layer, and once per candidate set of common children in
 prune. Those are all the same model with other bounds. Whenever D is zero
 outside R x R, (S1 D S2)_RR = S1_RR D_RR S2_RR, so the program over
 (S1_RR, S2_RR) is the full program with beta+- fixed at 0 outside R x R and
-the two-sided rows outside R x R freed. The program is therefore kept as one
-HiGHS model per pair, through scipy's bundled HiGHS binding, and re-solved
-warm after those bound changes. A restricted ``CovariancePair`` remembers the
-pair it came from, and ``dantzig_selector`` solves it through that pair's
-model, which it builds on the first solve that reaches HiGHS. The pipeline
-restricts ``cov_v``, the pair without its invariant vertices, so peeling and
-prune share one model over ``cov_v``. A model over the full pair would give
-the same optima, but its blocks hold p^3 rather than p_v^3 nonzeros, and
-every solve would carry the invariant vertices' rows and columns only to
-free and fix them.
+the ranged rows outside R x R freed to (-inf, inf); the equality rows outside
+R x R only define entries of m that no live row reads. The program is
+therefore kept as one HiGHS model per pair, through scipy's bundled HiGHS
+binding, and re-solved warm after those bound changes. A restricted
+``CovariancePair`` remembers the pair it came from, and ``dantzig_selector``
+solves it through that pair's model, which it builds on the first solve that
+reaches HiGHS. The pipeline restricts ``cov_v``, the pair without its
+invariant vertices, so peeling and prune share one model over ``cov_v``. A
+model over the full pair would give the same optima, but its blocks hold p^3
+rather than p_v^3 nonzeros, and every solve would carry the invariant
+vertices' rows and columns only to free and fix them.
 """
 
 from __future__ import annotations
@@ -114,15 +115,8 @@ class DeltaPrecision(_Labeled):
         return int(np.count_nonzero(self.matrix))
 
     def restrict(self, labels) -> "DeltaPrecision":
-        wanted = set(labels)
-        keep = [lab for lab in self.labels if lab in wanted]
-        missing = wanted - set(keep)
-        if missing:
-            raise KeyError(f"unknown vertex labels {sorted(missing, key=repr)!r}")
-        idx = [self.index(lab) for lab in keep]
-        return DeltaPrecision(
-            self.matrix[np.ix_(idx, idx)], tuple(keep), self.threshold_applied
-        )
+        keep, idx = self._select(labels)
+        return DeltaPrecision(self.matrix[np.ix_(idx, idx)], keep, self.threshold_applied)
 
     def to_json(self) -> dict:
         return {
@@ -219,37 +213,18 @@ def solve_population(cov: CovariancePair) -> DeltaPrecision:
     return DeltaPrecision(_symmetrize(dm), cov.labels, 0.0)
 
 
-# scipy's linprog status codes for HiGHS model states, which the error
-# messages report; a state not listed maps to 4.
-_LINPROG_STATUS = {
-    HighsModelStatus.kOptimal: 0,
-    HighsModelStatus.kTimeLimit: 1,
-    HighsModelStatus.kIterationLimit: 1,
-    HighsModelStatus.kInfeasible: 2,
-    HighsModelStatus.kModelError: 2,
-    HighsModelStatus.kUnbounded: 3,
-}
-
-
 class _FactoredProgram:
-    """The factored program of one covariance pair, held in one HiGHS model.
+    """The program of the module docstring for one pair, in one HiGHS model.
 
     The model is built once and solves the program of any principal
-    submatrix pair (S1_RR, S2_RR) by bound changes: the upper bounds of
-    beta+- are 0 outside R x R, and the rows of the two-sided constraint
-    outside R x R are freed.
-    This is exact because (S1 D S2)_RR = S1_RR D_RR S2_RR whenever D is zero
-    outside R x R; the equality rows outside R x R only define m entries that
-    no live row reads. Each solve starts from the last one's basis, and a
-    solve that ends without an optimum drops it.
+    submatrix pair (S1_RR, S2_RR) by the bound changes the module docstring
+    describes. Each solve starts from the last one's basis, and a solve that
+    ends without an optimum drops it.
     """
 
     def __init__(self, s1: np.ndarray, s2: np.ndarray, lambda_n: float, solver_tol: float, max_iter: int):
-        # Variables [beta+, beta-, m], m = vec(S1 D) free. vec is
-        # column-major, so entry (i, j) sits at i + p j. Rows are the upper
-        # and the lower half of the two-sided constraint, then the equality
-        # rows: the order linprog stacked A_ub over A_eq in. The matrix is built from coordinates: scipy's
-        # sparse kron and stacking cost more than a whole small solve.
+        # Entry (i, j) sits at i + p j. The matrix is built from coordinates:
+        # scipy's sparse kron and stacking cost more than a whole small solve.
         p = s1.shape[0]
         n = p * p
         i, j, k = np.indices((p, p, p)).reshape(3, -1)
@@ -261,23 +236,23 @@ class _FactoredProgram:
         diag = np.arange(n)
         a = sp.csc_array(
             (
-                np.concatenate([val2, -val2, -val1, val1, np.ones(n)]),
+                np.concatenate([val2, -val1, val1, np.ones(n)]),
                 (
-                    np.concatenate([row, row + n, row + 2 * n, row + 2 * n, diag + 2 * n]),
-                    np.concatenate([col2, col2, col1, col1 + n, diag + 2 * n]),
+                    np.concatenate([row, row + n, row + n, diag + n]),
+                    np.concatenate([col2, col1, col1 + n, diag + 2 * n]),
                 ),
             ),
-            shape=(3 * n, 3 * n),
+            shape=(2 * n, 3 * n),
         )
         b = (s2 - s1).flatten(order="F")
-        self._rhs = np.concatenate([b + lambda_n, lambda_n - b])
-        self._row_upper = self._rhs.copy()
-        self._col_upper = np.full(2 * n, np.inf)
+        self._lower = b - lambda_n
+        self._upper = b + lambda_n
+        self._live = np.ones(n, dtype=bool)
         self.p = p
 
         lp = HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = 3 * n
-        lp.num_row_ = lp.a_matrix_.num_row_ = 3 * n
+        lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n
         lp.a_matrix_.format_ = MatrixFormat.kColwise
         lp.a_matrix_.start_ = a.indptr
         lp.a_matrix_.index_ = a.indices
@@ -285,8 +260,8 @@ class _FactoredProgram:
         lp.col_cost_ = np.concatenate([np.ones(2 * n), np.zeros(n)])
         lp.col_lower_ = np.concatenate([np.zeros(2 * n), np.full(n, -np.inf)])
         lp.col_upper_ = np.full(3 * n, np.inf)
-        lp.row_lower_ = np.concatenate([np.full(2 * n, -np.inf), np.zeros(n)])
-        lp.row_upper_ = np.concatenate([self._rhs, np.zeros(n)])
+        lp.row_lower_ = np.concatenate([self._lower, np.zeros(n)])
+        lp.row_upper_ = np.concatenate([self._upper, np.zeros(n)])
         self._highs = _Highs()
         for name, value in (
             ("output_flag", False),
@@ -300,28 +275,26 @@ class _FactoredProgram:
         if self._highs.passModel(lp) == HighsStatus.kError:
             raise ValueError("HiGHS rejected the constrained-l1 program")
 
-    def solve(self, index: np.ndarray) -> tuple[int, np.ndarray | None]:
-        """linprog's status code and, if optimal, the raw minimizer over R = index."""
+    def solve(self, index: np.ndarray) -> tuple[HighsModelStatus, np.ndarray | None]:
+        """HiGHS's model status and, if optimal, the raw minimizer over R = index."""
         p = self.p
         n = p * p
         inside = np.zeros(p, dtype=bool)
         inside[index] = True
-        live = np.tile(np.outer(inside, inside).flatten(order="F"), 2)
-        col_upper = np.where(live, np.inf, 0.0)
-        cols = np.flatnonzero(col_upper != self._col_upper)
-        if cols.size:
-            self._highs.changeColsBounds(
-                cols.size, cols.astype(np.int32), np.zeros(cols.size), col_upper[cols]
-            )
-            self._col_upper = col_upper
-        # the binding has changeRowBounds but no changeRowsBounds
-        row_upper = np.where(live, self._rhs, np.inf)
-        for r in np.flatnonzero(row_upper != self._row_upper):
-            self._highs.changeRowBounds(int(r), -np.inf, float(row_upper[r]))
-        self._row_upper = row_upper
+        live = np.outer(inside, inside).flatten(order="F")
+        changed = np.flatnonzero(live != self._live)
+        if changed.size:
+            cols = np.concatenate([changed, changed + n]).astype(np.int32)
+            upper = np.where(np.tile(live[changed], 2), np.inf, 0.0)
+            self._highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper)
+            # the binding has changeRowBounds but no changeRowsBounds
+            for r in changed.tolist():
+                bounds = (self._lower[r], self._upper[r]) if live[r] else (-np.inf, np.inf)
+                self._highs.changeRowBounds(r, *bounds)
+            self._live = live
         self._highs.run()
-        status = _LINPROG_STATUS.get(self._highs.getModelStatus(), 4)
-        if status != 0:
+        status = self._highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
             self._highs.clearSolver()
             return status, None
         x = np.asarray(self._highs.getSolution().col_value)
@@ -349,11 +322,11 @@ def dantzig_selector(
     ``(source, index)``, a restricted pair's ``_source``: a larger
     ``CovariancePair`` of which (sigma1, sigma2) is the principal submatrix
     at ``index``. The program over the source at these settings is built on
-    first use, kept on the source, and re-solved warm after bound changes,
-    exactly, since (S1 D S2)_RR = S1_RR D_RR S2_RR for D zero outside R x R
-    (see the module docstring). Without it a program over (sigma1, sigma2) is
-    built and solved once. Either way the status mapping and the residual
-    check apply to (sigma1, sigma2).
+    first use, kept on the source, and re-solved warm after the bound changes
+    of the module docstring, which solve it exactly over (sigma1, sigma2).
+    Without it a program over (sigma1, sigma2) is built and solved once.
+    Either way the status mapping and the residual check apply to
+    (sigma1, sigma2).
     """
     s1 = np.asarray(sigma1, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
@@ -377,14 +350,14 @@ def dantzig_selector(
             source._programs[key] = _FactoredProgram(source.sigma1, source.sigma2, *key)
         program = source._programs[key]
     status, delta = program.solve(index)
-    if status == 2:
+    if status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
         raise InfeasibleEstimateError(
             f"constrained l1 program infeasible at lambda_n={lambda_n:g}; "
             "increase lambda_n (the empirical system is inconsistent)"
         )
     if delta is None:
         raise EstimatorConvergenceError(
-            f"LP solver stopped early (status {status}) at lambda_n={lambda_n:g}",
+            f"LP solver stopped early ({status.name}) at lambda_n={lambda_n:g}",
             best_residual=None,
         )
     residual = float(np.abs(s1 @ delta @ s2 - (s2 - s1)).max())

@@ -59,12 +59,6 @@ class LayeredOrder:
             seen |= layer
         object.__setattr__(self, "layers", layers)
 
-    def all_labels(self) -> frozenset:
-        out: set = set()
-        for layer in self.layers:
-            out |= layer
-        return frozenset(out)
-
     def layer_of(self, label) -> int:
         for k, layer in enumerate(self.layers):
             if label in layer:

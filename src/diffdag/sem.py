@@ -84,6 +84,18 @@ class _Labeled:
         except KeyError:
             raise KeyError(f"unknown vertex label {label!r}") from None
 
+    def _select(self, labels) -> tuple[tuple, np.ndarray]:
+        """The given labels in this object's order, and their positions.
+
+        Raises ``KeyError`` naming every label this object does not have.
+        """
+        wanted = set(labels)
+        keep = tuple(lab for lab in self.labels if lab in wanted)
+        missing = wanted - set(keep)
+        if missing:
+            raise KeyError(f"unknown vertex labels {sorted(missing, key=repr)!r}")
+        return keep, np.array([self._index[lab] for lab in keep], dtype=int)
+
 
 @dataclass(frozen=True, eq=False)
 class Sem(_Labeled):
@@ -167,26 +179,13 @@ class DagEdgeSet:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        # arc parent -> child for each edge (child, parent)
-        children: dict = {v: set() for v in self.vertices}
-        indeg = {v: 0 for v in self.vertices}
+        index = {v: k for k, v in enumerate(self.vertices)}
+        support = np.zeros((len(index), len(index)), dtype=bool)
         for child, parent in self.edges:
             if child == parent:
                 raise InvalidModelError(f"self-loop at {child!r}")
-            if child not in children[parent]:
-                children[parent].add(child)
-                indeg[child] += 1
-        queue = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen != len(self.vertices):
-            raise InvalidModelError("edge set contains a directed cycle")
+            support[index[child], index[parent]] = True
+        _canonical_topo_positions(support)
 
     def parents(self, label) -> set:
         return {j for (i, j) in self.edges if i == label}
@@ -338,20 +337,15 @@ class CovariancePair(_Labeled):
 
     def restrict(self, labels) -> "CovariancePair":
         """The pair restricted to a label subset, in this pair's label order."""
-        wanted = set(labels)
-        keep = [lab for lab in self.labels if lab in wanted]
-        missing = wanted - set(keep)
-        if missing:
-            raise KeyError(f"unknown vertex labels {sorted(missing, key=repr)!r}")
+        keep, idx = self._select(labels)
         if not keep:
             raise InvalidCovarianceError("cannot restrict to an empty label set")
-        idx = np.array([self.index(lab) for lab in keep])
         sub = CovariancePair(
             sigma1=self.sigma1[np.ix_(idx, idx)],
             sigma2=self.sigma2[np.ix_(idx, idx)],
             n1=self.n1,
             n2=self.n2,
-            labels=tuple(keep),
+            labels=keep,
         )
         object.__setattr__(sub, "_source", (self, idx))
         return sub

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import diffdag as dd
 from diffdag import (
@@ -153,7 +154,7 @@ class TestDantzig:
         cov = CovariancePair.from_data(
             rng.standard_normal((40, 8)), rng.standard_normal((40, 8))
         )
-        with pytest.raises(EstimatorConvergenceError):
+        with pytest.raises(EstimatorConvergenceError, match="kIterationLimit"):
             dantzig_selector(cov.sigma1, cov.sigma2, 0.01, max_iter=1)
 
     def test_lambda_auto_requires_samples(self):
@@ -416,12 +417,25 @@ def test_a_failed_solve_drops_the_basis():
     for drop in (d for size in range(3) for d in itertools.combinations(range(8), size)):
         index = np.array([k for k in range(8) if k not in drop])
         status, raw = program.solve(index)
-        if failed_before and status == 0:
+        if failed_before and status == HighsModelStatus.kOptimal:
             fresh = estimators._FactoredProgram(cov.sigma1, cov.sigma2, *settings)
             np.testing.assert_array_equal(raw, fresh.solve(index)[1])
             checked += 1
-        failed_before = status != 0
+        failed_before = status != HighsModelStatus.kOptimal
     assert checked == 2
+
+
+@pytest.mark.parametrize("p", [5, 8])
+def test_program_has_one_ranged_row_per_entry(p):
+    # 2 p^2 rows: one ranged row per entry of S1 D S2 and one equality row
+    # per entry of m; p^3 nonzeros in the ranged block, 2 p^3 + p^2 in the
+    # equality block
+    cov = _sampled_pair(p, 2000)
+    lam = resolve_lambda(cov, EstimatorConfig(lambda_auto=True)).lambda_n
+    highs = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam, 1e-7, 50_000)._highs
+    assert highs.getNumCol() == 3 * p**2
+    assert highs.getNumRow() == 2 * p**2
+    assert highs.getNumNz() == 3 * p**3 + p**2
 
 
 @pytest.fixture(scope="module")
