@@ -240,8 +240,12 @@ def covariance(sem: Sem) -> np.ndarray:
 
 def precision(sem: Sem) -> np.ndarray:
     """Population precision (I-B)^T D^-1 (I-B) of the model."""
-    a = np.eye(sem.p) - sem.b
-    return _symmetrize(a.T @ (a / sem.noise_vars[:, None]))
+    return _precision(sem.b, sem.noise_vars)
+
+
+def _precision(b: np.ndarray, noise_vars: np.ndarray) -> np.ndarray:
+    a = np.eye(b.shape[0]) - b
+    return _symmetrize(a.T @ (a / noise_vars[:, None]))
 
 
 def sample(sem: Sem, n: int, seed) -> np.ndarray:
@@ -438,9 +442,45 @@ class SemPairGenConfig:
         return cls(**kwargs)
 
 
-def _draw_weight(rng: np.random.Generator, lo: float, hi: float) -> float:
-    mag = rng.uniform(lo, hi)
-    return -mag if rng.random() < 0.5 else mag
+def _draw_slots(
+    rng: np.random.Generator, prob: float, addable: np.ndarray, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Test every slot with probability ``prob``; weigh the addable ones that fire.
+
+    Returns the fired flags and the signed weights (0.0 where no weight was
+    drawn). The random stream is used exactly as by this scalar loop:
+
+        for k in range(n):
+            fired[k] = rng.random() < prob
+            if fired[k] and addable[k]:
+                mag = rng.uniform(lo, hi)
+                weights[k] = -mag if rng.random() < 0.5 else mag
+
+    ``uniform(lo, hi)`` takes one double u and returns lo + (hi - lo) * u, so
+    the doubles come in blocks, each holding only draws the loop is sure to
+    make: one per untested slot and the rest of a pending magnitude/sign pair.
+    Nothing is drawn ahead and rewound, which would drop the generator's
+    buffered 32-bit half that ``permutation`` uses.
+    """
+    n = len(addable)
+    fired = np.zeros(n, dtype=bool)
+    weights = np.zeros(n)
+    span = hi - lo
+    slot = owed = 0  # next slot to test; draws owed to the weight of slot - 1
+    while slot < n or owed:
+        for u in rng.random(n - slot + owed).tolist():
+            if not owed:
+                if u < prob:
+                    fired[slot] = True
+                    owed = 2 if addable[slot] else 0
+                slot += 1
+            elif owed == 2:
+                mag = lo + span * u
+                owed = 1
+            else:
+                weights[slot - 1] = -mag if u < 0.5 else mag
+                owed = 0
+    return fired, weights
 
 
 def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
@@ -454,6 +494,17 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
     nonzero entry of the population precision difference has magnitude at
     least ``min_delta_omega`` and the partial-correlation separations hold at
     eps = min_delta_omega / 2 (see ``oracles.check_assumptions``).
+
+    Draw order, per attempt: the permutation of the vertices; then, for each
+    slot (parent a before child b in the order, by a then b), one double to
+    test it, followed for each new edge by its magnitude and then its sign;
+    the same pass again over the slots for the second model's changes; then
+    the p noise variances. Each pair is a function of this order and the
+    seed: changing the order changes every generated pair.
+
+    After ``max_retries`` rejected attempts, ``GenerationExhaustedError``
+    counts the attempts the ``min_delta_omega`` gate rejected and those
+    ``check_assumptions`` rejected, by failed condition.
     """
     from .oracles import check_assumptions  # deferred: oracles imports this module
 
@@ -461,36 +512,39 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
     p = cfg.p
     q_edge = cfg.expected_neighbors / (p - 1)
     lo, hi = cfg.weight_range
+    earlier, later = np.triu_indices(p, 1)  # slot positions in the order
+    every_slot = np.ones(len(earlier), dtype=bool)
+    gate_rejected = 0
+    check_rejected: Counter = Counter()
     for _ in range(cfg.max_retries):
         order = rng.permutation(p)
-        slots = [
-            (int(order[b]), int(order[a])) for a in range(p) for b in range(a + 1, p)
-        ]  # (child, parent), parent earlier in the order
-        b1 = np.zeros((p, p))
-        for child, parent in slots:
-            if rng.random() < q_edge:
-                b1[child, parent] = _draw_weight(rng, lo, hi)
-        b2 = b1.copy()
-        for child, parent in slots:
-            if b1[child, parent] != 0.0:
-                if rng.random() < cfg.edge_change_prob:
-                    b2[child, parent] = 0.0
-            elif rng.random() < cfg.edge_change_prob:
-                b2[child, parent] = _draw_weight(rng, lo, hi)
+        child, parent = order[later], order[earlier]
+        in1, w1 = _draw_slots(rng, q_edge, every_slot, lo, hi)
+        changed, w2 = _draw_slots(rng, cfg.edge_change_prob, ~in1, lo, hi)
         noise = rng.uniform(cfg.noise_var_range[0], cfg.noise_var_range[1], size=p)
+        b1 = np.zeros((p, p))
+        b1[child, parent] = w1
+        b2 = np.zeros((p, p))
+        b2[child, parent] = np.where(changed, w2, w1)  # w2 is 0.0 on a deleted edge
+
+        gaps = np.abs(_precision(b1, noise) - _precision(b2, noise))
+        gaps = gaps[gaps > ZERO_TOL]
+        if gaps.size and float(gaps.min()) < cfg.min_delta_omega:
+            gate_rejected += 1
+            continue
         sem1 = Sem(b1, noise)
         sem2 = Sem(b2, noise)
-
-        delta_omega = precision(sem1) - precision(sem2)
-        nonzero = np.abs(delta_omega) > ZERO_TOL
-        if nonzero.any() and float(np.abs(delta_omega)[nonzero].min()) < cfg.min_delta_omega:
-            continue
-        if not check_assumptions(sem1, sem2, cfg.min_delta_omega / 2.0).passed:
+        report = check_assumptions(sem1, sem2, cfg.min_delta_omega / 2.0)
+        if not report.passed:
+            check_rejected[report.failed_condition] += 1
             continue
         return sem1, sem2, difference_edge_set(sem1, sem2)
+    by_condition = ", ".join(f"{cond}: {k}" for cond, k in sorted(check_rejected.items()))
     raise GenerationExhaustedError(
-        f"no acceptable SEM pair after {cfg.max_retries} attempts; "
-        "the generator configuration looks unsatisfiable"
+        f"no acceptable SEM pair after {cfg.max_retries} attempts: "
+        f"{gate_rejected} rejected by the min_delta_omega={cfg.min_delta_omega:g} gate, "
+        f"{check_rejected.total()} by check_assumptions"
+        + (f" ({by_condition})" if by_condition else "")
     )
 
 

@@ -1,5 +1,5 @@
 """Properties over generated inputs: relabeling, JSON round-trips, and the
-orders and subset walks behind the generator.
+draws, orders and subset walks behind the generator.
 
 Hypothesis runs derandomized with few examples and no example database, so
 every run draws the same cases.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import diffdag as dd
 from diffdag.errors import InvalidModelError
 from diffdag.oracles import _closures, _downset_count, _downsets_above
-from diffdag.sem import _canonical_topo_positions
+from diffdag.sem import _canonical_topo_positions, _draw_slots
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -253,3 +253,41 @@ def test_downset_count_and_walk_match_brute_force(dag):
                 for m in level
             ]
             assert walked == [s for s in closed if {i, j} <= s]
+
+
+def _scalar_slots(rng, prob, addable, lo, hi):
+    """One scalar draw per slot test, magnitude and sign."""
+    fired = np.zeros(len(addable), dtype=bool)
+    weights = np.zeros(len(addable))
+    for k in range(len(addable)):
+        fired[k] = rng.random() < prob
+        if fired[k] and addable[k]:
+            mag = rng.uniform(lo, hi)
+            weights[k] = -mag if rng.random() < 0.5 else mag
+    return fired, weights
+
+
+@st.composite
+def slot_draws(draw):
+    """A seed, a count of 32-bit draws made first, and one slot pass."""
+    n = draw(st.integers(0, 60))
+    prob = draw(st.floats(0.0, 1.0))
+    addable = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    lo = draw(st.floats(0.01, 2.0))
+    hi = lo + draw(st.just(0.0) | st.floats(0.0, 3.0))
+    return draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3)), prob, addable, lo, hi
+
+
+@settings(FIXED, max_examples=200)
+@given(slot_draws())
+def test_block_slot_draws_match_the_scalar_loop(case):
+    seed, halves, prob, addable, lo, hi = case
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in rngs:
+        # an odd count leaves a buffered 32-bit half, which the draws must keep
+        rng.integers(0, 2**31, size=halves, dtype=np.uint32)
+    block = _draw_slots(rngs[0], prob, addable, lo, hi)
+    scalar = _scalar_slots(rngs[1], prob, addable, lo, hi)
+    np.testing.assert_array_equal(block[0], scalar[0])
+    assert block[1].tobytes() == scalar[1].tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state

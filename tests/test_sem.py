@@ -3,7 +3,9 @@
 Covers the closed-form covariance/precision of small hand-built models, the
 Monte-Carlo and law-of-large-numbers checks at a million draws, and the
 rejection-sampling guarantees of the random pair generator (brute-force
-precision differences as the oracle).
+precision differences as the oracle). The generator's block draws are checked
+bit for bit against the scalar loop they replaced, kept here as
+``_reference_generate``.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import diffdag as dd
 from diffdag import (
     CovariancePair,
     DagEdgeSet,
+    GenerationExhaustedError,
     InvalidCovarianceError,
     InvalidModelError,
     Sem,
@@ -24,7 +27,8 @@ from diffdag import (
     sample,
 )
 from diffdag.estimators import DeltaPrecision
-from diffdag.sem import empirical_covariance
+from diffdag.oracles import check_assumptions
+from diffdag.sem import ZERO_TOL, empirical_covariance
 from helpers import random_sem
 
 
@@ -291,6 +295,100 @@ class TestGenerateSemPair:
             SemPairGenConfig(p=5, weight_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             SemPairGenConfig(p=5, min_delta_omega=-0.1)
+
+
+def _reference_generate(cfg):
+    """The generator's rejection loop with one scalar draw at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    p = cfg.p
+    q_edge = cfg.expected_neighbors / (p - 1)
+    lo, hi = cfg.weight_range
+
+    def draw_weight():
+        mag = rng.uniform(lo, hi)
+        return -mag if rng.random() < 0.5 else mag
+
+    for _ in range(cfg.max_retries):
+        order = rng.permutation(p)
+        slots = [(int(order[b]), int(order[a])) for a in range(p) for b in range(a + 1, p)]
+        b1 = np.zeros((p, p))
+        for child, parent in slots:
+            if rng.random() < q_edge:
+                b1[child, parent] = draw_weight()
+        b2 = b1.copy()
+        for child, parent in slots:
+            if b1[child, parent] != 0.0:
+                if rng.random() < cfg.edge_change_prob:
+                    b2[child, parent] = 0.0
+            elif rng.random() < cfg.edge_change_prob:
+                b2[child, parent] = draw_weight()
+        noise = rng.uniform(cfg.noise_var_range[0], cfg.noise_var_range[1], size=p)
+        sem1 = Sem(b1, noise)
+        sem2 = Sem(b2, noise)
+        delta_omega = precision(sem1) - precision(sem2)
+        nonzero = np.abs(delta_omega) > ZERO_TOL
+        if nonzero.any() and float(np.abs(delta_omega)[nonzero].min()) < cfg.min_delta_omega:
+            continue
+        if not check_assumptions(sem1, sem2, cfg.min_delta_omega / 2.0).passed:
+            continue
+        return sem1, sem2, difference_edge_set(sem1, sem2)
+    raise GenerationExhaustedError(f"no acceptable SEM pair after {cfg.max_retries} attempts")
+
+
+def _outcome(generate, cfg):
+    """The pair's bytes and difference edges, or the error class raised."""
+    try:
+        sem1, sem2, delta = generate(cfg)
+    except GenerationExhaustedError as exc:
+        return type(exc)
+    return sem1.b.tobytes(), sem2.b.tobytes(), sem1.noise_vars.tobytes(), sem2.noise_vars.tobytes(), delta.edges
+
+
+_REFERENCE_CONFIGS = [
+    *(dict(p=p, seed=seed) for p in (2, 3, 5, 8, 12, 20, 25) for seed in (0, 1, 2, 3)),
+    # every slot fires in the first model
+    *(dict(p=p, seed=seed, expected_neighbors=p - 1, max_retries=40) for p in (3, 5, 8) for seed in (0, 1)),
+    *(dict(p=p, seed=seed, edge_change_prob=1e-12) for p in (5, 12) for seed in (0, 1)),
+    *(dict(p=p, seed=seed, edge_change_prob=0.99, max_retries=40) for p in (3, 4, 6) for seed in (0, 1, 2)),
+    *(dict(p=p, seed=seed, weight_range=(0.5, 0.5)) for p in (4, 9) for seed in (0, 1)),
+    *(dict(p=p, seed=seed, max_retries=1) for p in (5, 10, 20) for seed in (0, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs", _REFERENCE_CONFIGS, ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items())
+)
+def test_block_draws_reproduce_the_scalar_loop(kwargs):
+    cfg = SemPairGenConfig(**kwargs)
+    assert _outcome(generate_sem_pair, cfg) == _outcome(_reference_generate, cfg)
+
+
+def test_single_attempt_exhaustion_matches_the_scalar_loop():
+    # the one candidate passes the gate and fails the separation check
+    cfg = SemPairGenConfig(p=5, seed=5, max_retries=1)
+    with pytest.raises(GenerationExhaustedError):
+        _reference_generate(cfg)
+    with pytest.raises(GenerationExhaustedError):
+        generate_sem_pair(cfg)
+
+
+class TestGenerationExhausted:
+    def test_gate_only_exhaustion_counts_the_gate(self):
+        cfg = SemPairGenConfig(p=25, seed=0, max_retries=3)
+        with pytest.raises(
+            GenerationExhaustedError,
+            match=r"after 3 attempts: 3 rejected by the min_delta_omega=0.25 gate, 0 by check_assumptions$",
+        ):
+            generate_sem_pair(cfg)
+
+    def test_checker_exhaustion_counts_each_failed_condition(self):
+        cfg = SemPairGenConfig(p=5, seed=50, max_retries=3)
+        with pytest.raises(
+            GenerationExhaustedError,
+            match=r"after 3 attempts: 1 rejected by the min_delta_omega=0.25 gate, "
+            r"2 by check_assumptions \(separation: 2\)$",
+        ):
+            generate_sem_pair(cfg)
 
 
 class TestSerialization:

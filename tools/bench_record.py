@@ -104,6 +104,14 @@ def tier1(tree: Path) -> dict:
     return {"s": seconds, "summary": out.stdout.strip().splitlines()[-1]}
 
 
+def pair_count(text: str) -> int:
+    """``--pairs``: quartiles need at least two runs per side."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {pairs}")
+    return pairs
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -143,7 +151,7 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed-base", type=int, default=100)
     args = parser.parse_args()
