@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import DiffDagError
@@ -103,9 +102,11 @@ def _covariances_from_args(args, parser: argparse.ArgumentParser) -> CovarianceP
     return CovariancePair.from_data(load_data_csv(args.data1), load_data_csv(args.data2))
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _pipeline_config(args, parser: argparse.ArgumentParser) -> PipelineConfig:
     """Exact solves for --population, else the l1 program with the given flags."""
     if args.population:
+        if args.lambda_ is not None or args.lambda_auto:
+            parser.error("--population solves exactly; it takes no --lambda or --lambda-auto")
         return PipelineConfig(estimator="population")
     kwargs = {}
     if args.epsilon is not None:
@@ -118,8 +119,9 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_estimate_delta(args, parser) -> int:
+    cfg = _pipeline_config(args, parser)
     cov = _covariances_from_args(args, parser)
-    dp = estimate(cov, _pipeline_config(args))
+    dp = estimate(cov, cfg)
     if args.population and args.epsilon is not None:
         dp = threshold(dp, args.epsilon)
     out = _out_dir(args)
@@ -129,6 +131,7 @@ def _cmd_estimate_delta(args, parser) -> int:
 
 
 def _cmd_run_pipeline(args, parser) -> int:
+    cfg = _pipeline_config(args, parser)
     cov = _covariances_from_args(args, parser)
     if args.population:
         if args.sem1:
@@ -143,8 +146,10 @@ def _cmd_run_pipeline(args, parser) -> int:
                 print(f"warning: {msg}", file=sys.stderr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PartialPruneWarning)
-        result = run_pipeline(cov, replace(_pipeline_config(args), record_trace=args.trace))
+        result = run_pipeline(cov, cfg)
     payload = result.to_json()
+    if not args.trace:
+        del payload["trace"]
     partial = []
     for w in caught:
         if issubclass(w.category, PartialPruneWarning):
@@ -210,10 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--population", action="store_true",
                        help="use exact covariances (requires SEM inputs)")
         p.add_argument("--epsilon", type=float, default=None, help="hard threshold for support")
-        p.add_argument("--lambda", dest="lambda_", type=float, default=None,
-                       help="constraint radius of the l1 program")
-        p.add_argument("--lambda-auto", action="store_true",
-                       help="set the radius from the sample sizes")
+        radius = p.add_mutually_exclusive_group()
+        radius.add_argument("--lambda", dest="lambda_", type=float, default=None,
+                            help="constraint radius of the l1 program")
+        radius.add_argument("--lambda-auto", action="store_true",
+                            help="set the radius from the sample sizes")
         p.add_argument("--output-dir", default=".", help="where to write artifacts")
 
     g = sub.add_parser("generate", help="generate a random SEM pair with a sparse difference")

@@ -62,6 +62,11 @@ from .errors import (
 )
 from .sem import CovariancePair, _Labeled, _symmetrize
 
+# HiGHS's primal feasibility tolerance, which also sets the slack of the
+# residual check, and its simplex/IPM iteration limit.
+SOLVER_TOL = 1e-7
+MAX_ITER = 50_000
+
 
 @dataclass(frozen=True, eq=False)
 class DeltaPrecision(_Labeled):
@@ -139,8 +144,8 @@ class EstimatorConfig:
     """Knobs of the constrained-l1 estimator.
 
     With ``lambda_auto`` the constraint radius is set to
-    ``lambda_scale * sqrt(log(2 p / lambda_delta) / min(n1, n2))``; the scale
-    is exposed because the theory pins it only up to an instance-dependent
+    ``lambda_scale * sqrt(log(2 p / 0.05) / min(n1, n2))``; the scale is
+    exposed because the theory pins it only up to an instance-dependent
     constant.
     """
 
@@ -148,23 +153,14 @@ class EstimatorConfig:
     epsilon: float = 0.125
     lambda_auto: bool = False
     lambda_scale: float = 1.0
-    lambda_delta: float = 0.05
-    solver_tol: float = 1e-7
-    max_iter: int = 50_000
 
     def __post_init__(self):
         if self.lambda_n < 0.0:
             raise ValueError("lambda_n must be nonnegative")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.solver_tol <= 0.0:
-            raise ValueError("solver_tol must be positive")
         if self.lambda_scale <= 0.0:
             raise ValueError("lambda_scale must be positive")
-        if not 0.0 < self.lambda_delta < 1.0:
-            raise ValueError("lambda_delta must lie strictly between 0 and 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
@@ -174,16 +170,17 @@ class EstimatorConfig:
 def resolve_lambda(cov: CovariancePair, cfg: EstimatorConfig) -> EstimatorConfig:
     """``cfg`` with a fixed radius: the auto rule, if set, applied at cov's p.
 
-    The auto radius is ``lambda_scale * sqrt(log(2 p / lambda_delta) / n)``
-    with n = min(n1, n2). Resolving once and reusing the result keeps one
-    radius across the submatrix estimates of a pipeline run.
+    The auto radius is ``lambda_scale * sqrt(log(2 p / delta) / n)`` with
+    n = min(n1, n2) and confidence level delta = 0.05. Resolving once and
+    reusing the result keeps one radius across the submatrix estimates of a
+    pipeline run.
     """
     if not cfg.lambda_auto:
         return cfg
     n = min(cov.n1, cov.n2)
     if n < 1:
         raise ValueError("auto lambda needs positive sample counts")
-    lam = cfg.lambda_scale * math.sqrt(math.log(2.0 * cov.p / cfg.lambda_delta) / n)
+    lam = cfg.lambda_scale * math.sqrt(math.log(2.0 * cov.p / 0.05) / n)
     return replace(cfg, lambda_n=lam, lambda_auto=False)
 
 
@@ -222,7 +219,7 @@ class _FactoredProgram:
     ends without an optimum drops it.
     """
 
-    def __init__(self, s1: np.ndarray, s2: np.ndarray, lambda_n: float, solver_tol: float, max_iter: int):
+    def __init__(self, s1: np.ndarray, s2: np.ndarray, lambda_n: float):
         # Entry (i, j) sits at i + p j. The matrix is built from coordinates:
         # scipy's sparse kron and stacking cost more than a whole small solve.
         p = s1.shape[0]
@@ -267,9 +264,9 @@ class _FactoredProgram:
             ("output_flag", False),
             ("presolve", "on"),
             ("simplex_strategy", SimplexStrategy.kSimplexStrategyDual),
-            ("simplex_iteration_limit", max_iter),
-            ("ipm_iteration_limit", max_iter),
-            ("primal_feasibility_tolerance", max(solver_tol, 1e-10)),
+            ("simplex_iteration_limit", MAX_ITER),
+            ("ipm_iteration_limit", MAX_ITER),
+            ("primal_feasibility_tolerance", SOLVER_TOL),
         ):
             self._highs.setOptionValue(name, value)
         if self._highs.passModel(lp) == HighsStatus.kError:
@@ -306,8 +303,6 @@ def dantzig_selector(
     sigma1: np.ndarray,
     sigma2: np.ndarray,
     lambda_n: float,
-    solver_tol: float = 1e-7,
-    max_iter: int = 50_000,
     *,
     within: tuple[CovariancePair, np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -321,7 +316,7 @@ def dantzig_selector(
     Otherwise the program is solved in HiGHS. ``within`` is
     ``(source, index)``, a restricted pair's ``_source``: a larger
     ``CovariancePair`` of which (sigma1, sigma2) is the principal submatrix
-    at ``index``. The program over the source at these settings is built on
+    at ``index``. The program over the source at this lambda_n is built on
     first use, kept on the source, and re-solved warm after the bound changes
     of the module docstring, which solve it exactly over (sigma1, sigma2).
     Without it a program over (sigma1, sigma2) is built and solved once.
@@ -341,14 +336,13 @@ def dantzig_selector(
         except np.linalg.LinAlgError:
             pass  # rank-deficient: fall through to the LP
 
-    key = (lambda_n, solver_tol, max_iter)
     if within is None:
-        program, index = _FactoredProgram(s1, s2, *key), np.arange(p)
+        program, index = _FactoredProgram(s1, s2, lambda_n), np.arange(p)
     else:
         source, index = within
-        if key not in source._programs:
-            source._programs[key] = _FactoredProgram(source.sigma1, source.sigma2, *key)
-        program = source._programs[key]
+        if lambda_n not in source._programs:
+            source._programs[lambda_n] = _FactoredProgram(source.sigma1, source.sigma2, lambda_n)
+        program = source._programs[lambda_n]
     status, delta = program.solve(index)
     if status in (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError):
         raise InfeasibleEstimateError(
@@ -361,7 +355,7 @@ def dantzig_selector(
             best_residual=None,
         )
     residual = float(np.abs(s1 @ delta @ s2 - (s2 - s1)).max())
-    if residual > lambda_n + 100.0 * solver_tol:
+    if residual > lambda_n + 100.0 * SOLVER_TOL:
         raise EstimatorConvergenceError(
             f"LP solution violates the residual bound ({residual:g} > {lambda_n:g} + tol)",
             best_residual=residual,
@@ -381,7 +375,5 @@ def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
 def estimate_dantzig(cov: CovariancePair, cfg: EstimatorConfig) -> DeltaPrecision:
     """Constrained-l1 estimate, symmetrized and hard-thresholded at epsilon."""
     lam = resolve_lambda(cov, cfg).lambda_n
-    raw = dantzig_selector(
-        cov.sigma1, cov.sigma2, lam, cfg.solver_tol, cfg.max_iter, within=cov._source
-    )
+    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, within=cov._source)
     return threshold(DeltaPrecision(_symmetrize(raw), cov.labels), cfg.epsilon)

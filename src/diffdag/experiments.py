@@ -130,6 +130,12 @@ class SweepConfig:
         object.__setattr__(self, "c_values", tuple(int(c) for c in self.c_values))
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
+        for p in self.p_values:
+            if p < 2:
+                raise ValueError(f"p_values entry {p} is below 2; a SEM pair needs two vertices")
+        for c in self.c_values:
+            if c < 1:
+                raise ValueError(f"c_values entry {c} is below 1; the sample budget needs c >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.fixed_n is None and not self.c_values:

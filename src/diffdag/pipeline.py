@@ -17,7 +17,6 @@ the pruned result equals the support of B1 - B2 exactly.
 from __future__ import annotations
 
 import itertools
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -31,6 +30,9 @@ from .estimators import (
     threshold,
 )
 from .sem import ZERO_TOL, CovariancePair, DagEdgeSet
+
+# prune searches at most 2**PRUNE_SUBSET_CAP drop-sets per edge
+PRUNE_SUBSET_CAP = 12
 
 
 class PartialPruneWarning(UserWarning):
@@ -74,20 +76,15 @@ class PipelineConfig:
     """How the pipeline estimates and reads the precision difference.
 
     ``estimator`` picks exact population solves or the constrained-l1
-    program; ``estimate`` says how each is read. Descendant sets larger than
-    ``prune_subset_cap`` are only partially searched (with a warning).
+    program; ``estimate`` says how each is read.
     """
 
     estimator: str = "population"
     est_cfg: EstimatorConfig = EstimatorConfig()
-    record_trace: bool = False
-    prune_subset_cap: int = 12
 
     def __post_init__(self):
         if self.estimator not in ("population", "dantzig"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.prune_subset_cap < 0:
-            raise ValueError("prune_subset_cap must be nonnegative")
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
@@ -99,27 +96,30 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the pipeline produced, including the elimination order."""
+    """Everything the pipeline produced, including the elimination order.
+
+    ``trace`` lists the run's steps in order, one dict per step keyed by
+    ``"stage"``: the full estimate, the invariant vertices, each peeled layer
+    and re-estimate, the oriented edges, and each prune test and removal.
+    """
 
     delta: DagEdgeSet
     invariant_vertices: frozenset
     order: LayeredOrder
-    trace: tuple | None = None
+    trace: tuple
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "invariant": sorted(self.invariant_vertices),
             "layers": self.order.to_json(),
             "edges": [list(e) for e in self.delta.sorted_edges()],
-        }
-        if self.trace is not None:
-            out["trace"] = [
+            "trace": [
                 {**entry, "delta": entry["delta"].to_json()}
                 if "delta" in entry
                 else dict(entry)
                 for entry in self.trace
-            ]
-        return out
+            ],
+        }
 
 
 def estimate(cov: CovariancePair, cfg: PipelineConfig) -> DeltaPrecision:
@@ -207,15 +207,13 @@ def prune(
     eliminated strictly before j (descendants of j in the layered order),
     excluding i. Subsets are removed in increasing size and the difference is
     re-estimated over the rest; the first subset that zeroes the (i, j) entry
-    kills the edge. Only the first 2**cap subsets in that order are tested,
-    so a descendant set above ``cfg.prune_subset_cap`` is searched in part;
-    an edge that survives such a search raises a ``PartialPruneWarning``.
+    kills the edge. Only the first 2**PRUNE_SUBSET_CAP subsets in that order
+    are tested, so a larger descendant set is searched in part; an edge that
+    survives such a search raises a ``PartialPruneWarning``.
     """
     kept = set(delta.edges)
     cache: dict[frozenset, DeltaPrecision] = {}
     all_labels = list(cov.labels)
-    # islice's stop must fit in a C ssize_t; no search reaches a larger budget
-    budget = min(2 ** cfg.prune_subset_cap, sys.maxsize)
 
     def estimate_over(retained: tuple) -> DeltaPrecision:
         key = frozenset(retained)
@@ -233,6 +231,7 @@ def prune(
         subsets = itertools.chain.from_iterable(
             itertools.combinations(desc, size) for size in range(len(desc) + 1)
         )
+        budget = 2 ** min(len(desc), PRUNE_SUBSET_CAP)
         for drop in itertools.islice(subsets, budget):
             drop_set = set(drop)
             retained = tuple(lab for lab in all_labels if lab not in drop_set)
@@ -247,10 +246,10 @@ def prune(
                     trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": sorted(drop)})
                 break
         else:
-            if len(desc) > cfg.prune_subset_cap:
+            if len(desc) > PRUNE_SUBSET_CAP:
                 warnings.warn(
                     f"edge ({i!r}, {j!r}): descendant set of size {len(desc)} exceeds the "
-                    f"cap {cfg.prune_subset_cap}; searched {budget} subsets before giving up",
+                    f"cap {PRUNE_SUBSET_CAP}; searched {budget} subsets before giving up",
                     PartialPruneWarning,
                     stacklevel=2,
                 )
@@ -265,31 +264,24 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
     """
     if cfg.estimator == "dantzig":
         cfg = replace(cfg, est_cfg=resolve_lambda(cov, cfg.est_cfg))
-    trace: list | None = [] if cfg.record_trace else None
     dp_full = estimate(cov, cfg)
-    if trace is not None:
-        trace.append({"stage": "estimate_full", "labels": sorted(cov.labels), "delta": dp_full})
     invariant = dp_full.zero_rows()
     v_labels = [lab for lab in cov.labels if lab not in invariant]
-    if trace is not None:
-        trace.append({"stage": "invariant_vertices", "invariant": sorted(invariant)})
+    trace: list = [
+        {"stage": "estimate_full", "labels": sorted(cov.labels), "delta": dp_full},
+        {"stage": "invariant_vertices", "invariant": sorted(invariant)},
+    ]
     if not v_labels:
         return PipelineResult(
             delta=DagEdgeSet(frozenset(), frozenset()),
             invariant_vertices=invariant,
             order=LayeredOrder(()),
-            trace=tuple(trace) if trace is not None else None,
+            trace=tuple(trace),
         )
     cov_v = cov.restrict(v_labels)
     dp_v = dp_full.restrict(v_labels)
     order = compute_order(cov_v, cfg, initial=dp_v, trace=trace)
     rough = orient_edges(dp_v, order)
-    if trace is not None:
-        trace.append({"stage": "orient_edges", "edges": [list(e) for e in rough.sorted_edges()]})
+    trace.append({"stage": "orient_edges", "edges": [list(e) for e in rough.sorted_edges()]})
     pruned = prune(rough, cov_v, order, cfg, trace=trace)
-    return PipelineResult(
-        delta=pruned,
-        invariant_vertices=invariant,
-        order=order,
-        trace=tuple(trace) if trace is not None else None,
-    )
+    return PipelineResult(delta=pruned, invariant_vertices=invariant, order=order, trace=tuple(trace))

@@ -190,9 +190,6 @@ class DagEdgeSet:
     def parents(self, label) -> set:
         return {j for (i, j) in self.edges if i == label}
 
-    def children(self, label) -> set:
-        return {i for (i, j) in self.edges if j == label}
-
     def degree(self, label) -> int:
         return sum(1 for e in self.edges if label in e)
 
@@ -326,18 +323,14 @@ class CovariancePair(_Labeled):
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)
         # (pair, index) this pair was restricted from, and the estimators'
-        # constrained-l1 programs over this pair, keyed by their settings:
-        # every restriction of one pair re-solves that pair's program
+        # constrained-l1 programs over this pair, keyed by lambda_n: every
+        # restriction of one pair re-solves that pair's program
         object.__setattr__(self, "_source", None)
         object.__setattr__(self, "_programs", {})
 
     @property
     def p(self) -> int:
         return self.sigma1.shape[0]
-
-    @property
-    def is_population(self) -> bool:
-        return self.n1 == 0 and self.n2 == 0
 
     def restrict(self, labels) -> "CovariancePair":
         """The pair restricted to a label subset, in this pair's label order."""
@@ -420,18 +413,6 @@ class SemPairGenConfig:
             raise ValueError("noise_var_range must be a positive interval")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "expected_neighbors": self.expected_neighbors,
-            "edge_change_prob": self.edge_change_prob,
-            "weight_range": list(self.weight_range),
-            "min_delta_omega": self.min_delta_omega,
-            "seed": self.seed,
-            "noise_var_range": list(self.noise_var_range),
-            "max_retries": self.max_retries,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "SemPairGenConfig":
@@ -548,32 +529,26 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
     )
 
 
-def sem_to_json(sem: Sem) -> dict:
-    return {
+def save_sem(sem: Sem, path) -> None:
+    obj = {
         "p": sem.p,
         "labels": list(sem.labels),
         "b": [[float(v) for v in row] for row in sem.b],
         "noise_vars": [float(v) for v in sem.noise_vars],
     }
-
-
-def sem_from_json(obj: dict) -> Sem:
-    return Sem(
-        b=np.array(obj["b"], dtype=float),
-        noise_vars=np.array(obj["noise_vars"], dtype=float),
-        labels=tuple(obj.get("labels") or ()),
-    )
-
-
-def save_sem(sem: Sem, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sem_to_json(sem), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_sem(path) -> Sem:
     with open(path, encoding="utf-8") as fh:
-        return sem_from_json(json.load(fh))
+        obj = json.load(fh)
+    return Sem(
+        b=np.array(obj["b"], dtype=float),
+        noise_vars=np.array(obj["noise_vars"], dtype=float),
+        labels=tuple(obj.get("labels") or ()),
+    )
 
 
 def save_data_csv(data: np.ndarray, path) -> None:

@@ -133,7 +133,7 @@ def test_c05_constrained_l1_contract():
         cov = CovariancePair.from_sems(sem1, sem2)
         truth = dd.precision(sem1) - dd.precision(sem2)
         lam = 0.05
-        raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, solver_tol=tol)
+        raw = dantzig_selector(cov.sigma1, cov.sigma2, lam)
         kron = np.kron(cov.sigma2, cov.sigma1)
         b = (cov.sigma2 - cov.sigma1).flatten(order="F")
         resid = float(np.abs(kron @ raw.flatten(order="F") - b).max())

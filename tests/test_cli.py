@@ -87,8 +87,42 @@ class TestRunPipeline:
                      "--output-dir", str(out)]) == 0
         payload = json.loads((out / "pipeline.json").read_text())
         cov = dd.CovariancePair.from_sems(sem1, sem2)
-        direct = dd.run_pipeline(cov, dd.PipelineConfig(estimator="population"))
-        assert payload == direct.to_json()
+        direct = dd.run_pipeline(cov, dd.PipelineConfig(estimator="population")).to_json()
+        del direct["trace"]
+        assert payload == direct
+
+    def test_trace_only_with_the_flag(self, tmp_path):
+        sem1, sem2, _, a, b = _write_pair(tmp_path, seed=1, p=10)
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        for out, flags in ((plain, []), (traced, ["--trace"])):
+            assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+                         "--output-dir", str(out), *flags]) == 0
+        without = json.loads((plain / "pipeline.json").read_text())
+        assert sorted(without) == ["edges", "invariant", "layers"]
+        payload = json.loads((traced / "pipeline.json").read_text())
+        direct = dd.run_pipeline(dd.CovariancePair.from_sems(sem1, sem2), POP).to_json()
+        assert payload == {**without, "trace": direct["trace"]}
+        assert [entry["stage"] for entry in payload["trace"]] == [
+            "estimate_full", "invariant_vertices", "order_layer", "orient_edges",
+            *["prune_test"] * 3, "prune_remove",
+            *["prune_test"] * 3, "prune_remove",
+            *["prune_test"] * 4,
+        ]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run-pipeline", ["--data1", "x.csv", "--data2", "y.csv", "--lambda", "5", "--lambda-auto"]),
+        ("run-pipeline", ["--population", "--lambda", "5"]),
+        ("estimate-delta", ["--population", "--lambda-auto"]),
+    ], ids=["lambda-and-auto", "population-lambda", "population-auto"])
+    def test_radius_flags_the_estimator_would_ignore_are_usage_errors(
+        self, tmp_path, command, flags
+    ):
+        _, _, _, a, b = _write_pair(tmp_path)
+        sems = ["--sem1", a, "--sem2", b] if "--population" in flags else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *sems, *flags, "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_data_inputs_use_l1_estimator(self, tmp_path):
         sem1, sem2, _, _, _ = _write_pair(tmp_path, seed=2, p=5)
@@ -252,6 +286,20 @@ class TestSweep:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p_values": [5], "nope": 1}))
         assert main(["sweep", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("pipeline", [
+        {"record_trace": True},
+        {"prune_subset_cap": 12},
+        {"est_cfg": {"solver_tol": 1e-7}},
+        {"est_cfg": {"max_iter": 50000}},
+        {"est_cfg": {"lambda_delta": 0.05}},
+    ], ids=["record_trace", "prune_subset_cap", "solver_tol", "max_iter", "lambda_delta"])
+    def test_removed_setting_is_usage_error(self, tmp_path, capsys, pipeline):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"p_values": [5], "c_values": [5], "repetitions": 1,
+                                   "gen": {"p": 5}, "pipeline": pipeline}))
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "unexpected keyword argument" in capsys.readouterr().err
 
 
 class TestUsage:

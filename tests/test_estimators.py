@@ -128,7 +128,7 @@ class TestDantzig:
         truth = precision(sem1) - precision(sem2)
         lam = 0.05
         tol = 1e-7
-        raw = dantzig_selector(cov.sigma1, cov.sigma2, lam, solver_tol=tol)
+        raw = dantzig_selector(cov.sigma1, cov.sigma2, lam)
         kron = np.kron(cov.sigma2, cov.sigma1)
         b = (cov.sigma2 - cov.sigma1).flatten(order="F")
         resid = np.abs(kron @ raw.flatten(order="F") - b).max()
@@ -149,13 +149,14 @@ class TestDantzig:
         with pytest.raises(InfeasibleEstimateError):
             dantzig_selector(s1, s2, 0.0)
 
-    def test_iteration_cap_raises_convergence_error(self):
+    def test_iteration_cap_raises_convergence_error(self, monkeypatch):
         rng = np.random.default_rng(0)
         cov = CovariancePair.from_data(
             rng.standard_normal((40, 8)), rng.standard_normal((40, 8))
         )
+        monkeypatch.setattr(estimators, "MAX_ITER", 1)
         with pytest.raises(EstimatorConvergenceError, match="kIterationLimit"):
-            dantzig_selector(cov.sigma1, cov.sigma2, 0.01, max_iter=1)
+            dantzig_selector(cov.sigma1, cov.sigma2, 0.01)
 
     def test_lambda_auto_requires_samples(self):
         _, _, cov = _population_pair(1, p=4)
@@ -368,7 +369,7 @@ def _assert_restrictions_match_fresh_solves(cov, raw_solves):
         resid = np.abs(np.kron(sub.sigma2, sub.sigma1) @ got_raw.flatten(order="F") - b).max()
         assert resid <= lam + 1e-7, drop
         np.testing.assert_array_equal(got.matrix != 0, ref.matrix != 0)
-    assert list(cov._programs) == [(lam, cfg.est_cfg.solver_tol, cfg.est_cfg.max_iter)]
+    assert list(cov._programs) == [lam]
     return outcomes
 
 
@@ -411,14 +412,14 @@ def test_a_failed_solve_drops_the_basis():
     # after a non-optimal status the next solve starts cold, so it repeats a
     # new program's first solve of the same restriction bit for bit
     cov = _sampled_pair(8, 2000, zero_vertex=0)
-    settings = (resolve_lambda(cov, DANTZIG.est_cfg).lambda_n, 1e-7, 50_000)
-    program = estimators._FactoredProgram(cov.sigma1, cov.sigma2, *settings)
+    lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
+    program = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)
     checked, failed_before = 0, False
     for drop in (d for size in range(3) for d in itertools.combinations(range(8), size)):
         index = np.array([k for k in range(8) if k not in drop])
         status, raw = program.solve(index)
         if failed_before and status == HighsModelStatus.kOptimal:
-            fresh = estimators._FactoredProgram(cov.sigma1, cov.sigma2, *settings)
+            fresh = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)
             np.testing.assert_array_equal(raw, fresh.solve(index)[1])
             checked += 1
         failed_before = status != HighsModelStatus.kOptimal
@@ -432,7 +433,7 @@ def test_program_has_one_ranged_row_per_entry(p):
     # equality block
     cov = _sampled_pair(p, 2000)
     lam = resolve_lambda(cov, EstimatorConfig(lambda_auto=True)).lambda_n
-    highs = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam, 1e-7, 50_000)._highs
+    highs = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)._highs
     assert highs.getNumCol() == 3 * p**2
     assert highs.getNumRow() == 2 * p**2
     assert highs.getNumNz() == 3 * p**3 + p**2

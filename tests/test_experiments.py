@@ -134,6 +134,15 @@ class TestSweepConfig:
     def test_fixed_n_equal_to_largest_p_accepted(self):
         assert SweepConfig(p_values=(5, 10), fixed_n=10).fixed_n == 10
 
+    def test_p_below_two_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="p_values entry 1 is below 2"):
+            SweepConfig(p_values=(5, 1))
+
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_c_below_one_rejected_naming_it(self, c):
+        with pytest.raises(ValueError, match=f"c_values entry {c} is below 1"):
+            SweepConfig(c_values=(5, c))
+
 
 class TestRunSweep:
     def test_canonical_ordering_and_determinism(self):

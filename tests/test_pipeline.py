@@ -165,18 +165,18 @@ class TestPrune:
         rough = orient_edges(dp, order)
         assert prune(rough, cov, order, POP).edges == rough.edges == frozenset({(0, 1)})
 
-    def test_subset_cap_warns_and_keeps_edge(self):
+    def test_subset_cap_warns_and_keeps_edge(self, monkeypatch):
         cov, order, rough = self._common_child_setup()
-        tight = PipelineConfig(estimator="population", prune_subset_cap=0)
+        monkeypatch.setattr(dd.pipeline, "PRUNE_SUBSET_CAP", 0)
         with pytest.warns(dd.PartialPruneWarning, match="searched 1 subsets before giving up"):
-            pruned = prune(rough, cov, order, tight)
+            pruned = prune(rough, cov, order, POP)
         # budget 2**0 = 1 subset (the empty one): the artifact edge survives
         assert (1, 0) in pruned.edges
 
-    def test_cap_past_the_largest_index_searches_every_subset(self):
+    def test_cap_past_the_largest_index_searches_every_subset(self, monkeypatch):
         cov, order, rough = self._common_child_setup()
-        loose = PipelineConfig(estimator="population", prune_subset_cap=100)
-        assert prune(rough, cov, order, loose).edges == frozenset({(2, 0)})
+        monkeypatch.setattr(dd.pipeline, "PRUNE_SUBSET_CAP", 100)
+        assert prune(rough, cov, order, POP).edges == frozenset({(2, 0)})
 
 
 class TestHamming:
@@ -264,8 +264,7 @@ class TestRunPipeline:
 
     def test_trace_records_stages(self):
         sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=6, seed=8))
-        cfg = PipelineConfig(estimator="population", record_trace=True)
-        res = run_pipeline(_pair_cov(sem1, sem2), cfg)
+        res = run_pipeline(_pair_cov(sem1, sem2), POP)
         stages = {entry["stage"] for entry in res.trace}
         assert "estimate_full" in stages
         assert "invariant_vertices" in stages

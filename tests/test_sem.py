@@ -200,7 +200,8 @@ class TestCovariancePair:
 
     def test_sample_count_equal_to_p_and_population_pairs_accepted(self):
         assert CovariancePair(np.eye(3), np.eye(3), n1=3, n2=3).p == 3
-        assert CovariancePair(np.eye(3), np.eye(3)).is_population
+        population = CovariancePair(np.eye(3), np.eye(3))
+        assert (population.n1, population.n2) == (0, 0)
 
     def test_restrict_keeps_a_valid_sample_count(self):
         cov = CovariancePair(np.eye(4), np.eye(4), n1=4, n2=4)
