@@ -48,6 +48,12 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from None
 
 
+def _epsilon(text: str) -> float:
+    if not 0.0 <= float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return float(text)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,17 +139,14 @@ def _cmd_estimate_delta(args, parser) -> int:
 def _cmd_run_pipeline(args, parser) -> int:
     cfg = _pipeline_config(args, parser)
     cov = _covariances_from_args(args, parser)
-    if args.population:
-        if args.sem1:
-            report = check_assumptions(
-                load_sem(args.sem1), load_sem(args.sem2), args.epsilon or 0.125
-            )
-            if not report.passed:
-                msg = f"assumption check failed: {report.failed_condition}: {report.detail}"
-                if args.strict:
-                    print(f"error: {msg}", file=sys.stderr)
-                    return 1
-                print(f"warning: {msg}", file=sys.stderr)
+    if args.population:  # _covariances_from_args accepts it only with SEM inputs
+        report = check_assumptions(load_sem(args.sem1), load_sem(args.sem2), args.epsilon)
+        if not report.passed:
+            msg = f"assumption check failed: {report.failed_condition}: {report.detail}"
+            if args.strict:
+                print(f"error: {msg}", file=sys.stderr)
+                return 1
+            print(f"warning: {msg}", file=sys.stderr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PartialPruneWarning)
         result = run_pipeline(cov, cfg)
@@ -169,9 +172,7 @@ def _cmd_run_pipeline(args, parser) -> int:
 def _cmd_check_assumptions(args, parser) -> int:
     report = check_assumptions(load_sem(args.sem1), load_sem(args.sem2), args.epsilon)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if not report.passed and args.strict:
-        return 1
-    return 0
+    return 1 if args.strict and not report.passed else 0
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -207,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser):
+    def add_io(p: argparse.ArgumentParser, epsilon_help: str):
         p.add_argument("--sem1", help="first SEM as JSON (population covariances)")
         p.add_argument("--sem2", help="second SEM as JSON")
         p.add_argument("--data1", help="first sample matrix as CSV, one row per observation")
         p.add_argument("--data2", help="second sample matrix as CSV")
         p.add_argument("--population", action="store_true",
                        help="use exact covariances (requires SEM inputs)")
-        p.add_argument("--epsilon", type=float, default=None, help="hard threshold for support")
+        p.add_argument("--epsilon", type=_epsilon, default=None, help=epsilon_help)
         radius = p.add_mutually_exclusive_group()
         radius.add_argument("--lambda", dest="lambda_", type=float, default=None,
                             help="constraint radius of the l1 program")
@@ -233,21 +234,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_generate)
 
     e = sub.add_parser("estimate-delta", help="estimate the precision-matrix difference")
-    add_io(e)
+    add_io(e, "hard threshold for support")
     e.set_defaults(func=_cmd_estimate_delta)
 
     r = sub.add_parser("run-pipeline", help="recover the difference DAG")
-    add_io(r)
+    add_io(r, "hard threshold for support; with --population it sets only the "
+              "assumption check's epsilon (default 0.125)")
     r.add_argument("--strict", action="store_true",
                    help="fail when the assumption check fails (SEM inputs only)")
     r.add_argument("--trace", action="store_true",
                    help="add each stage's steps and estimates to pipeline.json as \"trace\"")
-    r.set_defaults(func=_cmd_run_pipeline)
+    r.set_defaults(func=_cmd_run_pipeline, epsilon=0.125)
 
     c = sub.add_parser("check-assumptions", help="report whether a SEM pair is recoverable")
     c.add_argument("--sem1", required=True)
     c.add_argument("--sem2", required=True)
-    c.add_argument("--epsilon", type=float, default=0.125)
+    c.add_argument("--epsilon", type=_epsilon, default=0.125)
     c.add_argument("--strict", action="store_true", help="exit 1 when the check fails")
     c.set_defaults(func=_cmd_check_assumptions)
 

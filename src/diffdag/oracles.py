@@ -7,8 +7,9 @@ entries come from the parent and common-children expansion of
 correlations of restricted covariance matrices. These routines exist to
 validate the estimators and the recovery pipeline. The generator also calls
 ``check_assumptions`` on every candidate pair, so that one enumerates its
-subsets lazily, per edge, and inverts them in stacks; the rest favor clarity
-over speed.
+subsets lazily, per edge, as 64-bit masks (so at most 64 non-invariant
+vertices), and reads their gaps from a Cholesky tail in stacks; the rest
+favor clarity over speed.
 """
 
 from __future__ import annotations
@@ -151,19 +152,27 @@ def _require_shared(sem1: Sem, sem2: Sem) -> None:
         raise ValueError("SEMs must share noise variances")
 
 
+def _cholesky_tail(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each covariance matrix in ``stack``, the partial correlation of
+    the last two variables given the others and the last one's precision
+    diagonal: b / hypot(b, c) and 1 / c^2, where (b, c) ends the Cholesky
+    factor's last row and factors the 2x2 Schur complement of the others.
+    """
+    tail = np.linalg.cholesky(stack)[..., -1, -2:]
+    b, c = tail[..., 0], tail[..., 1]
+    return b / np.hypot(b, c), 1.0 / (c * c)
+
+
 def partial_correlation(cov: np.ndarray, labels: tuple, i, j, given) -> float:
     """Partial correlation of X_i and X_j given X_S, from the covariance.
 
-    Computed as -W_ij / sqrt(W_ii * W_jj) where W is the inverse of the
-    covariance restricted to {i, j} union S.
+    Computed from the Cholesky tail of the covariance restricted to S, then
+    i, then j.
     """
     index = {lab: k for k, lab in enumerate(labels)}
-    keep = [lab for lab in labels if lab == i or lab == j or lab in set(given)]
-    idx = [index[lab] for lab in keep]
-    w = np.linalg.inv(cov[np.ix_(idx, idx)])
-    kpos = {lab: t for t, lab in enumerate(keep)}
-    si, sj = kpos[i], kpos[j]
-    return float(-w[si, sj] / math.sqrt(w[si, si] * w[sj, sj]))
+    rest = set(given) - {i, j}
+    idx = [index[lab] for lab in labels if lab in rest] + [index[i], index[j]]
+    return float(_cholesky_tail(cov[np.ix_(idx, idx)])[0])
 
 
 @dataclass(frozen=True)
@@ -197,7 +206,7 @@ class AssumptionReport:
         }
 
 
-# Subsets inverted per stacked np.linalg.inv call: bounds the memory a wide
+# Subsets factored per stacked np.linalg.cholesky call: bounds the memory a wide
 # level takes and the work wasted when its first subsets already fail.
 _CHUNK = 256
 
@@ -253,25 +262,20 @@ def _downset_count(mask: int, anc: dict, desc: dict, memo: dict) -> int:
     return total
 
 
-def _downsets_above(base: int, parents: dict) -> Iterator[list]:
+def _downsets_above(base: int, parents: dict) -> Iterator[np.ndarray]:
     """The ancestor-closed supersets of the ancestor-closed ``base``.
 
-    Yields one list per size, smallest first, each in descending mask
-    order. ``parents`` maps each vertex bit to the mask of its parents.
+    Yields one descending ``np.uint64`` mask array per size, smallest first.
+    ``parents`` maps each vertex bit, at most bit 63, to its parents' mask.
     """
-    free = [(b, pb, b | pb) for b, pb in parents.items() if not b & base]
-    level = [base]
-    while level:
+    free = [(b, pb) for b, pb in parents.items() if not b & base]
+    fb, fpb = np.array(free, dtype=np.uint64).reshape(-1, 2).T
+    level = np.array([base], dtype=np.uint64)
+    while level.size:
         yield level
         # b joins m when b is outside m and all of b's parents are inside
-        level = sorted({m | b for m in level for b, pb, bpb in free if m & bpb == pb}, reverse=True)
-
-
-def _members(masks: list, n: int, columns: np.ndarray) -> np.ndarray:
-    """0/1 rows saying which bits each mask holds, bit ``columns[q]`` in column q."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), width), axis=1, bitorder="little")[:, columns]
+        ok = (level[:, None] & (fb | fpb)) == fpb
+        level = np.unique((level[:, None] | fb)[ok])[::-1]
 
 
 def check_assumptions(
@@ -287,12 +291,14 @@ def check_assumptions(
     difference DAG over the non-invariant vertices that contains both
     endpoints, the two models must differ by at least 2*epsilon both in the
     partial correlation of X_i, X_j given the rest of S and in the diagonal
-    precision entry of the parent j over S.
+    precision entry of the parent j over S. ``epsilon`` must be finite and
+    non-negative; at 0 every gap passes.
 
     Budget: the second clause first counts the ancestor-closed subsets of
     the difference DAG. If there are more than ``max_subsets``, the report
     fails with "subset-budget", an inconclusive verdict, and
-    ``subsets_checked`` equal to ``max_subsets``.
+    ``subsets_checked`` equal to ``max_subsets``. Within the budget, more
+    than 64 non-invariant vertices raise ``ValueError`` (64-bit masks).
 
     Order: edges are taken by (repr(i), repr(j)). Each edge walks only the
     subsets that contain the ancestors of i and j, by size and, within one
@@ -300,6 +306,8 @@ def check_assumptions(
     violated gap ends the check; ``subsets_checked`` counts the (edge,
     subset) pairs examined up to and including it, and ``detail`` names it.
     """
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     _require_shared(sem1, sem2)
     delta = difference_edge_set(sem1, sem2)
     dom = precision(sem1) - precision(sem2)
@@ -341,47 +349,36 @@ def check_assumptions(
             f"more than {max_subsets} ancestor-closed subsets; check inconclusive",
             max_subsets,
         )
-    cov1 = covariance(sem1)
-    cov2 = covariance(sem2)
-    # the checked vertices in label order, which orders each submatrix
-    in_order = [lab for lab in labels if lab in bit]
-    rows = np.array([sem1.index(lab) for lab in in_order])
-    columns = np.array([bit[lab].bit_length() - 1 for lab in in_order])
+    if n > 64:
+        raise ValueError(f"the subset walk takes at most 64 non-invariant vertices, not {n}")
+    covs = np.stack([covariance(sem1), covariance(sem2)])
     checked = 0
     for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
-        qi, qj = in_order.index(i), in_order.index(j)
+        # each submatrix holds S minus {i, j} in label order, then i, then j
+        order = [lab for lab in labels if lab in bit and lab != i and lab != j] + [i, j]
+        rows = np.array([sem1.index(lab) for lab in order])
+        shifts = np.array([bit[lab].bit_length() - 1 for lab in order], dtype=np.uint64)
         for level in _downsets_above(anc[bit[i]] | anc[bit[j]], parents):
             for start in range(0, len(level), _CHUNK):
                 masks = level[start : start + _CHUNK]
-                member = _members(masks, n, columns)
+                member = ((masks[:, None] >> shifts) & 1).astype(bool)
                 idx = rows[np.nonzero(member)[1].reshape(len(masks), -1)]
-                t = np.arange(len(masks))
-                si = member[:, :qi].sum(axis=1)
-                sj = member[:, :qj].sum(axis=1)
-                om1 = np.linalg.inv(cov1[idx[:, :, None], idx[:, None, :]])
-                om2 = np.linalg.inv(cov2[idx[:, :, None], idx[:, None, :]])
-                rho1 = -om1[t, si, sj] / np.sqrt(om1[t, si, si] * om1[t, sj, sj])
-                rho2 = -om2[t, si, sj] / np.sqrt(om2[t, si, si] * om2[t, sj, sj])
-                rho_gap = np.abs(rho1 - rho2)
-                diag_gap = np.abs(om1[t, sj, sj] - om2[t, sj, sj])
+                rho, diag = _cholesky_tail(covs[:, idx[:, :, None], idx[:, None, :]])
+                rho_gap, diag_gap = np.abs(rho[0] - rho[1]), np.abs(diag[0] - diag[1])
                 bad = np.flatnonzero((rho_gap < 2.0 * epsilon) | (diag_gap < 2.0 * epsilon))
                 if not bad.size:
                     checked += len(masks)
                     continue
                 k = int(bad[0])
                 checked += k + 1
-                s = [lab for lab in ranked if masks[k] & bit[lab]]
-                if rho_gap[k] < 2.0 * epsilon:
-                    return fail(
-                        "separation",
-                        f"edge ({i!r}, {j!r}): partial-correlation gap "
-                        f"{float(rho_gap[k]):.4g} < {2 * epsilon:g} over subset {s}",
-                        checked,
-                    )
+                s = [lab for lab in ranked if int(masks[k]) & bit[lab]]
+                name, gap = "partial-correlation", rho_gap[k]
+                if gap >= 2.0 * epsilon:
+                    name, gap = "parent diagonal", diag_gap[k]
                 return fail(
                     "separation",
-                    f"edge ({i!r}, {j!r}): parent diagonal gap "
-                    f"{float(diag_gap[k]):.4g} < {2 * epsilon:g} over subset {s}",
+                    f"edge ({i!r}, {j!r}): {name} gap {float(gap):.4g} < {2 * epsilon:g} "
+                    f"over subset {s}",
                     checked,
                 )
     return AssumptionReport(True, None, None, invariant, delta.edges, checked)

@@ -124,6 +124,32 @@ class TestRunPipeline:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, epsilon", [
+        ([], 0.125), (["--epsilon", "0"], 0.0), (["--epsilon", "0.3"], 0.3),
+    ], ids=["default", "zero", "explicit"])
+    def test_population_check_reads_epsilon(self, tmp_path, monkeypatch, flags, epsilon):
+        seen = []
+        real = dd.check_assumptions
+
+        def recording(sem1, sem2, eps, *args):
+            seen.append(eps)
+            return real(sem1, sem2, eps, *args)
+
+        monkeypatch.setattr("diffdag.cli.check_assumptions", recording)
+        _, _, _, a, b = _write_pair(tmp_path)
+        assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b, *flags,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert seen == [epsilon]
+
+    @pytest.mark.parametrize("command", ["run-pipeline", "estimate-delta"])
+    def test_negative_epsilon_is_usage_error(self, tmp_path, command):
+        _, _, _, a, b = _write_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--population", "--sem1", a, "--sem2", b, "--epsilon", "-1",
+                  "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_data_inputs_use_l1_estimator(self, tmp_path):
         sem1, sem2, _, _, _ = _write_pair(tmp_path, seed=2, p=5)
         x1 = dd.sample(sem1, 400, seed=1)
@@ -256,6 +282,20 @@ class TestCheckAssumptions:
     def test_failing_pair_strict_exit_one(self, tmp_path, capsys):
         a, b = self._planted(tmp_path)
         assert main(["check-assumptions", "--sem1", a, "--sem2", b, "--strict"]) == 1
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_bad_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):
+        _, _, _, a, b = _write_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["check-assumptions", "--sem1", a, "--sem2", b, "--epsilon", epsilon])
+        assert exc.value.code == 2
+        assert f"must be finite and non-negative, got {epsilon}" in capsys.readouterr().err
+
+    def test_zero_epsilon_is_accepted(self, tmp_path, capsys):
+        a, b = self._planted(tmp_path)
+        assert main(["check-assumptions", "--sem1", a, "--sem2", b, "--epsilon", "0",
+                     "--strict"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 class TestSweep:

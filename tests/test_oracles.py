@@ -244,6 +244,36 @@ class TestCheckAssumptions:
         assert not report.passed
         assert report.failed_condition == "subset-budget"
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        sem = random_sem(np.random.default_rng(0), 4)
+        with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
+            check_assumptions(sem, sem, epsilon)
+
+    def test_zero_epsilon_passes_every_gap(self):
+        # min_delta_omega = 0 is a legal generator setting, and it checks at 0
+        b1 = np.zeros((3, 3))
+        b1[1, 0] = 0.6
+        b1[2, 0] = 1.0
+        b1[2, 1] = 0.6
+        b2 = np.zeros((3, 3))
+        b2[2, 0] = 1.0
+        report = check_assumptions(Sem(b1, np.ones(3)), Sem(b2, np.ones(3)), 0.0)
+        assert report.passed
+        assert report.subsets_checked > 0
+
+    @pytest.mark.parametrize("p", [64, 65])
+    def test_walk_takes_at_most_64_non_invariant_vertices(self, p):
+        # a changed chain: every vertex is non-invariant, and its p + 1
+        # ancestor-closed subsets stay far inside the budget
+        sem1 = chain_sem([0.8] * (p - 1))
+        sem2 = Sem(np.zeros((p, p)), sem1.noise_vars)
+        if p == 64:  # bit 63, the top bit of a uint64 mask, is walked
+            assert check_assumptions(sem1, sem2, 0.125) == _reference_check(sem1, sem2, 0.125)
+        else:
+            with pytest.raises(ValueError, match="at most 64 non-invariant vertices, not 65"):
+                check_assumptions(sem1, sem2, 0.125)
+
     def test_report_dict_round_trip(self):
         sem = random_sem(np.random.default_rng(9), 4)
         payload = check_assumptions(sem, sem, 0.1).to_dict()
@@ -429,6 +459,49 @@ class TestCheckAssumptionsMatchesReference:
         sem2 = perturb_sem(rng, sem1, n_changes=int(rng.integers(1, 6)))
         for eps in (0.01, 0.05, 0.125):
             assert check_assumptions(sem1, sem2, eps) == _reference_check(sem1, sem2, eps)
+
+    def test_cholesky_tail_matches_the_inverse(self, generator_candidates):
+        # the walk reads both gaps from _cholesky_tail with i, j last; the
+        # reference reads them from the inverse in label order. Partial
+        # correlations lie in [-1, 1] and can be structural zeros, so the
+        # absolute floor is 1e-12 of that scale
+        rng = np.random.default_rng(11)
+        sizes = set()
+        for sem1, sem2, _ in generator_candidates[::2]:
+            covs = np.stack([covariance(sem1), covariance(sem2)])
+            for i, j in sorted(difference_edge_set(sem1, sem2).edges)[:4]:
+                ii, jj = sem1.index(i), sem1.index(j)
+                others = [k for k in range(sem1.p) if k not in (ii, jj)]
+                for size in (0, int(rng.integers(1, len(others) + 1))):
+                    rest = sorted(rng.choice(others, size=size, replace=False).tolist())
+                    sizes.add(size)
+                    tail = [*rest, ii, jj]
+                    rho, diag = oracles._cholesky_tail(covs[:, tail][:, :, tail])
+                    keep = sorted(tail)
+                    om = np.linalg.inv(covs[:, keep][:, :, keep])
+                    si, sj = keep.index(ii), keep.index(jj)
+                    ref_rho = -om[:, si, sj] / np.sqrt(om[:, si, si] * om[:, sj, sj])
+                    for got, ref in ((rho, ref_rho), (diag, om[:, sj, sj])):
+                        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+                        gap, ref_gap = abs(got[0] - got[1]), abs(ref[0] - ref[1])
+                        np.testing.assert_allclose(gap, ref_gap, rtol=1e-12, atol=1e-12)
+        assert 0 in sizes and max(sizes) > 10  # S = {i, j} and wide subsets
+
+    def test_stacked_cholesky_is_bitwise_the_single_cholesky(self, generator_candidates):
+        # the walk factors a chunk of both models' submatrices in one call,
+        # so where _CHUNK splits a level cannot move a verdict
+        rng = np.random.default_rng(7)
+        for sem1, sem2, _ in generator_candidates[::5]:
+            covs = np.stack([covariance(sem1), covariance(sem2)])
+            k = int(rng.integers(2, sem1.p + 1))
+            idx = np.sort(np.array([rng.choice(sem1.p, size=k, replace=False) for _ in range(9)]))
+            stack = covs[:, idx[:, :, None], idx[:, None, :]]
+            single = np.stack([
+                np.stack([np.linalg.cholesky(cov[np.ix_(row, row)]) for row in idx])
+                for cov in covs
+            ])
+            assert np.array_equal(np.linalg.cholesky(stack), single)
+            assert np.array_equal(np.linalg.cholesky(stack[:, 3:]), single[:, 3:])
 
     def test_stacked_inverse_is_bitwise_the_single_inverse(self, generator_candidates):
         # the walk inverts a level's submatrices in one stacked call
