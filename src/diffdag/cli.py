@@ -28,6 +28,7 @@ from .oracles import check_assumptions, minimax_sample_bound
 from .pipeline import PartialPruneWarning, PipelineConfig, estimate, run_pipeline
 from .sem import (
     CovariancePair,
+    Sem,
     SemPairGenConfig,
     generate_sem_pair,
     load_data_csv,
@@ -36,19 +37,27 @@ from .sem import (
 )
 
 
+_DEFAULT_EPSILON = EstimatorConfig().epsilon
+
+
 class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. malformed config file)."""
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _load_json(path: str) -> dict:
+    """A config file's object; NaN and Infinity, which json accepts, are not."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
 
 
-def _epsilon(text: str) -> float:
+def _finite_nonnegative(text: str) -> float:
     if not 0.0 <= float(text) < float("inf"):
         raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
     return float(text)
@@ -92,7 +101,10 @@ def _cmd_generate(args, parser) -> int:
     return 0
 
 
-def _covariances_from_args(args, parser: argparse.ArgumentParser) -> CovariancePair:
+def _covariances_from_args(
+    args, parser: argparse.ArgumentParser
+) -> tuple[CovariancePair, tuple[Sem, Sem] | None]:
+    """The covariance pair, and the two SEMs when the inputs are SEM files."""
     if args.sem1 or args.sem2:
         if not (args.sem1 and args.sem2):
             parser.error("--sem1 and --sem2 must be given together")
@@ -100,12 +112,13 @@ def _covariances_from_args(args, parser: argparse.ArgumentParser) -> CovarianceP
             parser.error("give either SEM files or data files, not both")
         if not args.population:
             parser.error("SEM inputs provide exact covariances; pass --population")
-        return CovariancePair.from_sems(load_sem(args.sem1), load_sem(args.sem2))
+        sems = load_sem(args.sem1), load_sem(args.sem2)
+        return CovariancePair.from_sems(*sems), sems
     if not (args.data1 and args.data2):
         parser.error("need --sem1/--sem2 or --data1/--data2")
     if args.population:
         parser.error("--population requires SEM inputs, not sampled data")
-    return CovariancePair.from_data(load_data_csv(args.data1), load_data_csv(args.data2))
+    return CovariancePair.from_data(load_data_csv(args.data1), load_data_csv(args.data2)), None
 
 
 def _pipeline_config(args, parser: argparse.ArgumentParser) -> PipelineConfig:
@@ -126,7 +139,7 @@ def _pipeline_config(args, parser: argparse.ArgumentParser) -> PipelineConfig:
 
 def _cmd_estimate_delta(args, parser) -> int:
     cfg = _pipeline_config(args, parser)
-    cov = _covariances_from_args(args, parser)
+    cov, _ = _covariances_from_args(args, parser)
     dp = estimate(cov, cfg)
     if args.population and args.epsilon is not None:
         dp = threshold(dp, args.epsilon)
@@ -138,9 +151,9 @@ def _cmd_estimate_delta(args, parser) -> int:
 
 def _cmd_run_pipeline(args, parser) -> int:
     cfg = _pipeline_config(args, parser)
-    cov = _covariances_from_args(args, parser)
-    if args.population:  # _covariances_from_args accepts it only with SEM inputs
-        report = check_assumptions(load_sem(args.sem1), load_sem(args.sem2), args.epsilon)
+    cov, sems = _covariances_from_args(args, parser)
+    if sems:  # SEM inputs, which come only with --population
+        report = check_assumptions(*sems, args.epsilon)
         if not report.passed:
             msg = f"assumption check failed: {report.failed_condition}: {report.detail}"
             if args.strict:
@@ -215,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data2", help="second sample matrix as CSV")
         p.add_argument("--population", action="store_true",
                        help="use exact covariances (requires SEM inputs)")
-        p.add_argument("--epsilon", type=_epsilon, default=None, help=epsilon_help)
+        p.add_argument("--epsilon", type=_finite_nonnegative, default=None, help=epsilon_help)
         radius = p.add_mutually_exclusive_group()
-        radius.add_argument("--lambda", dest="lambda_", type=float, default=None,
+        radius.add_argument("--lambda", dest="lambda_", type=_finite_nonnegative, default=None,
                             help="constraint radius of the l1 program")
         radius.add_argument("--lambda-auto", action="store_true",
                             help="set the radius from the sample sizes")
@@ -239,17 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run-pipeline", help="recover the difference DAG")
     add_io(r, "hard threshold for support; with --population it sets only the "
-              "assumption check's epsilon (default 0.125)")
+              f"assumption check's epsilon (default {_DEFAULT_EPSILON:g})")
     r.add_argument("--strict", action="store_true",
                    help="fail when the assumption check fails (SEM inputs only)")
     r.add_argument("--trace", action="store_true",
                    help="add each stage's steps and estimates to pipeline.json as \"trace\"")
-    r.set_defaults(func=_cmd_run_pipeline, epsilon=0.125)
+    r.set_defaults(func=_cmd_run_pipeline, epsilon=_DEFAULT_EPSILON)
 
     c = sub.add_parser("check-assumptions", help="report whether a SEM pair is recoverable")
     c.add_argument("--sem1", required=True)
     c.add_argument("--sem2", required=True)
-    c.add_argument("--epsilon", type=_epsilon, default=0.125)
+    c.add_argument("--epsilon", type=_finite_nonnegative, default=_DEFAULT_EPSILON)
     c.add_argument("--strict", action="store_true", help="exit 1 when the check fails")
     c.set_defaults(func=_cmd_check_assumptions)
 

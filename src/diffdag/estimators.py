@@ -143,24 +143,20 @@ class DeltaPrecision(_Labeled):
 class EstimatorConfig:
     """Knobs of the constrained-l1 estimator.
 
-    With ``lambda_auto`` the constraint radius is set to
-    ``lambda_scale * sqrt(log(2 p / 0.05) / min(n1, n2))``; the scale is
-    exposed because the theory pins it only up to an instance-dependent
-    constant.
+    ``lambda_n`` is the constraint radius and ``epsilon`` the hard threshold
+    on the estimate; both must be finite. With ``lambda_auto`` the radius is
+    set instead to ``sqrt(log(2 p / 0.05) / min(n1, n2))``.
     """
 
     lambda_n: float = 0.0
     epsilon: float = 0.125
     lambda_auto: bool = False
-    lambda_scale: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_n < 0.0:
-            raise ValueError("lambda_n must be nonnegative")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.lambda_scale <= 0.0:
-            raise ValueError("lambda_scale must be positive")
+        if not 0.0 <= self.lambda_n < math.inf:
+            raise ValueError(f"lambda_n must be finite and nonnegative, got {self.lambda_n!r}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
@@ -170,7 +166,7 @@ class EstimatorConfig:
 def resolve_lambda(cov: CovariancePair, cfg: EstimatorConfig) -> EstimatorConfig:
     """``cfg`` with a fixed radius: the auto rule, if set, applied at cov's p.
 
-    The auto radius is ``lambda_scale * sqrt(log(2 p / delta) / n)`` with
+    The auto radius is ``sqrt(log(2 p / delta) / n)`` with
     n = min(n1, n2) and confidence level delta = 0.05. Resolving once and
     reusing the result keeps one radius across the submatrix estimates of a
     pipeline run.
@@ -180,7 +176,7 @@ def resolve_lambda(cov: CovariancePair, cfg: EstimatorConfig) -> EstimatorConfig
     n = min(cov.n1, cov.n2)
     if n < 1:
         raise ValueError("auto lambda needs positive sample counts")
-    lam = cfg.lambda_scale * math.sqrt(math.log(2.0 * cov.p / 0.05) / n)
+    lam = math.sqrt(math.log(2.0 * cov.p / 0.05) / n)
     return replace(cfg, lambda_n=lam, lambda_auto=False)
 
 
@@ -365,8 +361,8 @@ def dantzig_selector(
 
 def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
     """Zero all entries with magnitude at or below epsilon (inclusive)."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     m = dp.matrix.copy()
     m[np.abs(m) <= epsilon] = 0.0
     return DeltaPrecision(m, dp.labels, epsilon)

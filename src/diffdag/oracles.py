@@ -24,21 +24,12 @@ import scipy.linalg as sla
 from .errors import DiffDagError
 from .sem import ZERO_TOL, Sem, covariance, difference_edge_set, precision
 
-
-@dataclass(frozen=True)
-class MarginalSem:
-    """A SEM over a retained vertex set, plus the labels that were removed."""
-
-    sem: Sem
-    removed: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "removed", frozenset(self.removed))
-        if self.removed & set(self.sem.labels):
-            raise ValueError("removed labels must be disjoint from the retained SEM")
+# The most ancestor-closed subsets check_assumptions walks; past it the
+# check is inconclusive.
+SUBSET_BUDGET = 100_000
 
 
-def marginalize_sem(sem: Sem, removed) -> MarginalSem:
+def marginalize_sem(sem: Sem, removed) -> Sem:
     """The SEM over the retained vertices after integrating out ``removed``.
 
     For each retained vertex j, with Anc_j the vertices weakly preceding j in
@@ -60,7 +51,7 @@ def marginalize_sem(sem: Sem, removed) -> MarginalSem:
     if not retained:
         raise ValueError("cannot remove every vertex")
     if not removed:
-        return MarginalSem(sem, removed)
+        return sem
 
     topo = sem.topological_order()
     pos = {lab: k for k, lab in enumerate(topo)}
@@ -99,7 +90,7 @@ def marginalize_sem(sem: Sem, removed) -> MarginalSem:
             b_new[new_idx[j], new_idx[k]] = (var_new / var_j) * (
                 sem.b[jj, sem.index(k)] - float(b_ju @ sla.cho_solve(w, om_uk))
             )
-    return MarginalSem(Sem(b_new, nv_new, tuple(retained)), removed)
+    return Sem(b_new, nv_new, tuple(retained))
 
 
 def delta_omega_entry(sem1: Sem, sem2: Sem, i, j) -> float:
@@ -278,9 +269,7 @@ def _downsets_above(base: int, parents: dict) -> Iterator[np.ndarray]:
         level = np.unique((level[:, None] | fb)[ok])[::-1]
 
 
-def check_assumptions(
-    sem1: Sem, sem2: Sem, epsilon: float, max_subsets: int = 100_000
-) -> AssumptionReport:
+def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     """Report whether a SEM pair supports exact difference-DAG recovery.
 
     Two clauses are verified. First, every vertex whose precision-difference
@@ -295,9 +284,9 @@ def check_assumptions(
     non-negative; at 0 every gap passes.
 
     Budget: the second clause first counts the ancestor-closed subsets of
-    the difference DAG. If there are more than ``max_subsets``, the report
-    fails with "subset-budget", an inconclusive verdict, and
-    ``subsets_checked`` equal to ``max_subsets``. Within the budget, more
+    the difference DAG. If there are more than ``SUBSET_BUDGET`` (100 000),
+    the report fails with "subset-budget", an inconclusive verdict, and
+    ``subsets_checked`` equal to ``SUBSET_BUDGET``. Within the budget, more
     than 64 non-invariant vertices raise ``ValueError`` (64-bit masks).
 
     Order: edges are taken by (repr(i), repr(j)). Each edge walks only the
@@ -343,11 +332,11 @@ def check_assumptions(
     bit = {lab: 1 << (n - 1 - r) for r, lab in enumerate(ranked)}
     parents = {bit[lab]: sum(bit[q] for q in delta.parents(lab) if q in bit) for lab in ranked}
     anc, desc = _closures(parents)
-    if _downset_count((1 << n) - 1, anc, desc, {}) > max_subsets:
+    if _downset_count((1 << n) - 1, anc, desc, {}) > SUBSET_BUDGET:
         return fail(
             "subset-budget",
-            f"more than {max_subsets} ancestor-closed subsets; check inconclusive",
-            max_subsets,
+            f"more than {SUBSET_BUDGET} ancestor-closed subsets; check inconclusive",
+            SUBSET_BUDGET,
         )
     if n > 64:
         raise ValueError(f"the subset walk takes at most 64 non-invariant vertices, not {n}")

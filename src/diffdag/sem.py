@@ -29,6 +29,13 @@ from .errors import GenerationExhaustedError, InvalidCovarianceError, InvalidMod
 # below 1e-13, and their real entries lie above 1e-6.
 ZERO_TOL = 1e-9
 
+# The generator's edge-weight magnitudes (signs are drawn uniformly, so
+# weights lie in [-1, -0.25] union [0.25, 1]), its noise variances, and the
+# candidate pairs it draws before giving up.
+WEIGHT_RANGE = (0.25, 1.0)
+NOISE_VAR_RANGE = (0.8, 1.2)
+MAX_ATTEMPTS = 1000
+
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
@@ -142,21 +149,6 @@ class Sem(_Labeled):
         Parents appear before their children.
         """
         return tuple(self.labels[i] for i in self._topo_positions)
-
-    def parents(self, label) -> set:
-        i = self.index(label)
-        return {self.labels[j] for j in np.flatnonzero(self.b[i, :])}
-
-    def children(self, label) -> set:
-        j = self.index(label)
-        return {self.labels[i] for i in np.flatnonzero(self.b[:, j])}
-
-    def edge_set(self) -> "DagEdgeSet":
-        rows, cols = np.nonzero(self.b)
-        return DagEdgeSet(
-            vertices=frozenset(self.labels),
-            edges=frozenset((self.labels[i], self.labels[j]) for i, j in zip(rows, cols)),
-        )
 
 
 @dataclass(frozen=True)
@@ -375,22 +367,19 @@ class SemPairGenConfig:
     """Parameters of the random SEM pair generator.
 
     ``expected_neighbors`` defaults to sqrt(p), at most p - 1, and
-    ``edge_change_prob`` to 0.5/p when left unset. ``weight_range`` is the
-    magnitude interval of edge weights; signs are drawn uniformly, so the
-    default corresponds to weights in [-1, -0.25] union [0.25, 1].
-    ``min_delta_omega`` is enforced on every nonzero entry of the population
-    precision difference by rejection sampling, together with the 2*eps
-    partial-correlation separations at eps = min_delta_omega / 2.
+    ``edge_change_prob`` to 0.5/p when left unset. ``min_delta_omega`` is
+    enforced on every nonzero entry of the population precision difference
+    by rejection sampling, together with the 2*eps partial-correlation
+    separations at eps = min_delta_omega / 2. Edge weights, noise variances
+    and the attempt limit are the module constants ``WEIGHT_RANGE``,
+    ``NOISE_VAR_RANGE`` and ``MAX_ATTEMPTS``.
     """
 
     p: int
     expected_neighbors: float | None = None
     edge_change_prob: float | None = None
-    weight_range: tuple[float, float] = (0.25, 1.0)
     min_delta_omega: float = 0.25
     seed: int = 0
-    noise_var_range: tuple[float, float] = (0.8, 1.2)
-    max_retries: int = 1000
 
     def __post_init__(self):
         if self.p < 2:
@@ -403,24 +392,12 @@ class SemPairGenConfig:
             raise ValueError("edge_change_prob must lie strictly between 0 and 1")
         if not 0.0 < self.expected_neighbors <= self.p - 1:
             raise ValueError("expected_neighbors must lie in (0, p-1]")
-        lo, hi = self.weight_range
-        if not 0.0 < lo <= hi:
-            raise ValueError("weight_range must be a positive magnitude interval")
         if self.min_delta_omega < 0.0:
             raise ValueError("min_delta_omega must be nonnegative")
-        nlo, nhi = self.noise_var_range
-        if not 0.0 < nlo <= nhi:
-            raise ValueError("noise_var_range must be a positive interval")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SemPairGenConfig":
-        kwargs = dict(obj)
-        for key in ("weight_range", "noise_var_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 def _draw_slots(
@@ -483,7 +460,7 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
     the p noise variances. Each pair is a function of this order and the
     seed: changing the order changes every generated pair.
 
-    After ``max_retries`` rejected attempts, ``GenerationExhaustedError``
+    After ``MAX_ATTEMPTS`` rejected attempts, ``GenerationExhaustedError``
     counts the attempts the ``min_delta_omega`` gate rejected and those
     ``check_assumptions`` rejected, by failed condition.
     """
@@ -492,17 +469,17 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
     q_edge = cfg.expected_neighbors / (p - 1)
-    lo, hi = cfg.weight_range
+    lo, hi = WEIGHT_RANGE
     earlier, later = np.triu_indices(p, 1)  # slot positions in the order
     every_slot = np.ones(len(earlier), dtype=bool)
     gate_rejected = 0
     check_rejected: Counter = Counter()
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_ATTEMPTS):
         order = rng.permutation(p)
         child, parent = order[later], order[earlier]
         in1, w1 = _draw_slots(rng, q_edge, every_slot, lo, hi)
         changed, w2 = _draw_slots(rng, cfg.edge_change_prob, ~in1, lo, hi)
-        noise = rng.uniform(cfg.noise_var_range[0], cfg.noise_var_range[1], size=p)
+        noise = rng.uniform(*NOISE_VAR_RANGE, size=p)
         b1 = np.zeros((p, p))
         b1[child, parent] = w1
         b2 = np.zeros((p, p))
@@ -522,7 +499,7 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
         return sem1, sem2, difference_edge_set(sem1, sem2)
     by_condition = ", ".join(f"{cond}: {k}" for cond, k in sorted(check_rejected.items()))
     raise GenerationExhaustedError(
-        f"no acceptable SEM pair after {cfg.max_retries} attempts: "
+        f"no acceptable SEM pair after {MAX_ATTEMPTS} attempts: "
         f"{gate_rejected} rejected by the min_delta_omega={cfg.min_delta_omega:g} gate, "
         f"{check_rejected.total()} by check_assumptions"
         + (f" ({by_condition})" if by_condition else "")

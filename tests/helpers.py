@@ -4,7 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from diffdag import Sem
+from diffdag import EstimatorConfig, PipelineConfig, Sem, SemPairGenConfig, SweepConfig
+
+# The C07 trend grid: 360 Dantzig trials. Its records.csv is the one whose
+# sha256 the BENCH files cite; tools/bench_record.py's C07_GRID builds it too.
+C07_SWEEP = SweepConfig(
+    p_values=(5, 10, 15),
+    c_values=(5, 10, 15, 20),
+    repetitions=30,
+    gen=SemPairGenConfig(p=10),
+    pipeline=PipelineConfig(
+        estimator="dantzig",
+        est_cfg=EstimatorConfig(lambda_auto=True, epsilon=0.125),
+    ),
+    seed_base=0,
+)
 
 
 def random_sem(rng: np.random.Generator, p: int, edge_prob: float = 0.4) -> Sem:

@@ -23,7 +23,7 @@ from diffdag import (
 )
 from diffdag.estimators import dantzig_selector
 from diffdag.experiments import _trial_seed, run_trial, write_records_csv
-from helpers import perturb_sem, random_sem
+from helpers import C07_SWEEP, perturb_sem, random_sem
 
 
 def _verdict(cid: str, passed: bool, detail: str) -> str:
@@ -82,18 +82,18 @@ def test_c03_marginalization_matches_schur_complement():
         removed = set(rng.choice(sem.labels, size=k, replace=False).tolist())
         marg = dd.marginalize_sem(sem, removed)
         om = dd.precision(sem)
-        keep = [sem.index(lab) for lab in marg.sem.labels]
+        keep = [sem.index(lab) for lab in marg.labels]
         drop = [i for i in range(p) if i not in keep]
         schur = om[np.ix_(keep, keep)] - om[np.ix_(keep, drop)] @ np.linalg.solve(
             om[np.ix_(drop, drop)], om[np.ix_(drop, keep)]
         )
-        worst = max(worst, float(np.abs(dd.precision(marg.sem) - schur).max()))
-        terminals = [lab for lab in sem.labels if not sem.children(lab)]
+        worst = max(worst, float(np.abs(dd.precision(marg) - schur).max()))
+        terminals = [sem.labels[k] for k in range(p) if not sem.b[:, k].any()]
         if terminals:
             tm = dd.marginalize_sem(sem, {terminals[0]})
-            idx = [sem.index(lab) for lab in tm.sem.labels]
-            terminal_exact &= np.array_equal(tm.sem.b, sem.b[np.ix_(idx, idx)])
-            terminal_exact &= np.array_equal(tm.sem.noise_vars, sem.noise_vars[idx])
+            idx = [sem.index(lab) for lab in tm.labels]
+            terminal_exact &= np.array_equal(tm.b, sem.b[np.ix_(idx, idx)])
+            terminal_exact &= np.array_equal(tm.noise_vars, sem.noise_vars[idx])
     line = _verdict(
         "C03", worst <= 1e-8 and terminal_exact,
         f"max Schur deviation {worst:.2e}; terminal removals exact: {terminal_exact}",
@@ -206,18 +206,7 @@ def test_c06_finite_sample_support_recovery():
 
 @pytest.fixture(scope="module")
 def trend_records():
-    cfg = SweepConfig(
-        p_values=(5, 10, 15),
-        c_values=(5, 10, 15, 20),
-        repetitions=30,
-        gen=SemPairGenConfig(p=10),
-        pipeline=PipelineConfig(
-            estimator="dantzig",
-            est_cfg=EstimatorConfig(lambda_auto=True, epsilon=0.125),
-        ),
-        seed_base=0,
-    )
-    return dd.run_sweep(cfg)
+    return dd.run_sweep(C07_SWEEP)
 
 
 def test_c07_normalized_hamming_trend(trend_records):
@@ -237,7 +226,7 @@ def test_c07_normalized_hamming_trend(trend_records):
     assert not bad, line
 
 
-def test_c08_fixed_sample_f_score(trend_records):
+def test_c08_fixed_sample_f_score():
     cfg = SweepConfig(
         p_values=(10,),
         repetitions=10,

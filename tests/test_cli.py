@@ -13,6 +13,11 @@ from helpers import random_sem
 
 POP = dd.PipelineConfig(estimator="population")
 
+# generator settings that are now the sem constants
+REMOVED_GENERATOR_KEYS = [
+    ("weight_range", [0.25, 1.0]), ("noise_var_range", [0.8, 1.2]), ("max_retries", 1000),
+]
+
 
 def _write_pair(tmp_path, seed=3, p=5):
     sem1, sem2, delta = dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
@@ -62,6 +67,15 @@ class TestGenerate:
     def test_requires_p(self, capsys):
         assert main(["generate"]) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", REMOVED_GENERATOR_KEYS,
+                             ids=[key for key, _ in REMOVED_GENERATOR_KEYS])
+    def test_removed_setting_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"p": 6, key: value}))
+        assert main(["generate", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "unexpected keyword argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunPipeline:
@@ -140,6 +154,34 @@ class TestRunPipeline:
         assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b, *flags,
                      "--output-dir", str(tmp_path / "out")]) == 0
         assert seen == [epsilon]
+
+    def test_population_reads_each_sem_file_once(self, tmp_path, monkeypatch):
+        read = []
+        real = dd.load_sem
+
+        def counting(path):
+            read.append(path)
+            return real(path)
+
+        monkeypatch.setattr("diffdag.cli.load_sem", counting)
+        _, _, _, a, b = _write_pair(tmp_path)
+        assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert read == [a, b]
+
+    @pytest.mark.parametrize("command", ["run-pipeline", "estimate-delta"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_lambda_is_usage_error(self, tmp_path, capsys, command, value):
+        sem1, sem2, _, _, _ = _write_pair(tmp_path, seed=1, p=6)
+        d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
+        dd.save_data_csv(dd.sample(sem1, 200, seed=1), d1)
+        dd.save_data_csv(dd.sample(sem2, 200, seed=2), d2)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data1", str(d1), "--data2", str(d2), "--lambda", value,
+                  "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"must be finite and non-negative, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run-pipeline", "estimate-delta"])
     def test_negative_epsilon_is_usage_error(self, tmp_path, command):
@@ -333,13 +375,37 @@ class TestSweep:
         {"est_cfg": {"solver_tol": 1e-7}},
         {"est_cfg": {"max_iter": 50000}},
         {"est_cfg": {"lambda_delta": 0.05}},
-    ], ids=["record_trace", "prune_subset_cap", "solver_tol", "max_iter", "lambda_delta"])
+        {"est_cfg": {"lambda_scale": 1.0}},
+    ], ids=["record_trace", "prune_subset_cap", "solver_tol", "max_iter", "lambda_delta",
+            "lambda_scale"])
     def test_removed_setting_is_usage_error(self, tmp_path, capsys, pipeline):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p_values": [5], "c_values": [5], "repetitions": 1,
                                    "gen": {"p": 5}, "pipeline": pipeline}))
         assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
         assert "unexpected keyword argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", REMOVED_GENERATOR_KEYS,
+                             ids=[key for key, _ in REMOVED_GENERATOR_KEYS])
+    def test_removed_generator_setting_is_usage_error(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"p_values": [5], "c_values": [5], "repetitions": 1,
+                                   "gen": {"p": 5, key: value}}))
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "unexpected keyword argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        '"pipeline": {"estimator": "dantzig", "est_cfg": {"epsilon": NaN}}',
+        '"pipeline": {"estimator": "dantzig", "est_cfg": {"lambda_n": Infinity}}',
+        '"gen": {"p": 5, "min_delta_omega": NaN}',
+    ], ids=["epsilon", "lambda_n", "min_delta_omega"])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, entry):
+        # json reads NaN and Infinity; a config file may not hold them
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"p_values": [5], "c_values": [5], "repetitions": 1, ' + entry + "}")
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

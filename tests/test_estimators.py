@@ -8,6 +8,7 @@ program.
 """
 
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -157,6 +158,22 @@ class TestDantzig:
         monkeypatch.setattr(estimators, "MAX_ITER", 1)
         with pytest.raises(EstimatorConvergenceError, match="kIterationLimit"):
             dantzig_selector(cov.sigma1, cov.sigma2, 0.01)
+
+    @pytest.mark.parametrize("field", ["lambda_n", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_config_rejected_naming_the_value(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be finite .*, got {value!r}"):
+            EstimatorConfig(**{field: value})
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="lambda_n must be finite and nonnegative, got -0.5"):
+            EstimatorConfig(lambda_n=-0.5)
+
+    def test_auto_radius_is_the_unscaled_rule(self):
+        rng = np.random.default_rng(4)
+        cov = CovariancePair.from_data(rng.standard_normal((50, 6)), rng.standard_normal((60, 6)))
+        lam = resolve_lambda(cov, EstimatorConfig(lambda_auto=True)).lambda_n
+        assert lam == math.sqrt(math.log(2 * 6 / 0.05) / 50)
 
     def test_lambda_auto_requires_samples(self):
         _, _, cov = _population_pair(1, p=4)
@@ -525,3 +542,9 @@ class TestThreshold:
         dp = DeltaPrecision(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             threshold(dp, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_epsilon_rejected_naming_it(self, epsilon):
+        dp = DeltaPrecision(np.array([[0.3, 0.1], [0.1, -0.5]]))
+        with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon!r}"):
+            threshold(dp, epsilon)

@@ -187,10 +187,8 @@ class TestRunSweep:
             p_values=(10,),
             c_values=(5,),
             repetitions=1,
-            pipeline=PipelineConfig(
-                estimator="dantzig",
-                est_cfg=EstimatorConfig(lambda_auto=True, lambda_scale=0.25),
-            ),
+            # a fixed radius far below the auto rule's 0.74 at the trial's n = 11
+            pipeline=PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(lambda_n=0.1)),
             seed_base=0,
         )
         rec = run_sweep(cfg)[0]

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import inspect
 from dataclasses import fields
 
 import diffdag as dd
@@ -25,11 +26,30 @@ def test_unneeded_members_stay_gone():
     assert not hasattr(dd.SemPairGenConfig, "to_json")
     assert not hasattr(dd.sem, "sem_to_json")
     assert not hasattr(dd.sem, "sem_from_json")
+    # marginalize_sem returns the Sem itself; no test-only accessors on Sem
+    assert "MarginalSem" not in dd.__all__
+    assert not hasattr(dd.oracles, "MarginalSem")
+    for member in ("parents", "children", "edge_set"):
+        assert not hasattr(dd.Sem, member), member
 
 
 def test_config_fields_are_pinned():
-    # the trace, the prune cap and the HiGHS limits are not settings
+    # the trace, the prune cap, the HiGHS limits and the auto radius's
+    # scale are not settings
     assert [f.name for f in fields(dd.PipelineConfig)] == ["estimator", "est_cfg"]
-    assert [f.name for f in fields(dd.EstimatorConfig)] == [
-        "lambda_n", "epsilon", "lambda_auto", "lambda_scale"
+    assert [f.name for f in fields(dd.EstimatorConfig)] == ["lambda_n", "epsilon", "lambda_auto"]
+    # the generator's weights, noise and attempt limit are sem constants
+    assert [f.name for f in fields(dd.SemPairGenConfig)] == [
+        "p", "expected_neighbors", "edge_change_prob", "min_delta_omega", "seed"
     ]
+
+
+def test_checker_budget_is_a_constant():
+    assert list(inspect.signature(dd.check_assumptions).parameters) == ["sem1", "sem2", "epsilon"]
+    assert dd.oracles.SUBSET_BUDGET == 100_000
+
+
+def test_fixed_values_are_module_constants():
+    assert dd.sem.WEIGHT_RANGE == (0.25, 1.0)
+    assert dd.sem.NOISE_VAR_RANGE == (0.8, 1.2)
+    assert dd.sem.MAX_ATTEMPTS == 1000

@@ -104,17 +104,12 @@ def test_dag_edge_set_json_round_trip(edges):
 def generator_configs(draw):
     p = draw(st.integers(2, 60))
     unset = st.none()
-    lo = draw(st.floats(0.01, 2.0))
-    nlo = draw(st.floats(0.1, 2.0))
     return dd.SemPairGenConfig(
         p=p,
         expected_neighbors=draw(unset | st.floats(0.01, p - 1)),
         edge_change_prob=draw(unset | st.floats(0.001, 0.999)),
-        weight_range=(lo, lo + draw(st.floats(0.0, 2.0))),
         min_delta_omega=draw(st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**32)),
-        noise_var_range=(nlo, nlo + draw(st.floats(0.0, 2.0))),
-        max_retries=draw(st.integers(1, 5000)),
     )
 
 
@@ -130,7 +125,6 @@ def _pipeline_configs():
         lambda_n=st.floats(0.0, 10.0),
         epsilon=st.floats(1e-3, 1.0),
         lambda_auto=st.booleans(),
-        lambda_scale=st.floats(0.01, 10.0),
     )
     return st.builds(
         dd.PipelineConfig,

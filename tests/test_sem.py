@@ -283,17 +283,15 @@ class TestGenerateSemPair:
         assert not np.array_equal(a1.b, c1.b)
 
     def test_weight_magnitudes_in_range(self):
-        cfg = SemPairGenConfig(p=7, seed=9)
-        sem1, sem2, _ = generate_sem_pair(cfg)
+        sem1, sem2, _ = generate_sem_pair(SemPairGenConfig(p=7, seed=9))
+        lo, hi = dd.sem.WEIGHT_RANGE
         for sem in (sem1, sem2):
             mags = np.abs(sem.b[sem.b != 0])
-            assert ((mags >= cfg.weight_range[0]) & (mags <= cfg.weight_range[1])).all()
+            assert ((mags >= lo) & (mags <= hi)).all()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SemPairGenConfig(p=5, edge_change_prob=0.0)
-        with pytest.raises(ValueError):
-            SemPairGenConfig(p=5, weight_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             SemPairGenConfig(p=5, min_delta_omega=-0.1)
 
@@ -303,13 +301,13 @@ def _reference_generate(cfg):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
     q_edge = cfg.expected_neighbors / (p - 1)
-    lo, hi = cfg.weight_range
+    lo, hi = dd.sem.WEIGHT_RANGE
 
     def draw_weight():
         mag = rng.uniform(lo, hi)
         return -mag if rng.random() < 0.5 else mag
 
-    for _ in range(cfg.max_retries):
+    for _ in range(dd.sem.MAX_ATTEMPTS):
         order = rng.permutation(p)
         slots = [(int(order[b]), int(order[a])) for a in range(p) for b in range(a + 1, p)]
         b1 = np.zeros((p, p))
@@ -323,7 +321,7 @@ def _reference_generate(cfg):
                     b2[child, parent] = 0.0
             elif rng.random() < cfg.edge_change_prob:
                 b2[child, parent] = draw_weight()
-        noise = rng.uniform(cfg.noise_var_range[0], cfg.noise_var_range[1], size=p)
+        noise = rng.uniform(dd.sem.NOISE_VAR_RANGE[0], dd.sem.NOISE_VAR_RANGE[1], size=p)
         sem1 = Sem(b1, noise)
         sem2 = Sem(b2, noise)
         delta_omega = precision(sem1) - precision(sem2)
@@ -333,7 +331,7 @@ def _reference_generate(cfg):
         if not check_assumptions(sem1, sem2, cfg.min_delta_omega / 2.0).passed:
             continue
         return sem1, sem2, difference_edge_set(sem1, sem2)
-    raise GenerationExhaustedError(f"no acceptable SEM pair after {cfg.max_retries} attempts")
+    raise GenerationExhaustedError(f"no acceptable SEM pair after {dd.sem.MAX_ATTEMPTS} attempts")
 
 
 def _outcome(generate, cfg):
@@ -345,6 +343,8 @@ def _outcome(generate, cfg):
     return sem1.b.tobytes(), sem2.b.tobytes(), sem1.noise_vars.tobytes(), sem2.noise_vars.tobytes(), delta.edges
 
 
+# max_retries and weight_range name the sem constants MAX_ATTEMPTS and
+# WEIGHT_RANGE, which _patched_config sets; the rest are config fields
 _REFERENCE_CONFIGS = [
     *(dict(p=p, seed=seed) for p in (2, 3, 5, 8, 12, 20, 25) for seed in (0, 1, 2, 3)),
     # every slot fires in the first model
@@ -356,17 +356,26 @@ _REFERENCE_CONFIGS = [
 ]
 
 
+def _patched_config(monkeypatch, kwargs):
+    kwargs = dict(kwargs)
+    for key, constant in (("max_retries", "MAX_ATTEMPTS"), ("weight_range", "WEIGHT_RANGE")):
+        if key in kwargs:
+            monkeypatch.setattr(dd.sem, constant, kwargs.pop(key))
+    return SemPairGenConfig(**kwargs)
+
+
 @pytest.mark.parametrize(
     "kwargs", _REFERENCE_CONFIGS, ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items())
 )
-def test_block_draws_reproduce_the_scalar_loop(kwargs):
-    cfg = SemPairGenConfig(**kwargs)
+def test_block_draws_reproduce_the_scalar_loop(kwargs, monkeypatch):
+    cfg = _patched_config(monkeypatch, kwargs)
     assert _outcome(generate_sem_pair, cfg) == _outcome(_reference_generate, cfg)
 
 
-def test_single_attempt_exhaustion_matches_the_scalar_loop():
+def test_single_attempt_exhaustion_matches_the_scalar_loop(monkeypatch):
     # the one candidate passes the gate and fails the separation check
-    cfg = SemPairGenConfig(p=5, seed=5, max_retries=1)
+    monkeypatch.setattr(dd.sem, "MAX_ATTEMPTS", 1)
+    cfg = SemPairGenConfig(p=5, seed=5)
     with pytest.raises(GenerationExhaustedError):
         _reference_generate(cfg)
     with pytest.raises(GenerationExhaustedError):
@@ -374,16 +383,18 @@ def test_single_attempt_exhaustion_matches_the_scalar_loop():
 
 
 class TestGenerationExhausted:
-    def test_gate_only_exhaustion_counts_the_gate(self):
-        cfg = SemPairGenConfig(p=25, seed=0, max_retries=3)
+    def test_gate_only_exhaustion_counts_the_gate(self, monkeypatch):
+        monkeypatch.setattr(dd.sem, "MAX_ATTEMPTS", 3)
+        cfg = SemPairGenConfig(p=25, seed=0)
         with pytest.raises(
             GenerationExhaustedError,
             match=r"after 3 attempts: 3 rejected by the min_delta_omega=0.25 gate, 0 by check_assumptions$",
         ):
             generate_sem_pair(cfg)
 
-    def test_checker_exhaustion_counts_each_failed_condition(self):
-        cfg = SemPairGenConfig(p=5, seed=50, max_retries=3)
+    def test_checker_exhaustion_counts_each_failed_condition(self, monkeypatch):
+        monkeypatch.setattr(dd.sem, "MAX_ATTEMPTS", 3)
+        cfg = SemPairGenConfig(p=5, seed=50)
         with pytest.raises(
             GenerationExhaustedError,
             match=r"after 3 attempts: 1 rejected by the min_delta_omega=0.25 gate, "

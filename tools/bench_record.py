@@ -35,7 +35,8 @@ from pathlib import Path
 WORKLOADS = ("sweep-dantzig", "pipeline-large", "sweep-population")
 SIDES = ("parent", "change")
 
-# The trend_records fixture of tests/test_acceptance.py.
+# The C07 grid that the trend_records fixture of tests/test_acceptance.py runs,
+# tests/helpers.py's C07_SWEEP; tests/test_bench_record.py checks they match.
 C07_GRID = """
 import sys
 import diffdag as dd
