@@ -63,6 +63,14 @@ def _finite_nonnegative(text: str) -> float:
     return float(text)
 
 
+def _require_positive_epsilon(args, parser: argparse.ArgumentParser) -> None:
+    """Where --epsilon thresholds an estimate, 0 is a usage error: it would zero nothing."""
+    if args.epsilon == 0.0:
+        parser.error(
+            f"--epsilon thresholds the estimate and must be positive, got {args.epsilon:g}"
+        )
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,6 +146,7 @@ def _pipeline_config(args, parser: argparse.ArgumentParser) -> PipelineConfig:
 
 
 def _cmd_estimate_delta(args, parser) -> int:
+    _require_positive_epsilon(args, parser)
     cfg = _pipeline_config(args, parser)
     cov, _ = _covariances_from_args(args, parser)
     dp = estimate(cov, cfg)
@@ -150,6 +159,8 @@ def _cmd_estimate_delta(args, parser) -> int:
 
 
 def _cmd_run_pipeline(args, parser) -> int:
+    if not args.population:
+        _require_positive_epsilon(args, parser)
     cfg = _pipeline_config(args, parser)
     cov, sems = _covariances_from_args(args, parser)
     if sems:  # SEM inputs, which come only with --population
@@ -241,18 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--expected-neighbors", type=float, default=None)
     g.add_argument("--edge-change-prob", type=float, default=None)
-    g.add_argument("--min-delta-omega", type=float, default=None)
+    g.add_argument("--min-delta-omega", type=_finite_nonnegative, default=None)
     g.add_argument("--config", help="generator config JSON; flags override")
     g.add_argument("--output-dir", default=".")
     g.set_defaults(func=_cmd_generate)
 
     e = sub.add_parser("estimate-delta", help="estimate the precision-matrix difference")
-    add_io(e, "hard threshold for support")
+    add_io(e, "hard threshold for support; must be positive")
     e.set_defaults(func=_cmd_estimate_delta)
 
     r = sub.add_parser("run-pipeline", help="recover the difference DAG")
-    add_io(r, "hard threshold for support; with --population it sets only the "
-              f"assumption check's epsilon (default {_DEFAULT_EPSILON:g})")
+    add_io(r, "hard threshold for support, which must be positive; with --population it "
+              "sets only the assumption check's epsilon, which may be 0 "
+              f"(default {_DEFAULT_EPSILON:g})")
     r.add_argument("--strict", action="store_true",
                    help="fail when the assumption check fails (SEM inputs only)")
     r.add_argument("--trace", action="store_true",

@@ -20,6 +20,16 @@ Kronecker lift S2 kron S1 is a dense (2 p^2) x (2 p^2) matrix. The reshaped
 solution is symmetrized and hard-thresholded, since only entries clearly away
 from zero should count as support.
 
+Dual simplex starts from a crash basis rather than HiGHS's slack basis: the
+m columns and the ranged rows are basic, beta+- and the equality rows
+nonbasic at their lower bounds. Ordered as (ranged rows, equality rows) by
+(m, ranged slacks), its basis matrix is [[S2' kron I, I], [I, 0]]; it is
+block triangular with identity blocks, so the basis is valid. Every basic
+variable costs 0, so the duals are 0 and each beta reduced cost is its cost
+1 >= 0: the basis is dual feasible, and dual simplex starts in phase 2
+without the p^2 pivots that would bring the free m columns into a slack
+basis. HiGHS skips presolve when it is given a basis.
+
 The pipeline solves this program over many vertex subsets R of one pair:
 once per peeled layer, and once per candidate set of common children in
 prune. Those are all the same model with other bounds. Whenever D is zero
@@ -47,6 +57,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize._highspy._core import (
+    HighsBasis,
+    HighsBasisStatus,
     HighsLp,
     HighsModelStatus,
     HighsStatus,
@@ -211,8 +223,11 @@ class _FactoredProgram:
 
     The model is built once and solves the program of any principal
     submatrix pair (S1_RR, S2_RR) by the bound changes the module docstring
-    describes. Each solve starts from the last one's basis, and a solve that
-    ends without an optimum drops it.
+    describes. The first solve starts from the module docstring's crash
+    basis, which is valid and dual feasible under any of those bounds: they
+    only fix nonbasic beta columns at 0 and free basic ranged rows. Each
+    later solve starts from the last one's basis, and a solve that ends
+    without an optimum drops it for the crash basis again.
     """
 
     def __init__(self, s1: np.ndarray, s2: np.ndarray, lambda_n: float):
@@ -258,7 +273,6 @@ class _FactoredProgram:
         self._highs = _Highs()
         for name, value in (
             ("output_flag", False),
-            ("presolve", "on"),
             ("simplex_strategy", SimplexStrategy.kSimplexStrategyDual),
             ("simplex_iteration_limit", MAX_ITER),
             ("ipm_iteration_limit", MAX_ITER),
@@ -267,6 +281,12 @@ class _FactoredProgram:
             self._highs.setOptionValue(name, value)
         if self._highs.passModel(lp) == HighsStatus.kError:
             raise ValueError("HiGHS rejected the constrained-l1 program")
+        # the module docstring's crash basis: m and the ranged rows basic
+        self._crash = HighsBasis()
+        self._crash.valid = True
+        self._crash.col_status = [HighsBasisStatus.kLower] * (2 * n) + [HighsBasisStatus.kBasic] * n
+        self._crash.row_status = [HighsBasisStatus.kBasic] * n + [HighsBasisStatus.kLower] * n
+        self._highs.setBasis(self._crash)
 
     def solve(self, index: np.ndarray) -> tuple[HighsModelStatus, np.ndarray | None]:
         """HiGHS's model status and, if optimal, the raw minimizer over R = index."""
@@ -288,7 +308,7 @@ class _FactoredProgram:
         self._highs.run()
         status = self._highs.getModelStatus()
         if status != HighsModelStatus.kOptimal:
-            self._highs.clearSolver()
+            self._highs.setBasis(self._crash)
             return status, None
         x = np.asarray(self._highs.getSolution().col_value)
         raw = (x[:n] - x[n : 2 * n]).reshape((p, p), order="F")

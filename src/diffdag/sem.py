@@ -392,8 +392,10 @@ class SemPairGenConfig:
             raise ValueError("edge_change_prob must lie strictly between 0 and 1")
         if not 0.0 < self.expected_neighbors <= self.p - 1:
             raise ValueError("expected_neighbors must lie in (0, p-1]")
-        if self.min_delta_omega < 0.0:
-            raise ValueError("min_delta_omega must be nonnegative")
+        if not 0.0 <= self.min_delta_omega < np.inf:
+            raise ValueError(
+                f"min_delta_omega must be finite and nonnegative, got {self.min_delta_omega!r}"
+            )
 
     @classmethod
     def from_json(cls, obj: dict) -> "SemPairGenConfig":

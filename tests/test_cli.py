@@ -68,6 +68,16 @@ class TestGenerate:
         assert main(["generate"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_min_delta_omega_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--p", "5", "--seed", "1", "--min-delta-omega", value,
+                  "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert f"must be finite and non-negative, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", REMOVED_GENERATOR_KEYS,
                              ids=[key for key, _ in REMOVED_GENERATOR_KEYS])
     def test_removed_setting_is_usage_error(self, tmp_path, capsys, key, value):
@@ -190,6 +200,27 @@ class TestRunPipeline:
             main([command, "--population", "--sem1", a, "--sem2", b, "--epsilon", "-1",
                   "--output-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, population", [
+        ("estimate-delta", True), ("estimate-delta", False), ("run-pipeline", False),
+    ], ids=["estimate-population", "estimate-data", "pipeline-data"])
+    @pytest.mark.parametrize("value", ["0", "-0"])
+    def test_zero_epsilon_that_thresholds_is_usage_error(
+        self, tmp_path, capsys, command, population, value
+    ):
+        sem1, sem2, _, a, b = _write_pair(tmp_path)
+        if population:
+            inputs = ["--population", "--sem1", a, "--sem2", b]
+        else:
+            d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
+            dd.save_data_csv(dd.sample(sem1, 200, seed=1), d1)
+            dd.save_data_csv(dd.sample(sem2, 200, seed=2), d2)
+            inputs = ["--data1", str(d1), "--data2", str(d2), "--lambda-auto"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--epsilon", value, "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--epsilon thresholds the estimate and must be positive, got" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_data_inputs_use_l1_estimator(self, tmp_path):

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus
 
 import diffdag as dd
 from diffdag import (
@@ -311,20 +311,24 @@ def test_non_finite_matrices_rejected_before_the_solver():
 
 def test_highs_binding_has_everything_the_program_uses():
     # scipy's HiGHS binding is private; this pins the names the persistent
-    # program relies on, so a scipy that moves them fails here
-    from scipy.optimize._highspy._core import HighsLp, HighsStatus, _Highs
+    # program and these tests rely on, so a scipy that moves them fails here
+    from scipy.optimize._highspy._core import HighsBasis, HighsLp, HighsStatus, _Highs
 
     for method in (
-        "setOptionValue", "passModel", "changeColsBounds", "changeRowBounds",
-        "run", "getModelStatus", "getSolution", "clearSolver",
+        "setOptionValue", "passModel", "setBasis", "getBasis", "changeColsBounds",
+        "changeRowBounds", "run", "getModelStatus", "getSolution", "getInfo", "clearSolver",
     ):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
     for option in (
-        "output_flag", "presolve", "simplex_strategy", "simplex_iteration_limit",
+        "output_flag", "simplex_strategy", "simplex_iteration_limit",
         "ipm_iteration_limit", "primal_feasibility_tolerance",
     ):
         assert highs.getOptionValue(option)[0] == HighsStatus.kOk, option
+    for field in ("valid", "col_status", "row_status"):
+        assert hasattr(HighsBasis(), field), field
+    for status in ("kBasic", "kLower"):
+        assert hasattr(HighsBasisStatus, status), status
     lp = HighsLp()
     for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_"):
         assert hasattr(lp, field), field
@@ -426,8 +430,9 @@ def test_short_cut_restrictions_build_no_model():
 
 
 def test_a_failed_solve_drops_the_basis():
-    # after a non-optimal status the next solve starts cold, so it repeats a
-    # new program's first solve of the same restriction bit for bit
+    # after a non-optimal status the next solve starts from the crash basis,
+    # so it repeats a new program's first solve of the same restriction bit
+    # for bit
     cov = _sampled_pair(8, 2000, zero_vertex=0)
     lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
     program = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)
@@ -441,6 +446,41 @@ def test_a_failed_solve_drops_the_basis():
             checked += 1
         failed_before = status != HighsModelStatus.kOptimal
     assert checked == 2
+
+
+def test_a_new_program_holds_the_crash_basis():
+    # m columns and ranged rows basic; beta+-, equality rows at their lower bounds
+    p = 5
+    n = p * p
+    cov = _sampled_pair(p, 2000)
+    lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
+    basis = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)._highs.getBasis()
+    assert basis.valid
+    assert basis.col_status == [HighsBasisStatus.kLower] * (2 * n) + [HighsBasisStatus.kBasic] * n
+    assert basis.row_status == [HighsBasisStatus.kBasic] * n + [HighsBasisStatus.kLower] * n
+
+
+@pytest.mark.parametrize("p", [5, 10, 20])
+@pytest.mark.parametrize("n_rule", ["p+1", "2000"])
+def test_the_crash_start_matches_a_cold_start_in_fewer_iterations(p, n_rule):
+    # a new program's first solve starts from the crash basis; clearSolver
+    # drops every basis, so the re-solve starts cold, with HiGHS's presolve
+    # and slack basis
+    cov = _sampled_pair(p, p + 1 if n_rule == "p+1" else 2000)
+    lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
+    program = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)
+    crash_status, crash = program.solve(np.arange(p))
+    crash_iters = program._highs.getInfo().simplex_iteration_count
+    program._highs.clearSolver()
+    cold_status, cold = program.solve(np.arange(p))
+    cold_iters = program._highs.getInfo().simplex_iteration_count
+    assert crash_status == cold_status == HighsModelStatus.kOptimal
+    l1_cold = np.abs(cold).sum()
+    assert abs(np.abs(crash).sum() - l1_cold) <= 1e-9 * l1_cold
+    supports = [threshold(DeltaPrecision(estimators._symmetrize(raw), cov.labels), 0.125).matrix != 0
+                for raw in (crash, cold)]
+    np.testing.assert_array_equal(*supports)
+    assert crash_iters < cold_iters
 
 
 @pytest.mark.parametrize("p", [5, 8])

@@ -295,6 +295,12 @@ class TestGenerateSemPair:
         with pytest.raises(ValueError):
             SemPairGenConfig(p=5, min_delta_omega=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_min_delta_omega_must_be_finite_and_nonnegative(self, value):
+        message = f"min_delta_omega must be finite and nonnegative, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            SemPairGenConfig(p=5, min_delta_omega=value)
+
 
 def _reference_generate(cfg):
     """The generator's rejection loop with one scalar draw at a time."""
