@@ -314,11 +314,6 @@ class CovariancePair(_Labeled):
         s2.setflags(write=False)
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)
-        # (pair, index) this pair was restricted from, and the estimators'
-        # constrained-l1 programs over this pair, keyed by lambda_n: every
-        # restriction of one pair re-solves that pair's program
-        object.__setattr__(self, "_source", None)
-        object.__setattr__(self, "_programs", {})
 
     @property
     def p(self) -> int:
@@ -329,15 +324,13 @@ class CovariancePair(_Labeled):
         keep, idx = self._select(labels)
         if not keep:
             raise InvalidCovarianceError("cannot restrict to an empty label set")
-        sub = CovariancePair(
+        return CovariancePair(
             sigma1=self.sigma1[np.ix_(idx, idx)],
             sigma2=self.sigma2[np.ix_(idx, idx)],
             n1=self.n1,
             n2=self.n2,
             labels=keep,
         )
-        object.__setattr__(sub, "_source", (self, idx))
-        return sub
 
     @classmethod
     def from_sems(cls, sem1: Sem, sem2: Sem) -> "CovariancePair":

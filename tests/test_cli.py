@@ -133,6 +133,28 @@ class TestRunPipeline:
             *["prune_test"] * 4,
         ]
 
+    @pytest.mark.parametrize("mode", ["population", "data"])
+    def test_traced_result_round_trips_through_from_json(self, tmp_path, mode):
+        # the data run re-estimates between peels, so its trace also holds
+        # order_estimate deltas
+        sem1, sem2, _, a, b = _write_pair(tmp_path, seed=3, p=10)
+        if mode == "population":
+            inputs = ["--population", "--sem1", a, "--sem2", b]
+        else:
+            d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
+            dd.save_data_csv(dd.sample(sem1, 2000, seed=4), d1)
+            dd.save_data_csv(dd.sample(sem2, 2000, seed=5), d2)
+            inputs = ["--data1", str(d1), "--data2", str(d2), "--lambda-auto"]
+        out = tmp_path / "out"
+        assert main(["run-pipeline", *inputs, "--trace", "--output-dir", str(out)]) == 0
+        text = (out / "pipeline.json").read_text()
+        result = dd.PipelineResult.from_json(json.loads(text))
+        assert json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n" == text
+        if mode == "data":
+            assert "order_estimate" in {entry["stage"] for entry in result.trace}
+        assert result.delta.vertices == frozenset().union(*result.order.layers)
+        assert all(isinstance(entry["delta"], dd.DeltaPrecision) for entry in result.trace if "delta" in entry)
+
     @pytest.mark.parametrize("command, flags", [
         ("run-pipeline", ["--data1", "x.csv", "--data2", "y.csv", "--lambda", "5", "--lambda-auto"]),
         ("run-pipeline", ["--population", "--lambda", "5"]),

@@ -2,9 +2,9 @@
 
 Oracles: direct matrix inversion for the population difference, inverses of
 restricted covariances (Schur complements) for submatrices, the dense
-Kronecker-lift LP for the factored constrained-l1 program, and a fresh
-program per submatrix pair for restrictions re-solved on their source's
-program.
+Kronecker-lift LP for the factored constrained-l1 program, a pair built
+fresh from the same submatrices for each restriction, and the program's
+matrix built from coordinates through scipy.sparse for its array build.
 """
 
 import itertools
@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus
 
@@ -310,13 +311,13 @@ def test_non_finite_matrices_rejected_before_the_solver():
 
 
 def test_highs_binding_has_everything_the_program_uses():
-    # scipy's HiGHS binding is private; this pins the names the persistent
-    # program and these tests rely on, so a scipy that moves them fails here
-    from scipy.optimize._highspy._core import HighsBasis, HighsLp, HighsStatus, _Highs
+    # scipy's HiGHS binding is private; this pins the names the program and
+    # these tests rely on, so a scipy that moves them fails here
+    from scipy.optimize._highspy._core import HighsBasis, HighsStatus, MatrixFormat, ObjSense, _Highs
 
     for method in (
-        "setOptionValue", "passModel", "setBasis", "getBasis", "changeColsBounds",
-        "changeRowBounds", "run", "getModelStatus", "getSolution", "getInfo", "clearSolver",
+        "setOptionValue", "passModel", "setBasis", "getBasis", "run", "getModelStatus",
+        "getSolution", "getInfo", "clearSolver",
     ):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
@@ -325,15 +326,24 @@ def test_highs_binding_has_everything_the_program_uses():
         "ipm_iteration_limit", "primal_feasibility_tolerance",
     ):
         assert highs.getOptionValue(option)[0] == HighsStatus.kOk, option
-    for field in ("valid", "col_status", "row_status"):
+    for field in ("valid", "alien", "col_status", "row_status"):
         assert hasattr(HighsBasis(), field), field
     for status in ("kBasic", "kLower"):
         assert hasattr(HighsBasisStatus, status), status
-    lp = HighsLp()
-    for field in ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_"):
-        assert hasattr(lp, field), field
-    for field in ("num_col_", "num_row_", "format_", "start_", "index_", "value_"):
-        assert hasattr(lp.a_matrix_, field), field
+    # the array overload: sizes, format, sense, offset, column and row
+    # bounds, the column-wise matrix and the integrality; here min x
+    # subject to 1 <= 2 x <= 3
+    one, two = np.ones(1), np.array([2.0])
+    status = highs.passModel(
+        1, 1, 1, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0, one, np.zeros(1),
+        np.full(1, np.inf), one, 3 * one, np.array([0, 1], dtype=np.int32),
+        np.zeros(1, dtype=np.int32), two, np.zeros(1, dtype=np.int32),
+    )
+    assert status == HighsStatus.kOk
+    assert (highs.getNumCol(), highs.getNumRow(), highs.getNumNz()) == (1, 1, 1)
+    highs.run()
+    assert highs.getModelStatus() == HighsModelStatus.kOptimal
+    assert list(highs.getSolution().col_value) == [0.5]
 
 
 DANTZIG = PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(lambda_auto=True))
@@ -364,88 +374,85 @@ def _sampled_pair(p, n, zero_vertex=None):
     return CovariancePair.from_data(x1, x2)
 
 
-def _assert_restrictions_match_fresh_solves(cov, raw_solves):
-    """Every drop set of size 0-2, in prune's order, then one of them again.
-
-    Each restriction goes through cov's program; each is compared with the
-    estimate of a pair built from the same submatrices, which has no source
-    and so solves a program of its own.
-    """
-    cfg = replace(DANTZIG, est_cfg=resolve_lambda(cov, DANTZIG.est_cfg))
-    lam = cfg.est_cfg.lambda_n
-    drops = [d for size in range(3) for d in itertools.combinations(cov.labels, size)]
-    outcomes = []
-    for drop in drops + [drops[len(drops) // 2]]:
-        sub = cov.restrict(lab for lab in cov.labels if lab not in drop)
-        fresh = CovariancePair(sub.sigma1, sub.sigma2, sub.n1, sub.n2, sub.labels)
-        (got, got_raw), (ref, ref_raw) = (_estimate_with_raw(c, cfg, raw_solves) for c in (sub, fresh))
-        outcomes.append(ref if isinstance(ref, type) else DeltaPrecision)
-        if isinstance(ref, type):
-            assert got is ref, drop
-            continue
-        assert isinstance(got, DeltaPrecision), drop
-        l1_ref = np.abs(ref_raw).sum()
-        assert abs(np.abs(got_raw).sum() - l1_ref) <= 1e-9 * max(l1_ref, 1e-12), drop
-        b = (sub.sigma2 - sub.sigma1).flatten(order="F")
-        resid = np.abs(np.kron(sub.sigma2, sub.sigma1) @ got_raw.flatten(order="F") - b).max()
-        assert resid <= lam + 1e-7, drop
-        np.testing.assert_array_equal(got.matrix != 0, ref.matrix != 0)
-    assert list(cov._programs) == [lam]
-    return outcomes
-
-
-def _estimate_with_raw(cov, cfg, raw_solves):
-    """The estimate or the error class it raised, and the raw minimizer."""
+def _raw_or_error(cov, cfg, raw_solves):
+    """The raw minimizer of cov's estimate, or the error class it raised."""
     try:
-        return estimate(cov, cfg), raw_solves[-1]
+        estimate(cov, cfg)
     except (InfeasibleEstimateError, EstimatorConvergenceError) as exc:
-        return type(exc), None
+        return type(exc)
+    return raw_solves[-1]
 
 
-@pytest.mark.parametrize("p", [5, 8, 12])
-@pytest.mark.parametrize("n_rule", ["p+1", "2000"])
-def test_restrictions_through_one_program_match_fresh_solves(p, n_rule, raw_solves):
-    cov = _sampled_pair(p, p + 1 if n_rule == "p+1" else 2000)
-    _assert_restrictions_match_fresh_solves(cov, raw_solves)
+@pytest.mark.parametrize(
+    ("p", "n_rule", "zero_vertex"),
+    [(p, n_rule, None) for p in (5, 8, 12) for n_rule in ("p+1", "2000")] + [(8, "2000", 0)],
+)
+def test_estimates_do_not_depend_on_earlier_solves(p, n_rule, zero_vertex, raw_solves):
+    # prune's drop-sets of size 0-2, forward and then reversed: each
+    # restriction gives bit for bit the raw minimizer, or the error class, of
+    # a pair built fresh from the same submatrices. With zero_vertex, vertex 0
+    # is constant in the first sample, so S1's row 0 vanishes and every
+    # restriction keeping vertex 0 is infeasible.
+    cov = _sampled_pair(p, p + 1 if n_rule == "p+1" else 2000, zero_vertex)
+    cfg = replace(DANTZIG, est_cfg=resolve_lambda(cov, DANTZIG.est_cfg))
+    drops = [d for size in range(3) for d in itertools.combinations(range(p), size)]
+    first = {}
+    for drop in drops + drops[::-1]:
+        idx = np.array([k for k in range(p) if k not in drop])
+        sub = cov.restrict(cov.labels[k] for k in idx)
+        fresh = CovariancePair(
+            cov.sigma1[np.ix_(idx, idx)], cov.sigma2[np.ix_(idx, idx)], cov.n1, cov.n2, sub.labels
+        )
+        got, ref = (_raw_or_error(c, cfg, raw_solves) for c in (sub, fresh))
+        first.setdefault(drop, got)
+        for other in (ref, first[drop]):
+            if isinstance(other, type):
+                assert got is other, drop
+            else:
+                np.testing.assert_array_equal(got, other, err_msg=str(drop))
+    if zero_vertex is not None:
+        assert first[()] is InfeasibleEstimateError
+        assert isinstance(first[(0,)], np.ndarray)
 
 
-def test_program_recovers_after_an_infeasible_restriction(raw_solves):
-    # vertex 0 is constant in the first sample, so S1's row 0 vanishes and
-    # every restriction keeping vertex 0 is infeasible; those that drop it
-    # must still match fresh solves after the failed ones
-    outcomes = _assert_restrictions_match_fresh_solves(_sampled_pair(8, 2000, zero_vertex=0), raw_solves)
-    assert outcomes[0] is InfeasibleEstimateError
-    assert outcomes[1] is DeltaPrecision
-    assert {InfeasibleEstimateError, DeltaPrecision} <= set(outcomes[2:])
+def _reference_arrays(s1, s2):
+    """The program's matrix built from coordinates through scipy.sparse."""
+    p = s1.shape[0]
+    n = p * p
+    i, j, k = np.indices((p, p, p)).reshape(3, -1)
+    row = i + p * j
+    # (S2' kron I) vec(M) = vec(M S2): row (i, j) holds S2[k, j] at column (i, k)
+    col2, val2 = i + p * k + 2 * n, s2[k, j]
+    # (I kron S1) vec(D) = vec(S1 D): row (i, j) holds S1[i, k] at column (k, j)
+    col1, val1 = k + p * j, s1[i, k]
+    diag = np.arange(n)
+    a = sp.csc_array(
+        (
+            np.concatenate([val2, -val1, val1, np.ones(n)]),
+            (
+                np.concatenate([row, row + n, row + n, diag + n]),
+                np.concatenate([col2, col1, col1 + n, diag + 2 * n]),
+            ),
+        ),
+        shape=(2 * n, 3 * n),
+    )
+    return a.indptr, a.indices, a.data
 
 
-def test_short_cut_restrictions_build_no_model():
-    # zero is feasible at a huge radius, and lambda 0 with a Cholesky factor
-    # is solved directly: neither reaches HiGHS, so the source keeps no model
-    cov = _sampled_pair(5, 2000)
-    sub = cov.restrict(cov.labels[1:])
-    for lam in (1e6, 0.0):
-        estimate(sub, replace(DANTZIG, est_cfg=EstimatorConfig(lambda_n=lam)))
-    assert cov._programs == {}
+@pytest.mark.parametrize("p", [1, 2, 5, 8])
+@pytest.mark.parametrize("zero_vertex", [None, 0])
+def test_array_build_matches_the_coordinate_build(p, zero_vertex):
+    # zero_vertex leaves explicit zeros in S1, which both builds keep
+    cov = _sampled_pair(p, 2000, zero_vertex)
+    got = estimators._program_arrays(cov.sigma1, cov.sigma2)
+    for name, g, ref in zip(("start", "index", "value"), got, _reference_arrays(cov.sigma1, cov.sigma2)):
+        np.testing.assert_array_equal(g, ref, err_msg=name)
+    assert got[0].dtype == got[1].dtype == np.int32
 
 
-def test_a_failed_solve_drops_the_basis():
-    # after a non-optimal status the next solve starts from the crash basis,
-    # so it repeats a new program's first solve of the same restriction bit
-    # for bit
-    cov = _sampled_pair(8, 2000, zero_vertex=0)
-    lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
-    program = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)
-    checked, failed_before = 0, False
-    for drop in (d for size in range(3) for d in itertools.combinations(range(8), size)):
-        index = np.array([k for k in range(8) if k not in drop])
-        status, raw = program.solve(index)
-        if failed_before and status == HighsModelStatus.kOptimal:
-            fresh = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)
-            np.testing.assert_array_equal(raw, fresh.solve(index)[1])
-            checked += 1
-        failed_before = status != HighsModelStatus.kOptimal
-    assert checked == 2
+def _raw(highs, p):
+    x = np.asarray(highs.getSolution().col_value)
+    return (x[: p * p] - x[p * p : 2 * p * p]).reshape((p, p), order="F")
 
 
 def test_a_new_program_holds_the_crash_basis():
@@ -454,7 +461,7 @@ def test_a_new_program_holds_the_crash_basis():
     n = p * p
     cov = _sampled_pair(p, 2000)
     lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
-    basis = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)._highs.getBasis()
+    basis = estimators._program(cov.sigma1, cov.sigma2, lam).getBasis()
     assert basis.valid
     assert basis.col_status == [HighsBasisStatus.kLower] * (2 * n) + [HighsBasisStatus.kBasic] * n
     assert basis.row_status == [HighsBasisStatus.kBasic] * n + [HighsBasisStatus.kLower] * n
@@ -468,12 +475,13 @@ def test_the_crash_start_matches_a_cold_start_in_fewer_iterations(p, n_rule):
     # and slack basis
     cov = _sampled_pair(p, p + 1 if n_rule == "p+1" else 2000)
     lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
-    program = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)
-    crash_status, crash = program.solve(np.arange(p))
-    crash_iters = program._highs.getInfo().simplex_iteration_count
-    program._highs.clearSolver()
-    cold_status, cold = program.solve(np.arange(p))
-    cold_iters = program._highs.getInfo().simplex_iteration_count
+    highs = estimators._program(cov.sigma1, cov.sigma2, lam)
+    runs = []
+    for _ in range(2):
+        highs.run()
+        runs.append((highs.getModelStatus(), _raw(highs, p), highs.getInfo().simplex_iteration_count))
+        highs.clearSolver()
+    (crash_status, crash, crash_iters), (cold_status, cold, cold_iters) = runs
     assert crash_status == cold_status == HighsModelStatus.kOptimal
     l1_cold = np.abs(cold).sum()
     assert abs(np.abs(crash).sum() - l1_cold) <= 1e-9 * l1_cold
@@ -490,7 +498,7 @@ def test_program_has_one_ranged_row_per_entry(p):
     # equality block
     cov = _sampled_pair(p, 2000)
     lam = resolve_lambda(cov, EstimatorConfig(lambda_auto=True)).lambda_n
-    highs = estimators._FactoredProgram(cov.sigma1, cov.sigma2, lam)._highs
+    highs = estimators._program(cov.sigma1, cov.sigma2, lam)
     assert highs.getNumCol() == 3 * p**2
     assert highs.getNumRow() == 2 * p**2
     assert highs.getNumNz() == 3 * p**3 + p**2
