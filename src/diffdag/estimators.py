@@ -33,21 +33,18 @@ m columns into a slack basis. HiGHS skips presolve when it is given a basis.
 
 The pipeline solves this program over many vertex subsets R of one pair:
 once per peeled layer, and once per candidate set of common children in
-prune. Each estimate builds one HiGHS model over exactly the (S1_RR, S2_RR)
-it is given, through scipy's bundled HiGHS binding, and solves it once from
-the crash basis, so no estimate depends on the ones before it. The matrix
-is written straight into HiGHS's column-wise arrays, in column order, which
-keeps a build at p <= 11 near half a millisecond. From the crash basis a
-program over R needs about as many dual-simplex iterations as a warm
-re-solve of one shared model over the pipeline's p_v non-invariant vertices
-would (on a p_v = 12 sweep trial: 10.5, 19.6, 38.0 and 70.1 at |R| = 5, 7,
-9 and 11, against 6.7, 16.3, 38.1 and 75.9 warm), and each iteration works
-on 2 |R|^2 rows rather than 2 p_v^2.
+prune. Each estimate passes the program over exactly the (S1_RR, S2_RR) it
+is given to its thread's one HiGHS instance (scipy's bundled binding), which
+is cleared first, and solves it once from the crash basis, so no estimate
+depends on the ones before it. Per estimate only the matrix values and row
+bounds are built; the rest depends only on |R| and is built once per size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +71,7 @@ from .sem import CovariancePair, _Labeled, _symmetrize
 # residual check, and its simplex/IPM iteration limit.
 SOLVER_TOL = 1e-7
 MAX_ITER = 50_000
+_THREAD = threading.local()  # .highs: the thread's one HiGHS instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,38 +212,66 @@ def solve_population(cov: CovariancePair) -> DeltaPrecision:
     return DeltaPrecision(_symmetrize(dm), cov.labels, 0.0)
 
 
-def _program_arrays(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The program's constraint matrix as HiGHS's column-wise (start, index, value).
+@functools.lru_cache(maxsize=None)
+def _structure(p: int) -> tuple:
+    """The size-p program less its data, read-only: HiGHS's column-wise
+    (start, index), the column costs, bounds and integrality, and the crash basis.
 
-    Entry (i, j) sits at i + p j. The entries are written in column order:
-    beta+- column (k, j) holds -+S1[:, k] at equality rows n + i + p j, and m
-    column (i, k) holds S2[k, :] at ranged rows i + p j, then a 1 at its
-    equality row n + i + p k.
+    Entry (i, j) sits at i + p j. Beta+- column (k, j) has equality rows
+    n + i + p j; m column (i, k) has ranged rows i + p j, then equality row n + i + p k.
     """
-    p = s1.shape[0]
     n = p * p
     ar = np.arange(p)
     # beta columns run over axes (j, k, i), m columns over (k, i, row)
     beta_rows = np.broadcast_to(n + ar + p * ar[:, None, None], (p, p, p)).ravel()
-    beta_values = np.broadcast_to(s1.T, (p, p, p)).ravel()
     m_rows = np.empty((p, p, p + 1), dtype=np.int32)
     m_rows[:, :, :p] = ar[:, None] + p * ar
     m_rows[:, :, p] = n + ar + p * ar[:, None]
-    m_values = np.empty((p, p, p + 1))
-    m_values[:, :, :p] = s2[:, None, :]
-    m_values[:, :, p] = 1.0
-    start = np.concatenate([p * np.arange(2 * n), 2 * n * p + (p + 1) * np.arange(n + 1)])
-    index = np.concatenate([beta_rows, beta_rows, m_rows.ravel()])
-    value = np.concatenate([-beta_values, beta_values, m_values.ravel()])
-    return start.astype(np.int32), index.astype(np.int32), value
+    arrays = (
+        np.concatenate([p * np.arange(2 * n), 2 * n * p + (p + 1) * np.arange(n + 1)]).astype(np.int32),
+        np.concatenate([beta_rows, beta_rows, m_rows.ravel()]).astype(np.int32),
+        np.concatenate([np.ones(2 * n), np.zeros(n)]),
+        np.concatenate([np.zeros(2 * n), np.full(n, -np.inf)]),
+        np.full(3 * n, np.inf),
+        np.zeros(3 * n, dtype=np.int32),  # every column continuous
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    crash = HighsBasis()  # the module docstring's; known valid, so not alien
+    crash.valid, crash.alien = True, False
+    crash.col_status = [HighsBasisStatus.kLower] * (2 * n) + [HighsBasisStatus.kBasic] * n
+    crash.row_status = [HighsBasisStatus.kBasic] * n + [HighsBasisStatus.kLower] * n
+    return *arrays, crash
+
+
+def _program_arrays(s1: np.ndarray, s2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constraint matrix as HiGHS's column-wise (start, index, value).
+
+    Only the values depend on the data: beta+- column (k, j) holds -+S1[:, k],
+    and m column (i, k) holds S2[k, :], then a 1.
+    """
+    p = s1.shape[0]
+    value = np.empty(3 * p**3 + p * p)
+    value[: 2 * p**3].reshape(2, p, p, p)[:] = np.stack([-s1.T, s1.T])[:, None]
+    m = value[2 * p**3 :].reshape(p, p, p + 1)
+    m[:, :, :p] = s2[:, None, :]
+    m[:, :, p] = 1.0
+    return *_structure(p)[:2], value
 
 
 def _program(s1: np.ndarray, s2: np.ndarray, lambda_n: float) -> _Highs:
-    """The program of the module docstring in a new HiGHS model, at its crash basis."""
+    """The program of the module docstring at its crash basis, in this thread's HiGHS.
+
+    The options are set on every call, so MAX_ITER and SOLVER_TOL are read then.
+    """
     n = s1.shape[0] ** 2
     start, index, value = _program_arrays(s1, s2)
+    _, _, cost, col_lower, col_upper, integrality, crash = _structure(s1.shape[0])
     b = (s2 - s1).flatten(order="F")
-    highs = _Highs()
+    if not hasattr(_THREAD, "highs"):
+        _THREAD.highs = _Highs()
+    highs = _THREAD.highs
+    highs.clearModel()
     for name, option in (
         ("output_flag", False),
         ("simplex_strategy", SimplexStrategy.kSimplexStrategyDual),
@@ -256,22 +282,11 @@ def _program(s1: np.ndarray, s2: np.ndarray, lambda_n: float) -> _Highs:
         highs.setOptionValue(name, option)
     status = highs.passModel(
         3 * n, 2 * n, value.size, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-        np.concatenate([np.ones(2 * n), np.zeros(n)]),
-        np.concatenate([np.zeros(2 * n), np.full(n, -np.inf)]),
-        np.full(3 * n, np.inf),
-        np.concatenate([b - lambda_n, np.zeros(n)]),
-        np.concatenate([b + lambda_n, np.zeros(n)]),
-        start, index, value,
-        np.zeros(3 * n, dtype=np.int32),  # every column continuous
+        cost, col_lower, col_upper, np.concatenate([b - lambda_n, np.zeros(n)]),
+        np.concatenate([b + lambda_n, np.zeros(n)]), start, index, value, integrality,
     )
     if status == HighsStatus.kError:
         raise ValueError("HiGHS rejected the constrained-l1 program")
-    # the module docstring's crash basis; it is known valid, so not alien
-    crash = HighsBasis()
-    crash.valid = True
-    crash.alien = False
-    crash.col_status = [HighsBasisStatus.kLower] * (2 * n) + [HighsBasisStatus.kBasic] * n
-    crash.row_status = [HighsBasisStatus.kBasic] * n + [HighsBasisStatus.kLower] * n
     highs.setBasis(crash)
     return highs
 
@@ -284,12 +299,19 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     norm); when lambda_n is 0 and both matrices admit a Cholesky factor the
     feasible set is the singleton exact solution, which is computed directly.
 
-    Otherwise the program over exactly (sigma1, sigma2) is built and solved
-    once in HiGHS, from the crash basis. HiGHS's model status names a
-    failure, and the residual check bounds |S1 D S2 - (S2 - S1)| by lambda_n.
+    Otherwise the program over exactly (sigma1, sigma2) is built in the
+    calling thread's HiGHS instance and solved once, from the crash basis.
+    HiGHS's model status names a failure, and the residual check bounds
+    |S1 D S2 - (S2 - S1)| by lambda_n. A bad radius or bad shapes raise
+    ``ValueError`` before HiGHS is called.
     """
     s1 = np.asarray(sigma1, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
+    if not 0.0 <= lambda_n < math.inf:
+        raise ValueError(f"lambda_n must be finite and nonnegative, got {lambda_n!r}")
+    if s1.ndim != 2 or s1.shape[0] != s1.shape[1] or s1.shape != s2.shape or not s1.size:
+        raise ValueError("sigma1 and sigma2 must be square, non-empty and of one shape, "
+                         f"got {s1.shape} and {s2.shape}")
     p = s1.shape[0]
     if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
         raise ValueError("sigma1 and sigma2 must be finite")
@@ -338,5 +360,6 @@ def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
 def estimate_dantzig(cov: CovariancePair, cfg: EstimatorConfig) -> DeltaPrecision:
     """Constrained-l1 estimate, symmetrized and hard-thresholded at epsilon."""
     lam = resolve_lambda(cov, cfg).lambda_n
-    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam)
-    return threshold(DeltaPrecision(_symmetrize(raw), cov.labels), cfg.epsilon)
+    m = _symmetrize(dantzig_selector(cov.sigma1, cov.sigma2, lam))
+    m[np.abs(m) <= cfg.epsilon] = 0.0
+    return DeltaPrecision(m, cov.labels, cfg.epsilon)

@@ -184,7 +184,7 @@ def compute_order(
             trace.append({"stage": "order_layer", "layer": sorted(peeled), "remaining": sorted(remaining)})
         if len(remaining) <= 1:
             break
-        dp = estimate(cov.restrict(remaining), cfg)
+        dp = estimate(cov._subpair(remaining), cfg)
         if trace is not None:
             trace.append({"stage": "order_estimate", "labels": sorted(remaining), "delta": dp})
     if len(remaining) == 1:
@@ -228,30 +228,19 @@ def prune(
     survives such a search raises a ``PartialPruneWarning``.
     """
     kept = set(delta.edges)
-    cache: dict[frozenset, DeltaPrecision] = {}
-    all_labels = list(cov.labels)
-
-    def estimate_over(retained: tuple) -> DeltaPrecision:
-        key = frozenset(retained)
-        if key not in cache:
-            cache[key] = estimate(cov.restrict(retained), cfg)
-        return cache[key]
-
+    cache: dict[tuple, DeltaPrecision] = {}  # by retained labels, in cov's order
     for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
-        j_layer = order.layer_of(j)
-        descendants: set = set()
-        for layer in order.layers[:j_layer]:
-            descendants |= layer
-        descendants.discard(i)
-        desc = sorted(descendants, key=repr)
+        desc = sorted(set().union(*order.layers[: order.layer_of(j)]) - {i}, key=repr)
         subsets = itertools.chain.from_iterable(
             itertools.combinations(desc, size) for size in range(len(desc) + 1)
         )
         budget = 2 ** min(len(desc), PRUNE_SUBSET_CAP)
         for drop in itertools.islice(subsets, budget):
             drop_set = set(drop)
-            retained = tuple(lab for lab in all_labels if lab not in drop_set)
-            entry = estimate_over(retained).entry(i, j)
+            retained = tuple(lab for lab in cov.labels if lab not in drop_set)
+            if retained not in cache:
+                cache[retained] = estimate(cov._subpair(retained), cfg)
+            entry = cache[retained].entry(i, j)
             if trace is not None:
                 trace.append(
                     {"stage": "prune_test", "edge": [i, j], "dropped": sorted(drop), "entry": entry}

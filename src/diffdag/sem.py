@@ -321,16 +321,23 @@ class CovariancePair(_Labeled):
 
     def restrict(self, labels) -> "CovariancePair":
         """The pair restricted to a label subset, in this pair's label order."""
-        keep, idx = self._select(labels)
+        keep, _ = self._select(labels)
         if not keep:
             raise InvalidCovarianceError("cannot restrict to an empty label set")
-        return CovariancePair(
-            sigma1=self.sigma1[np.ix_(idx, idx)],
-            sigma2=self.sigma2[np.ix_(idx, idx)],
-            n1=self.n1,
-            n2=self.n2,
-            labels=keep,
-        )
+        sub = self._subpair(keep)
+        return CovariancePair(sub.sigma1, sub.sigma2, self.n1, self.n2, keep)
+
+    def _subpair(self, labels) -> "CovariancePair":
+        """The pair over ``labels``, given in this pair's order, without the
+        checks, which every principal submatrix of a checked pair passes."""
+        idx = np.array([self._index[lab] for lab in labels])
+        sub = object.__new__(CovariancePair)
+        sub.__dict__.update(self.__dict__, labels=tuple(labels))
+        sub.__dict__["_index"] = {lab: k for k, lab in enumerate(labels)}
+        for name in ("sigma1", "sigma2"):
+            sub.__dict__[name] = getattr(self, name)[idx[:, None], idx]
+            sub.__dict__[name].setflags(write=False)
+        return sub
 
     @classmethod
     def from_sems(cls, sem1: Sem, sem2: Sem) -> "CovariancePair":

@@ -6,6 +6,7 @@ oracles) with finite-sample property and trend targets on the benchmark
 harness. Each test pins its tolerance inline.
 """
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -224,6 +225,17 @@ def test_c07_normalized_hamming_trend(trend_records):
             bad.append(p)
     line = _verdict("C07", not bad, "; ".join(detail))
     assert not bad, line
+
+
+# sha256 of the C07 grid's records.csv. A change that moves it updates the pin
+# and says in CHANGES.md which records moved and why.
+C07_RECORDS_SHA256 = "ebddc2ee8aef1dd5a8ff8d78467e1a7be7aa58e60f80f62b6ec864da26c93757"
+
+
+def test_c07_records_csv_is_pinned(trend_records, tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv(trend_records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == C07_RECORDS_SHA256
 
 
 def test_c08_fixed_sample_f_score():

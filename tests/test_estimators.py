@@ -9,6 +9,8 @@ matrix built from coordinates through scipy.sparse for its array build.
 
 import itertools
 import math
+import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -310,6 +312,28 @@ def test_non_finite_matrices_rejected_before_the_solver():
         dantzig_selector(np.eye(3), s2, 0.1)
 
 
+def _no_program(*args):
+    raise AssertionError("a HiGHS program was built")
+
+
+@pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+def test_bad_radius_rejected_before_the_solver(lam, monkeypatch):
+    monkeypatch.setattr(estimators, "_program", _no_program)
+    with pytest.raises(ValueError, match=rf"lambda_n must be finite and nonnegative, got {lam!r}"):
+        dantzig_selector(np.eye(3), 2.0 * np.eye(3), lam)
+
+
+@pytest.mark.parametrize(
+    ("shape1", "shape2"),
+    [((4, 4), (3, 3)), ((0, 0), (0, 0)), ((3, 4), (3, 4)), ((3,), (3,))],
+    ids=["mismatched", "empty", "non-square", "one-dimensional"],
+)
+def test_bad_shapes_rejected_before_the_solver(shape1, shape2, monkeypatch):
+    monkeypatch.setattr(estimators, "_program", _no_program)
+    with pytest.raises(ValueError, match=rf"got {re.escape(str(shape1))} and {re.escape(str(shape2))}"):
+        dantzig_selector(np.ones(shape1), 2.0 * np.ones(shape2), 0.1)
+
+
 def test_highs_binding_has_everything_the_program_uses():
     # scipy's HiGHS binding is private; this pins the names the program and
     # these tests rely on, so a scipy that moves them fails here
@@ -317,7 +341,7 @@ def test_highs_binding_has_everything_the_program_uses():
 
     for method in (
         "setOptionValue", "passModel", "setBasis", "getBasis", "run", "getModelStatus",
-        "getSolution", "getInfo", "clearSolver",
+        "getSolution", "getInfo", "clearSolver", "clearModel",
     ):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
@@ -413,6 +437,51 @@ def test_estimates_do_not_depend_on_earlier_solves(p, n_rule, zero_vertex, raw_s
     if zero_vertex is not None:
         assert first[()] is InfeasibleEstimateError
         assert isinstance(first[(0,)], np.ndarray)
+
+
+def test_no_failed_solve_leaves_state_for_the_next(monkeypatch):
+    # a solve stopped by the iteration cap, an infeasible solve and a
+    # rejected radius, each followed by a solve that must equal the first
+    cov = _sampled_pair(8, 2000)
+    lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
+    first = dantzig_selector(cov.sigma1, cov.sigma2, lam)
+    rng = np.random.default_rng(0)
+    capped = CovariancePair.from_data(rng.standard_normal((40, 8)), rng.standard_normal((40, 8)))
+    empty = _sampled_pair(8, 2000, zero_vertex=0)
+
+    def cap():
+        with monkeypatch.context() as m, pytest.raises(EstimatorConvergenceError, match="kIterationLimit"):
+            m.setattr(estimators, "MAX_ITER", 1)
+            dantzig_selector(capped.sigma1, capped.sigma2, 0.01)
+
+    def infeasible():
+        with pytest.raises(InfeasibleEstimateError):
+            dantzig_selector(empty.sigma1, empty.sigma2, resolve_lambda(empty, DANTZIG.est_cfg).lambda_n)
+
+    def rejected():
+        with pytest.raises(ValueError, match="lambda_n"):
+            dantzig_selector(cov.sigma1, cov.sigma2, -0.1)
+
+    for fail in (cap, infeasible, rejected):
+        fail()
+        np.testing.assert_array_equal(dantzig_selector(cov.sigma1, cov.sigma2, lam), first, err_msg=fail.__name__)
+
+
+def test_consecutive_estimates_reuse_the_thread_s_highs(monkeypatch):
+    cov = _sampled_pair(6, 2000)
+    cfg = replace(DANTZIG, est_cfg=resolve_lambda(cov, DANTZIG.est_cfg))
+    built = []
+    real = estimators._program
+    monkeypatch.setattr(estimators, "_program", lambda *args: built.append(real(*args)) or built[-1])
+    for labels in (cov.labels, cov.labels[1:]):
+        estimate(cov.restrict(labels), cfg)
+    other = threading.Thread(target=estimate, args=(cov, cfg))
+    other.start()
+    other.join(timeout=60)
+    assert not other.is_alive()
+    assert len(built) == 3
+    assert built[0] is built[1]
+    assert built[2] is not built[0]
 
 
 def _reference_arrays(s1, s2):
