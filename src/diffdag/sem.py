@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -521,13 +522,24 @@ def save_sem(sem: Sem, path) -> None:
 
 
 def load_sem(path) -> Sem:
+    """The SEM that ``save_sem`` wrote; a file of another shape raises
+    ``ValueError`` naming the path and the field."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return Sem(
-        b=np.array(obj["b"], dtype=float),
-        noise_vars=np.array(obj["noise_vars"], dtype=float),
-        labels=tuple(obj.get("labels") or ()),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: a SEM file holds a JSON object, not a {type(obj).__name__}")
+    arrays = {}
+    for field in ("b", "noise_vars"):
+        if field not in obj:
+            raise ValueError(f"{path}: missing field {field!r}")
+        try:
+            arrays[field] = np.array(obj[field], dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: field {field!r} is not an array of numbers") from None
+    labels = obj.get("labels") or []
+    if not (isinstance(labels, list) and all(isinstance(lab, (str, int, float)) for lab in labels)):
+        raise ValueError(f"{path}: field 'labels' is not a list of strings or numbers")
+    return Sem(b=arrays["b"], noise_vars=arrays["noise_vars"], labels=tuple(labels))
 
 
 def save_data_csv(data: np.ndarray, path) -> None:
@@ -536,4 +548,12 @@ def save_data_csv(data: np.ndarray, path) -> None:
 
 
 def load_data_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """The sample matrix that ``save_data_csv`` wrote; a file with no rows
+    raises ``ValueError``."""
+    with warnings.catch_warnings():
+        # the error below says it, and names the file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not data.size:
+        raise ValueError(f"{path}: the data file has no rows")
+    return data

@@ -348,6 +348,16 @@ class TestEstimateDelta:
                      "--lambda-auto", "--output-dir", str(tmp_path / "out")]) == 1
         assert "got shapes (50, 4) and (50, 3)" in capsys.readouterr().err
 
+    def test_empty_data_file_is_a_domain_error_naming_the_file(self, tmp_path, capsys):
+        d1, d2 = tmp_path / "empty.csv", tmp_path / "x2.csv"
+        d1.write_text("")
+        dd.save_data_csv(np.random.default_rng(0).standard_normal((4, 3)), d2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's no-data warning would raise
+            assert main(["estimate-delta", "--data1", str(d1), "--data2", str(d2),
+                         "--lambda-auto", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {d1}: the data file has no rows\n"
+
 
 class TestCheckAssumptions:
     def _planted(self, tmp_path):
@@ -391,6 +401,21 @@ class TestCheckAssumptions:
         assert main(["check-assumptions", "--sem1", a, "--sem2", b, "--epsilon", "0",
                      "--strict"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_sem_file_holding_a_list_is_a_domain_error(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[[0.0]]")
+        assert main(["check-assumptions", "--sem1", str(bad), "--sem2", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: a SEM file holds a JSON object, not a list\n"
+
+    def test_sem_file_missing_a_field_is_a_domain_error_naming_it(self, tmp_path, capsys):
+        _, _, _, a, b = _write_pair(tmp_path)
+        obj = json.loads(open(a).read())
+        del obj["b"]
+        with open(a, "w") as fh:
+            json.dump(obj, fh)
+        assert main(["check-assumptions", "--sem1", a, "--sem2", b]) == 1
+        assert capsys.readouterr().err == f"error: {a}: missing field 'b'\n"
 
 
 class TestSweep:

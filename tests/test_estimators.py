@@ -10,9 +10,12 @@ matrix built from coordinates through scipy.sparse for its array build.
 import itertools
 import math
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,8 +340,11 @@ def test_bad_shapes_rejected_before_the_solver(shape1, shape2, monkeypatch):
 def test_highs_binding_has_everything_the_program_uses():
     # scipy's HiGHS binding is private; this pins the names the program and
     # these tests rely on, so a scipy that moves them fails here
-    from scipy.optimize._highspy._core import HighsBasis, HighsStatus, MatrixFormat, ObjSense, _Highs
-
+    core = estimators._highs()
+    assert core.HighsModelStatus is HighsModelStatus and core.HighsBasisStatus is HighsBasisStatus
+    HighsBasis, HighsStatus, _Highs = core.HighsBasis, core.HighsStatus, core._Highs
+    MatrixFormat, ObjSense = core.MatrixFormat, core.ObjSense
+    assert hasattr(core.simplex_constants.SimplexStrategy, "kSimplexStrategyDual")
     for method in (
         "setOptionValue", "passModel", "setBasis", "getBasis", "run", "getModelStatus",
         "getSolution", "getInfo", "clearSolver", "clearModel",
@@ -368,6 +374,36 @@ def test_highs_binding_has_everything_the_program_uses():
     highs.run()
     assert highs.getModelStatus() == HighsModelStatus.kOptimal
     assert list(highs.getSolution().col_value) == [0.5]
+
+
+_SCIPY_ONLY_FOR_THE_PROGRAM = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import diffdag as dd
+from diffdag import cli
+from diffdag.estimators import dantzig_selector
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=6, seed=1))
+assert dd.check_assumptions(sem1, sem2, 0.125).passed
+cov = dd.CovariancePair.from_sems(sem1, sem2)
+dd.run_pipeline(cov, dd.PipelineConfig(estimator="population"))
+assert cli.main(["bound", "--p", "10", "--d", "2"]) == 0
+assert not scipy_modules(), scipy_modules()
+# zero is feasible at this radius, so no program is solved
+assert not dantzig_selector(np.eye(3), 2.0 * np.eye(3), 1.0).any()
+assert "scipy.optimize._highspy._core" in sys.modules, scipy_modules()
+"""
+
+
+def test_scipy_loads_only_with_the_first_dantzig_selector_call():
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _SCIPY_ONLY_FOR_THE_PROGRAM, src],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 DANTZIG = PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(lambda_auto=True))
