@@ -1,5 +1,10 @@
 """Command-line front-end; every subcommand is a thin adapter.
 
+SEM inputs (``--sem1``/``--sem2``) are solved exactly and sample inputs
+(``--data1``/``--data2``) by the constrained-l1 program. A flag the run would
+ignore, such as ``--lambda`` with SEM inputs or ``--strict`` with data
+inputs, is a usage error.
+
 Exit codes: 0 on success, 1 on domain errors (infeasibility, order stall,
 assumption failure under --strict), 2 on usage errors including malformed
 config files.
@@ -109,32 +114,27 @@ def _cmd_generate(args, parser) -> int:
     return 0
 
 
-def _covariances_from_args(
+def _inputs(
     args, parser: argparse.ArgumentParser
-) -> tuple[CovariancePair, tuple[Sem, Sem] | None]:
-    """The covariance pair, and the two SEMs when the inputs are SEM files."""
+) -> tuple[PipelineConfig, CovariancePair, tuple[Sem, Sem] | None]:
+    """The estimator the inputs pick, the covariance pair, and the SEMs for SEM inputs.
+
+    SEM inputs are solved exactly; data inputs go to the l1 program with the
+    given flags. Any other mix of inputs, and a radius flag with SEM inputs,
+    is a usage error.
+    """
     if args.sem1 or args.sem2:
         if not (args.sem1 and args.sem2):
             parser.error("--sem1 and --sem2 must be given together")
         if args.data1 or args.data2:
             parser.error("give either SEM files or data files, not both")
-        if not args.population:
-            parser.error("SEM inputs provide exact covariances; pass --population")
+        if args.lambda_ is not None or args.lambda_auto:
+            parser.error("SEM inputs are solved exactly; they take no --lambda or --lambda-auto")
         sems = load_sem(args.sem1), load_sem(args.sem2)
-        return CovariancePair.from_sems(*sems), sems
+        return PipelineConfig(estimator="population"), CovariancePair.from_sems(*sems), sems
     if not (args.data1 and args.data2):
         parser.error("need --sem1/--sem2 or --data1/--data2")
-    if args.population:
-        parser.error("--population requires SEM inputs, not sampled data")
-    return CovariancePair.from_data(load_data_csv(args.data1), load_data_csv(args.data2)), None
-
-
-def _pipeline_config(args, parser: argparse.ArgumentParser) -> PipelineConfig:
-    """Exact solves for --population, else the l1 program with the given flags."""
-    if args.population:
-        if args.lambda_ is not None or args.lambda_auto:
-            parser.error("--population solves exactly; it takes no --lambda or --lambda-auto")
-        return PipelineConfig(estimator="population")
+    _require_positive_epsilon(args, parser)
     kwargs = {}
     if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
@@ -142,15 +142,15 @@ def _pipeline_config(args, parser: argparse.ArgumentParser) -> PipelineConfig:
         kwargs["lambda_n"] = args.lambda_
     if args.lambda_auto:
         kwargs["lambda_auto"] = True
-    return PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(**kwargs))
+    cfg = PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(**kwargs))
+    return cfg, CovariancePair.from_data(load_data_csv(args.data1), load_data_csv(args.data2)), None
 
 
 def _cmd_estimate_delta(args, parser) -> int:
     _require_positive_epsilon(args, parser)
-    cfg = _pipeline_config(args, parser)
-    cov, _ = _covariances_from_args(args, parser)
+    cfg, cov, sems = _inputs(args, parser)
     dp = estimate(cov, cfg)
-    if args.population and args.epsilon is not None:
+    if sems and args.epsilon is not None:
         dp = threshold(dp, args.epsilon)
     out = _out_dir(args)
     _write_json(dp.to_json(), out / "delta.json")
@@ -159,11 +159,10 @@ def _cmd_estimate_delta(args, parser) -> int:
 
 
 def _cmd_run_pipeline(args, parser) -> int:
-    if not args.population:
-        _require_positive_epsilon(args, parser)
-    cfg = _pipeline_config(args, parser)
-    cov, sems = _covariances_from_args(args, parser)
-    if sems:  # SEM inputs, which come only with --population
+    if args.strict and not args.sem1:
+        parser.error("--strict fails the run on the assumption check, which needs SEM inputs")
+    cfg, cov, sems = _inputs(args, parser)
+    if sems:
         report = check_assumptions(*sems, args.epsilon)
         if not report.passed:
             msg = f"assumption check failed: {report.failed_condition}: {report.detail}"
@@ -233,18 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p: argparse.ArgumentParser, epsilon_help: str):
-        p.add_argument("--sem1", help="first SEM as JSON (population covariances)")
+        p.add_argument("--sem1", help="first SEM as JSON; SEM inputs are solved exactly")
         p.add_argument("--sem2", help="second SEM as JSON")
         p.add_argument("--data1", help="first sample matrix as CSV, one row per observation")
         p.add_argument("--data2", help="second sample matrix as CSV")
-        p.add_argument("--population", action="store_true",
-                       help="use exact covariances (requires SEM inputs)")
         p.add_argument("--epsilon", type=_finite_nonnegative, default=None, help=epsilon_help)
         radius = p.add_mutually_exclusive_group()
         radius.add_argument("--lambda", dest="lambda_", type=_finite_nonnegative, default=None,
-                            help="constraint radius of the l1 program")
+                            help="constraint radius of the l1 program (data inputs only)")
         radius.add_argument("--lambda-auto", action="store_true",
-                            help="set the radius from the sample sizes")
+                            help="set the radius from the sample sizes (data inputs only)")
         p.add_argument("--output-dir", default=".", help="where to write artifacts")
 
     g = sub.add_parser("generate", help="generate a random SEM pair with a sparse difference")
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=_cmd_estimate_delta)
 
     r = sub.add_parser("run-pipeline", help="recover the difference DAG")
-    add_io(r, "hard threshold for support, which must be positive; with --population it "
+    add_io(r, "hard threshold for support, which must be positive; with SEM inputs it "
               "sets only the assumption check's epsilon, which may be 0 "
               f"(default {_DEFAULT_EPSILON:g})")
     r.add_argument("--strict", action="store_true",

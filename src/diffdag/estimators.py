@@ -137,7 +137,7 @@ class DeltaPrecision(_Labeled):
 
     def restrict(self, labels) -> "DeltaPrecision":
         keep, idx = self._select(labels)
-        return DeltaPrecision(self.matrix[np.ix_(idx, idx)], keep, self.threshold_applied)
+        return self._derive(keep, matrix=self.matrix[np.ix_(idx, idx)])
 
     def to_json(self) -> dict:
         return {
@@ -173,6 +173,8 @@ class EstimatorConfig:
             raise ValueError(f"lambda_n must be finite and nonnegative, got {self.lambda_n!r}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
+        if not isinstance(self.lambda_auto, bool):
+            raise ValueError(f"lambda_auto must be true or false, got {self.lambda_auto!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
@@ -370,12 +372,11 @@ def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     m = dp.matrix.copy()
     m[np.abs(m) <= epsilon] = 0.0
-    return DeltaPrecision(m, dp.labels, epsilon)
+    return dp._derive(dp.labels, matrix=m, threshold_applied=epsilon)
 
 
 def estimate_dantzig(cov: CovariancePair, cfg: EstimatorConfig) -> DeltaPrecision:
     """Constrained-l1 estimate, symmetrized and hard-thresholded at epsilon."""
     lam = resolve_lambda(cov, cfg).lambda_n
-    m = _symmetrize(dantzig_selector(cov.sigma1, cov.sigma2, lam))
-    m[np.abs(m) <= cfg.epsilon] = 0.0
-    return DeltaPrecision(m, cov.labels, cfg.epsilon)
+    raw = dantzig_selector(cov.sigma1, cov.sigma2, lam)
+    return threshold(DeltaPrecision(_symmetrize(raw), cov.labels), cfg.epsilon)

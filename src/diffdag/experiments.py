@@ -24,7 +24,7 @@ from .errors import (
 )
 from .estimators import EstimatorConfig
 from .pipeline import PipelineConfig, run_pipeline
-from .sem import CovariancePair, DagEdgeSet, SemPairGenConfig, generate_sem_pair, sample
+from .sem import CovariancePair, DagEdgeSet, SemPairGenConfig, _integer, generate_sem_pair, sample
 
 _METRICS = ("hamming", "norm_hamming", "precision", "recall", "f_score")
 
@@ -126,8 +126,9 @@ class SweepConfig:
     seed_base: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
-        object.__setattr__(self, "c_values", tuple(int(c) for c in self.c_values))
+        for name in ("p_values", "c_values"):
+            values = tuple(_integer(f"{name} entry", v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
         for p in self.p_values:
@@ -136,11 +137,13 @@ class SweepConfig:
         for c in self.c_values:
             if c < 1:
                 raise ValueError(f"c_values entry {c} is below 1; the sample budget needs c >= 1")
-        if self.repetitions < 1:
+        if _integer("repetitions", self.repetitions) < 1:
             raise ValueError("repetitions must be at least 1")
+        if _integer("seed_base", self.seed_base) < 0:
+            raise ValueError(f"seed_base must be non-negative, got {self.seed_base!r}")
         if self.fixed_n is None and not self.c_values:
             raise ValueError("need c_values or fixed_n")
-        if self.fixed_n is not None and self.fixed_n < 2:
+        if self.fixed_n is not None and _integer("fixed_n", self.fixed_n) < 2:
             raise ValueError("fixed_n must be at least 2")
         if self.fixed_n is not None and self.fixed_n < max(self.p_values):
             raise ValueError(

@@ -10,6 +10,9 @@ yields a supergraph of the truth. Finally each edge is re-tested with
 candidate common-children subsets removed; an edge whose entry can be zeroed
 that way is an artifact of shared children and is pruned.
 
+Every estimate after the first is over ``CovariancePair.restrict`` of the
+pair, and ``compute_order`` and ``prune`` append each step to the run's trace.
+
 On exact covariances from a pair that passes ``oracles.check_assumptions``,
 the pruned result equals the support of B1 - B2 exactly.
 """
@@ -153,22 +156,20 @@ def estimate(cov: CovariancePair, cfg: PipelineConfig) -> DeltaPrecision:
 
 
 def compute_order(
-    cov: CovariancePair,
-    cfg: PipelineConfig,
-    initial: DeltaPrecision | None = None,
-    trace: list | None = None,
+    cov: CovariancePair, cfg: PipelineConfig, initial: DeltaPrecision, trace: list
 ) -> LayeredOrder:
     """Peel zero-diagonal vertices into layers, re-estimating between peels.
 
-    ``cov`` must already be restricted to the non-invariant vertices. The
-    loop runs while more than one vertex remains; a final leftover vertex
-    becomes its own layer, so the layers partition the input labels. If some
-    iteration finds no zero diagonal the run stalls, which signals an
-    assumption violation or a badly chosen threshold.
+    ``cov`` must already be restricted to the non-invariant vertices, and
+    ``initial`` is the estimate over all of them. The loop runs while more
+    than one vertex remains; a final leftover vertex becomes its own layer, so
+    the layers partition the input labels. If some iteration finds no zero
+    diagonal the run stalls, which signals an assumption violation or a badly
+    chosen threshold. Each peel and re-estimate is appended to ``trace``.
     """
     remaining = list(cov.labels)
     layers: list[frozenset] = []
-    dp = initial if initial is not None else estimate(cov, cfg)
+    dp = initial
     while len(remaining) > 1:
         peeled = [lab for lab in remaining if dp.entry(lab, lab) == 0.0]
         if not peeled:
@@ -180,13 +181,11 @@ def compute_order(
         layers.append(frozenset(peeled))
         peeled_set = set(peeled)
         remaining = [lab for lab in remaining if lab not in peeled_set]
-        if trace is not None:
-            trace.append({"stage": "order_layer", "layer": sorted(peeled), "remaining": sorted(remaining)})
+        trace.append({"stage": "order_layer", "layer": sorted(peeled), "remaining": sorted(remaining)})
         if len(remaining) <= 1:
             break
-        dp = estimate(cov._subpair(remaining), cfg)
-        if trace is not None:
-            trace.append({"stage": "order_estimate", "labels": sorted(remaining), "delta": dp})
+        dp = estimate(cov.restrict(remaining), cfg)
+        trace.append({"stage": "order_estimate", "labels": sorted(remaining), "delta": dp})
     if len(remaining) == 1:
         layers.append(frozenset(remaining))
     return LayeredOrder(tuple(layers))
@@ -215,7 +214,7 @@ def prune(
     cov: CovariancePair,
     order: LayeredOrder,
     cfg: PipelineConfig,
-    trace: list | None = None,
+    trace: list,
 ) -> DagEdgeSet:
     """Drop edges whose difference entry vanishes once common children go.
 
@@ -225,7 +224,8 @@ def prune(
     re-estimated over the rest; the first subset that zeroes the (i, j) entry
     kills the edge. Only the first 2**PRUNE_SUBSET_CAP subsets in that order
     are tested, so a larger descendant set is searched in part; an edge that
-    survives such a search raises a ``PartialPruneWarning``.
+    survives such a search raises a ``PartialPruneWarning``. Each test and
+    removal is appended to ``trace``.
     """
     kept = set(delta.edges)
     cache: dict[tuple, DeltaPrecision] = {}  # by retained labels, in cov's order
@@ -239,16 +239,12 @@ def prune(
             drop_set = set(drop)
             retained = tuple(lab for lab in cov.labels if lab not in drop_set)
             if retained not in cache:
-                cache[retained] = estimate(cov._subpair(retained), cfg)
+                cache[retained] = estimate(cov.restrict(retained), cfg)
             entry = cache[retained].entry(i, j)
-            if trace is not None:
-                trace.append(
-                    {"stage": "prune_test", "edge": [i, j], "dropped": sorted(drop), "entry": entry}
-                )
+            trace.append({"stage": "prune_test", "edge": [i, j], "dropped": sorted(drop), "entry": entry})
             if entry == 0.0:
                 kept.discard((i, j))
-                if trace is not None:
-                    trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": sorted(drop)})
+                trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": sorted(drop)})
                 break
         else:
             if len(desc) > PRUNE_SUBSET_CAP:
@@ -285,8 +281,8 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
         )
     cov_v = cov.restrict(v_labels)
     dp_v = dp_full.restrict(v_labels)
-    order = compute_order(cov_v, cfg, initial=dp_v, trace=trace)
+    order = compute_order(cov_v, cfg, dp_v, trace)
     rough = orient_edges(dp_v, order)
     trace.append({"stage": "orient_edges", "edges": [list(e) for e in rough.sorted_edges()]})
-    pruned = prune(rough, cov_v, order, cfg, trace=trace)
+    pruned = prune(rough, cov_v, order, cfg, trace)
     return PipelineResult(delta=pruned, invariant_vertices=invariant, order=order, trace=tuple(trace))

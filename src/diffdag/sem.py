@@ -6,6 +6,10 @@ parents, so B[i, j] != 0 encodes the directed edge i <- j. Acyclicity of the
 support makes (I - B) invertible, which gives closed forms for the covariance
 (I-B)^-1 D (I-B)^-T and the precision (I-B)^T D^-1 (I-B).
 
+``Sem``, ``CovariancePair`` and ``estimators.DeltaPrecision`` check their
+input once, in the constructor; restrictions and thresholded copies are
+derived from a checked object (``_Labeled._derive``) without a second check.
+
 The module also hosts the random pair generator used by the benchmark
 harness: an Erdos-Renyi DAG under a random topological order, a second model
 obtained by per-slot edge deletions and order-consistent additions, and a
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -40,6 +45,13 @@ MAX_ATTEMPTS = 1000
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral value raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _canonical_topo_positions(support: np.ndarray) -> list[int]:
@@ -103,6 +115,21 @@ class _Labeled:
         if missing:
             raise KeyError(f"unknown vertex labels {sorted(missing, key=repr)!r}")
         return keep, np.array([self._index[lab] for lab in keep], dtype=int)
+
+    def _derive(self, labels: tuple, **fields):
+        """This checked object over ``labels``, a subset in its order, with
+        ``fields`` replaced and replaced arrays made read-only.
+
+        ``__post_init__`` does not run again: a principal submatrix or a
+        thresholded copy of a checked matrix passes every check it makes.
+        """
+        new = object.__new__(type(self))
+        index = {lab: k for k, lab in enumerate(labels)}
+        new.__dict__.update(self.__dict__, **fields, labels=labels, _index=index)
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return new
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,23 +349,11 @@ class CovariancePair(_Labeled):
 
     def restrict(self, labels) -> "CovariancePair":
         """The pair restricted to a label subset, in this pair's label order."""
-        keep, _ = self._select(labels)
+        keep, idx = self._select(labels)
         if not keep:
             raise InvalidCovarianceError("cannot restrict to an empty label set")
-        sub = self._subpair(keep)
-        return CovariancePair(sub.sigma1, sub.sigma2, self.n1, self.n2, keep)
-
-    def _subpair(self, labels) -> "CovariancePair":
-        """The pair over ``labels``, given in this pair's order, without the
-        checks, which every principal submatrix of a checked pair passes."""
-        idx = np.array([self._index[lab] for lab in labels])
-        sub = object.__new__(CovariancePair)
-        sub.__dict__.update(self.__dict__, labels=tuple(labels))
-        sub.__dict__["_index"] = {lab: k for k, lab in enumerate(labels)}
-        for name in ("sigma1", "sigma2"):
-            sub.__dict__[name] = getattr(self, name)[idx[:, None], idx]
-            sub.__dict__[name].setflags(write=False)
-        return sub
+        sub = np.ix_(idx, idx)
+        return self._derive(keep, sigma1=self.sigma1[sub], sigma2=self.sigma2[sub])
 
     @classmethod
     def from_sems(cls, sem1: Sem, sem2: Sem) -> "CovariancePair":
@@ -383,8 +398,10 @@ class SemPairGenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 2:
+        if _integer("p", self.p) < 2:
             raise ValueError("p must be at least 2")
+        if _integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.expected_neighbors is None:
             object.__setattr__(self, "expected_neighbors", float(min(np.sqrt(self.p), self.p - 1)))
         if self.edge_change_prob is None:

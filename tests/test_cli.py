@@ -68,6 +68,18 @@ class TestGenerate:
         assert main(["generate"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"p": 5.5}, "p must be an integer, got 5.5"),
+        ({"p": 5, "seed": -1}, "seed must be non-negative, got -1"),
+        ({"p": 5, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ], ids=["fractional-p", "negative-seed", "fractional-seed"])
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(["generate", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_bad_min_delta_omega_is_usage_error(self, tmp_path, capsys, value):
         out = tmp_path / "out"
@@ -95,7 +107,7 @@ class TestRunPipeline:
         dd.save_sem(sem, path)
         out = tmp_path / "out"
         code = main([
-            "run-pipeline", "--population",
+            "run-pipeline",
             "--sem1", str(path), "--sem2", str(path),
             "--output-dir", str(out),
         ])
@@ -107,7 +119,7 @@ class TestRunPipeline:
     def test_population_matches_library(self, tmp_path):
         sem1, sem2, delta, a, b = _write_pair(tmp_path, seed=13, p=6)
         out = tmp_path / "out"
-        assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+        assert main(["run-pipeline", "--sem1", a, "--sem2", b,
                      "--output-dir", str(out)]) == 0
         payload = json.loads((out / "pipeline.json").read_text())
         cov = dd.CovariancePair.from_sems(sem1, sem2)
@@ -119,7 +131,7 @@ class TestRunPipeline:
         sem1, sem2, _, a, b = _write_pair(tmp_path, seed=1, p=10)
         plain, traced = tmp_path / "plain", tmp_path / "traced"
         for out, flags in ((plain, []), (traced, ["--trace"])):
-            assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+            assert main(["run-pipeline", "--sem1", a, "--sem2", b,
                          "--output-dir", str(out), *flags]) == 0
         without = json.loads((plain / "pipeline.json").read_text())
         assert sorted(without) == ["edges", "invariant", "layers"]
@@ -139,7 +151,7 @@ class TestRunPipeline:
         # order_estimate deltas
         sem1, sem2, _, a, b = _write_pair(tmp_path, seed=3, p=10)
         if mode == "population":
-            inputs = ["--population", "--sem1", a, "--sem2", b]
+            inputs = ["--sem1", a, "--sem2", b]
         else:
             d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
             dd.save_data_csv(dd.sample(sem1, 2000, seed=4), d1)
@@ -157,14 +169,14 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("command, flags", [
         ("run-pipeline", ["--data1", "x.csv", "--data2", "y.csv", "--lambda", "5", "--lambda-auto"]),
-        ("run-pipeline", ["--population", "--lambda", "5"]),
-        ("estimate-delta", ["--population", "--lambda-auto"]),
+        ("run-pipeline", ["--lambda", "5"]),
+        ("estimate-delta", ["--lambda-auto"]),
     ], ids=["lambda-and-auto", "population-lambda", "population-auto"])
     def test_radius_flags_the_estimator_would_ignore_are_usage_errors(
         self, tmp_path, command, flags
     ):
         _, _, _, a, b = _write_pair(tmp_path)
-        sems = ["--sem1", a, "--sem2", b] if "--population" in flags else []
+        sems = [] if "--data1" in flags else ["--sem1", a, "--sem2", b]
         with pytest.raises(SystemExit) as exc:
             main([command, *sems, *flags, "--output-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -183,7 +195,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr("diffdag.cli.check_assumptions", recording)
         _, _, _, a, b = _write_pair(tmp_path)
-        assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b, *flags,
+        assert main(["run-pipeline", "--sem1", a, "--sem2", b, *flags,
                      "--output-dir", str(tmp_path / "out")]) == 0
         assert seen == [epsilon]
 
@@ -197,7 +209,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr("diffdag.cli.load_sem", counting)
         _, _, _, a, b = _write_pair(tmp_path)
-        assert main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+        assert main(["run-pipeline", "--sem1", a, "--sem2", b,
                      "--output-dir", str(tmp_path / "out")]) == 0
         assert read == [a, b]
 
@@ -219,7 +231,7 @@ class TestRunPipeline:
     def test_negative_epsilon_is_usage_error(self, tmp_path, command):
         _, _, _, a, b = _write_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main([command, "--population", "--sem1", a, "--sem2", b, "--epsilon", "-1",
+            main([command, "--sem1", a, "--sem2", b, "--epsilon", "-1",
                   "--output-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
@@ -233,7 +245,7 @@ class TestRunPipeline:
     ):
         sem1, sem2, _, a, b = _write_pair(tmp_path)
         if population:
-            inputs = ["--population", "--sem1", a, "--sem2", b]
+            inputs = ["--sem1", a, "--sem2", b]
         else:
             d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
             dd.save_data_csv(dd.sample(sem1, 200, seed=1), d1)
@@ -273,22 +285,40 @@ class TestRunPipeline:
         _, _, _, a, b = _write_pair(tmp_path)
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="not prune's"):
-            code = main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+            code = main(["run-pipeline", "--sem1", a, "--sem2", b,
                          "--output-dir", str(out)])
         assert code == 0
         assert json.loads((out / "pipeline.json").read_text())["warnings"] == [msg]
         assert f"warning: {msg}\n" in capsys.readouterr().err
 
-    def test_sem_inputs_without_population_flag_is_usage_error(self, tmp_path):
+
+    def test_strict_with_data_inputs_is_usage_error(self, tmp_path, capsys):
+        # --strict acts on the assumption check, which only SEM inputs get
+        sem1, sem2, _, _, _ = _write_pair(tmp_path)
+        d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
+        dd.save_data_csv(dd.sample(sem1, 200, seed=1), d1)
+        dd.save_data_csv(dd.sample(sem2, 200, seed=2), d2)
+        with pytest.raises(SystemExit) as exc:
+            main(["run-pipeline", "--data1", str(d1), "--data2", str(d2), "--lambda-auto",
+                  "--strict", "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--strict fails the run on the assumption check" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run-pipeline", "estimate-delta"])
+    def test_population_flag_is_unrecognized(self, tmp_path, capsys, command):
+        # the inputs pick the estimator: SEM files are solved exactly
         _, _, _, a, b = _write_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["run-pipeline", "--sem1", a, "--sem2", b])
+            main([command, "--population", "--sem1", a, "--sem2", b,
+                  "--output-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --population" in capsys.readouterr().err
 
     def test_mixed_inputs_rejected(self, tmp_path):
         _, _, _, a, b = _write_pair(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["run-pipeline", "--population", "--sem1", a, "--sem2", b,
+            main(["run-pipeline", "--sem1", a, "--sem2", b,
                   "--data1", "x.csv", "--data2", "y.csv"])
         assert exc.value.code == 2
 
@@ -297,7 +327,7 @@ class TestEstimateDelta:
     def test_population_golden_against_library(self, tmp_path):
         sem1, sem2, _, a, b = _write_pair(tmp_path, seed=7, p=5)
         out = tmp_path / "out"
-        assert main(["estimate-delta", "--population", "--sem1", a, "--sem2", b,
+        assert main(["estimate-delta", "--sem1", a, "--sem2", b,
                      "--output-dir", str(out)]) == 0
         payload = json.loads((out / "delta.json").read_text())
         direct = dd.estimate(dd.CovariancePair.from_sems(sem1, sem2), POP)
@@ -307,7 +337,7 @@ class TestEstimateDelta:
         # rounding noise of the exact solve (around 1e-15) is not support
         sem1, sem2, _, a, b = _write_pair(tmp_path, seed=0, p=10)
         out = tmp_path / "out"
-        assert main(["estimate-delta", "--population", "--sem1", a, "--sem2", b,
+        assert main(["estimate-delta", "--sem1", a, "--sem2", b,
                      "--output-dir", str(out)]) == 0
         truth = np.abs(dd.precision(sem1) - dd.precision(sem2)) > 1e-6
         matrix = np.array(json.loads((out / "delta.json").read_text())["matrix"])
@@ -483,6 +513,28 @@ class TestSweep:
         bad.write_text('{"p_values": [5], "c_values": [5], "repetitions": 1, ' + entry + "}")
         assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
         assert "is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"pipeline": {"estimator": "dantzig", "est_cfg": {"lambda_auto": "false"}}},
+         "lambda_auto must be true or false, got 'false'"),
+        ({"p_values": [5.7]}, "p_values entry must be an integer, got 5.7"),
+        ({"c_values": [5.5]}, "c_values entry must be an integer, got 5.5"),
+        ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+        ({"repetitions": True}, "repetitions must be an integer, got True"),
+        ({"fixed_n": 5.5}, "fixed_n must be an integer, got 5.5"),
+        ({"seed_base": -1}, "seed_base must be non-negative, got -1"),
+        ({"seed_base": 1.5}, "seed_base must be an integer, got 1.5"),
+    ], ids=["lambda_auto-string", "p_values-fraction", "c_values-fraction",
+            "repetitions-fraction", "repetitions-bool", "fixed_n-fraction",
+            "seed_base-negative", "seed_base-fraction"])
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, entry, message):
+        cfg = {"p_values": [5], "c_values": [5], "repetitions": 1, "gen": {"p": 5}, **entry}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import diffdag as dd
@@ -142,6 +143,14 @@ class TestSweepConfig:
     def test_c_below_one_rejected_naming_it(self, c):
         with pytest.raises(ValueError, match=f"c_values entry {c} is below 1"):
             SweepConfig(c_values=(5, c))
+
+    def test_numpy_integer_counts_and_seeds_are_accepted(self):
+        cfg = SweepConfig(
+            p_values=(np.int64(5),), c_values=(np.int32(5),), repetitions=np.int64(2),
+            fixed_n=np.int64(6), gen=dd.SemPairGenConfig(p=np.int64(5), seed=np.uint32(3)),
+            seed_base=np.uint64(7),
+        )
+        assert (cfg.p_values, cfg.c_values) == ((5,), (5,))
 
 
 class TestRunSweep:

@@ -1,9 +1,11 @@
 """The package's public names."""
 
+import argparse
 import inspect
 from dataclasses import fields
 
 import diffdag as dd
+from diffdag.cli import build_parser
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -42,6 +44,35 @@ def test_config_fields_are_pinned():
     assert [f.name for f in fields(dd.SemPairGenConfig)] == [
         "p", "expected_neighbors", "edge_change_prob", "min_delta_omega", "seed"
     ]
+
+
+def test_cli_options_are_pinned():
+    # the inputs pick the estimator, so there is no --population
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {}
+    for name, sub in commands.choices.items():
+        options[name] = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+    io = ["--sem1", "--sem2", "--data1", "--data2", "--epsilon", "--lambda", "--lambda-auto", "--output-dir"]
+    assert options == {
+        "generate": ["--p", "--seed", "--expected-neighbors", "--edge-change-prob",
+                     "--min-delta-omega", "--config", "--output-dir"],
+        "estimate-delta": io,
+        "run-pipeline": [*io, "--strict", "--trace"],
+        "check-assumptions": ["--sem1", "--sem2", "--epsilon", "--strict"],
+        "sweep": ["--config", "--seed", "--output-dir"],
+        "bound": ["--p", "--d"],
+    }
+
+
+def test_stage_parameters_are_pinned():
+    # run_pipeline passes every parameter, so none is optional
+    for stage, names in (
+        (dd.compute_order, ["cov", "cfg", "initial", "trace"]),
+        (dd.prune, ["delta", "cov", "order", "cfg", "trace"]),
+    ):
+        params = inspect.signature(stage).parameters
+        assert list(params) == names
+        assert all(param.default is param.empty for param in params.values()), stage.__name__
 
 
 def test_checker_budget_is_a_constant():

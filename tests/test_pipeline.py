@@ -36,6 +36,10 @@ def _pair_cov(sem1, sem2):
     return CovariancePair.from_sems(sem1, sem2)
 
 
+def _order(cov):
+    return compute_order(cov, POP, estimate(cov, POP), [])
+
+
 def _reweighted(sem, changes):
     b2 = np.array(sem.b)
     for (i, j), w in changes.items():
@@ -70,7 +74,7 @@ class TestComputeOrder:
         b[0, 1] = 0.5
         sem1 = Sem(b, np.ones(2))
         sem2 = _reweighted(sem1, {(0, 1): 0.9})
-        order = compute_order(_pair_cov(sem1, sem2), POP)
+        order = _order(_pair_cov(sem1, sem2))
         assert order.layers == (frozenset({0}), frozenset({1}))
 
     def test_two_disconnected_edges_share_first_layer(self):
@@ -79,7 +83,7 @@ class TestComputeOrder:
         b[2, 3] = 0.6
         sem1 = Sem(b, np.ones(4))
         sem2 = _reweighted(sem1, {(0, 1): 0.8, (2, 3): 0.9})
-        order = compute_order(_pair_cov(sem1, sem2), POP)
+        order = _order(_pair_cov(sem1, sem2))
         assert order.layers[0] == frozenset({0, 2})
         assert order.layers == (frozenset({0, 2}), frozenset({1, 3}))
 
@@ -90,19 +94,19 @@ class TestComputeOrder:
         b[1, 2] = 0.6
         sem1 = Sem(b, np.ones(3))
         sem2 = _reweighted(sem1, {(0, 1): 0.8, (1, 2): 0.9})
-        order = compute_order(_pair_cov(sem1, sem2), POP)
+        order = _order(_pair_cov(sem1, sem2))
         assert order.layers == (frozenset({0}), frozenset({1}), frozenset({2}))
 
     def test_stall_raises_with_stuck_estimate(self):
         cov = CovariancePair(np.eye(2), np.eye(2))
         stuck = DeltaPrecision(np.diag([0.5, 0.7]))
         with pytest.raises(OrderStallError) as exc:
-            compute_order(cov, POP, initial=stuck)
+            compute_order(cov, POP, stuck, [])
         assert exc.value.stuck_delta is stuck
 
     def test_single_label_is_its_own_layer(self):
         cov = CovariancePair(np.eye(1), np.eye(1), labels=(4,))
-        order = compute_order(cov, POP)
+        order = _order(cov)
         assert order.layers == (frozenset({4}),)
 
 
@@ -130,7 +134,7 @@ class TestOrientEdges:
         sem2 = _reweighted(sem1, {(2, 0): 0.3})
         cov = _pair_cov(sem1, sem2)
         dp = estimate(cov, POP)
-        order = compute_order(cov, POP, initial=dp)
+        order = compute_order(cov, POP, dp, [])
         assert order.layers == (frozenset({1, 2}), frozenset({0}))
         rough = orient_edges(dp, order)
         assert rough.edges == frozenset({(1, 0), (2, 0)})  # (1, 0) is spurious
@@ -145,13 +149,13 @@ class TestPrune:
         sem2 = _reweighted(sem1, {(2, 0): 0.3})
         cov = _pair_cov(sem1, sem2)
         dp = estimate(cov, POP)
-        order = compute_order(cov, POP, initial=dp)
+        order = compute_order(cov, POP, dp, [])
         rough = orient_edges(dp, order)
         return cov, order, rough
 
     def test_removes_common_child_artifact(self):
         cov, order, rough = self._common_child_setup()
-        pruned = prune(rough, cov, order, POP)
+        pruned = prune(rough, cov, order, POP, [])
         assert pruned.edges == frozenset({(2, 0)})
 
     def test_keeps_true_edges_untouched(self):
@@ -161,22 +165,22 @@ class TestPrune:
         sem2 = _reweighted(sem1, {(0, 1): 0.9})
         cov = _pair_cov(sem1, sem2)
         dp = estimate(cov, POP)
-        order = compute_order(cov, POP, initial=dp)
+        order = compute_order(cov, POP, dp, [])
         rough = orient_edges(dp, order)
-        assert prune(rough, cov, order, POP).edges == rough.edges == frozenset({(0, 1)})
+        assert prune(rough, cov, order, POP, []).edges == rough.edges == frozenset({(0, 1)})
 
     def test_subset_cap_warns_and_keeps_edge(self, monkeypatch):
         cov, order, rough = self._common_child_setup()
         monkeypatch.setattr(dd.pipeline, "PRUNE_SUBSET_CAP", 0)
         with pytest.warns(dd.PartialPruneWarning, match="searched 1 subsets before giving up"):
-            pruned = prune(rough, cov, order, POP)
+            pruned = prune(rough, cov, order, POP, [])
         # budget 2**0 = 1 subset (the empty one): the artifact edge survives
         assert (1, 0) in pruned.edges
 
     def test_cap_past_the_largest_index_searches_every_subset(self, monkeypatch):
         cov, order, rough = self._common_child_setup()
         monkeypatch.setattr(dd.pipeline, "PRUNE_SUBSET_CAP", 100)
-        assert prune(rough, cov, order, POP).edges == frozenset({(2, 0)})
+        assert prune(rough, cov, order, POP, []).edges == frozenset({(2, 0)})
 
 
 class TestHamming:
@@ -238,7 +242,7 @@ class TestRunPipeline:
             return
         cov_v = cov.restrict(v)
         dp_v = dp.restrict(v)
-        order = compute_order(cov_v, POP, initial=dp_v)
+        order = compute_order(cov_v, POP, dp_v, [])
         rough = orient_edges(dp_v, order)
         assert rough.edges >= truth.edges
         for (i, j) in truth.edges:
@@ -270,6 +274,34 @@ class TestRunPipeline:
         assert "invariant_vertices" in stages
         payload = res.to_json()
         assert "trace" in payload
+
+    @pytest.mark.parametrize("estimator", ["population", "dantzig"])
+    def test_each_estimate_is_checked_once_and_no_restriction_is(self, monkeypatch, estimator):
+        # every restriction and threshold of a checked object is derived from it
+        sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=8, seed=2))
+        if estimator == "population":
+            cov, cfg = _pair_cov(sem1, sem2), POP
+        else:
+            x1, x2 = dd.sample(sem1, 2000, seed=1), dd.sample(sem2, 2000, seed=2)
+            cov = CovariancePair.from_data(x1, x2)
+            cfg = PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(lambda_auto=True))
+        checks = {"CovariancePair": 0, "DeltaPrecision": 0}
+        for cls in (CovariancePair, DeltaPrecision):
+            def checked(self, real=cls.__post_init__, name=cls.__name__):
+                checks[name] += 1
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", checked)
+        estimates = []  # the p of each estimate
+
+        def counted(sub, cfg, real=dd.pipeline.estimate):
+            estimates.append(sub.p)
+            return real(sub, cfg)
+
+        monkeypatch.setattr(dd.pipeline, "estimate", counted)
+        run_pipeline(cov, cfg)
+        assert len(estimates) > 5 and min(estimates) < 8
+        assert checks == {"CovariancePair": 0, "DeltaPrecision": len(estimates)}
 
     def test_json_shape(self):
         sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=5, seed=11))

@@ -85,6 +85,54 @@ def test_delta_precision_json_round_trip(dp):
     assert back.threshold_applied == dp.threshold_applied
 
 
+def _fields(obj) -> dict:
+    """Every attribute, with each array as its dtype, shape, bytes and write flag."""
+    return {
+        key: (v.dtype, v.shape, v.tobytes(), v.flags.writeable) if isinstance(v, np.ndarray) else v
+        for key, v in vars(obj).items()
+    }
+
+
+@st.composite
+def covariance_pairs(draw):
+    """A checked pair of random covariances, population or empirical."""
+    p = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.integers(-20, 20) | st.text(max_size=2), min_size=p, max_size=p, unique=True))
+    counts = st.just(0) | st.integers(p, 500)
+    sigmas = []
+    for _ in range(2):
+        a = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=p * p, max_size=p * p))).reshape(p, p)
+        sigmas.append(a @ a.T + np.eye(p))
+    return dd.CovariancePair(*sigmas, draw(counts), draw(counts), tuple(labels))
+
+
+@FIXED
+@given(covariance_pairs(), st.data())
+def test_restrict_builds_what_the_checked_constructor_builds(cov, data):
+    subset = data.draw(st.sets(st.sampled_from(cov.labels), min_size=1))
+    keep = tuple(lab for lab in cov.labels if lab in subset)
+    idx = np.ix_([cov.index(lab) for lab in keep], [cov.index(lab) for lab in keep])
+    checked = dd.CovariancePair(cov.sigma1[idx], cov.sigma2[idx], cov.n1, cov.n2, keep)
+    sub = cov.restrict(subset)
+    assert type(sub) is dd.CovariancePair
+    assert _fields(sub) == _fields(checked)
+
+
+@FIXED
+@given(delta_precisions(), st.data())
+def test_delta_restrict_and_threshold_build_what_the_checked_constructor_builds(dp, data):
+    subset = data.draw(st.sets(st.sampled_from(dp.labels)))
+    keep = tuple(lab for lab in dp.labels if lab in subset)
+    idx = np.ix_([dp.index(lab) for lab in keep], [dp.index(lab) for lab in keep])
+    checked = dd.DeltaPrecision(dp.matrix[idx], keep, dp.threshold_applied)
+    assert _fields(dp.restrict(subset)) == _fields(checked)
+
+    epsilon = data.draw(st.floats(1e-3, 5.0))
+    m = dp.matrix.copy()
+    m[np.abs(m) <= epsilon] = 0.0
+    assert _fields(dd.threshold(dp, epsilon)) == _fields(dd.DeltaPrecision(m, dp.labels, epsilon))
+
+
 @st.composite
 def edge_sets(draw):
     vertices = draw(st.sets(st.integers(-50, 50), max_size=8))
