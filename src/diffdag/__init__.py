@@ -45,11 +45,7 @@ from .experiments import (
 from .oracles import (
     AssumptionReport,
     check_assumptions,
-    delta_omega_entry,
-    is_terminal_invariant,
-    marginalize_sem,
     minimax_sample_bound,
-    partial_correlation,
 )
 from .pipeline import (
     LayeredOrder,
@@ -109,19 +105,15 @@ __all__ = [
     "compute_order",
     "covariance",
     "dantzig_selector",
-    "delta_omega_entry",
     "difference_edge_set",
     "estimate",
     "estimate_dantzig",
     "format_summary_table",
     "generate_sem_pair",
-    "is_terminal_invariant",
     "load_data_csv",
     "load_sem",
-    "marginalize_sem",
     "minimax_sample_bound",
     "orient_edges",
-    "partial_correlation",
     "precision",
     "prune",
     "run_pipeline",

@@ -62,7 +62,7 @@ from .errors import (
     InfeasibleEstimateError,
     InvalidCovarianceError,
 )
-from .sem import CovariancePair, _Labeled, _symmetrize
+from .sem import CovariancePair, _Labeled, _real, _symmetrize
 
 # HiGHS's primal feasibility tolerance, which also sets the slack of the
 # residual check, and its simplex/IPM iteration limit.
@@ -106,8 +106,10 @@ class DeltaPrecision(_Labeled):
         if m.size and float(np.abs(m - m.T).max()) > 1e-10 * scale:
             raise ValueError("matrix must be symmetric")
         self._set_labels(p, ValueError)
-        if self.threshold_applied < 0.0:
-            raise ValueError("threshold_applied must be nonnegative")
+        if not 0.0 <= _real("threshold_applied", self.threshold_applied) < math.inf:
+            raise ValueError(
+                f"threshold_applied must be finite and nonnegative, got {self.threshold_applied!r}"
+            )
         if self.threshold_applied > 0.0:
             absm = np.abs(m)
             bad = (absm > 0.0) & (absm <= self.threshold_applied)
@@ -151,7 +153,7 @@ class DeltaPrecision(_Labeled):
         return cls(
             matrix=np.array(obj["matrix"], dtype=float),
             labels=tuple(obj.get("labels") or ()),
-            threshold_applied=float(obj.get("threshold", 0.0)),
+            threshold_applied=obj.get("threshold", 0.0),
         )
 
 
@@ -169,9 +171,9 @@ class EstimatorConfig:
     lambda_auto: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_n < math.inf:
+        if not 0.0 <= _real("lambda_n", self.lambda_n) < math.inf:
             raise ValueError(f"lambda_n must be finite and nonnegative, got {self.lambda_n!r}")
-        if not 0.0 < self.epsilon < math.inf:
+        if not 0.0 < _real("epsilon", self.epsilon) < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if not isinstance(self.lambda_auto, bool):
             raise ValueError(f"lambda_auto must be true or false, got {self.lambda_auto!r}")
@@ -325,7 +327,7 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     model_status = _highs().HighsModelStatus
     s1 = np.asarray(sigma1, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
-    if not 0.0 <= lambda_n < math.inf:
+    if not 0.0 <= _real("lambda_n", lambda_n) < math.inf:
         raise ValueError(f"lambda_n must be finite and nonnegative, got {lambda_n!r}")
     if s1.ndim != 2 or s1.shape[0] != s1.shape[1] or s1.shape != s2.shape or not s1.size:
         raise ValueError("sigma1 and sigma2 must be square, non-empty and of one shape, "
@@ -368,7 +370,7 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
 
 def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
     """Zero all entries with magnitude at or below epsilon (inclusive)."""
-    if not 0.0 < epsilon < math.inf:
+    if not 0.0 < _real("epsilon", epsilon) < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     m = dp.matrix.copy()
     m[np.abs(m) <= epsilon] = 0.0

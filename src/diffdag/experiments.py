@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -246,15 +246,7 @@ class CellSummary:
     sds: dict
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "c": self.c,
-            "n": self.n,
-            "count": self.count,
-            "failures": self.failures,
-            "means": self.means,
-            "sds": self.sds,
-        }
+        return asdict(self)
 
 
 def aggregate(records: list[ExperimentRecord]) -> list[CellSummary]:

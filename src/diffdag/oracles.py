@@ -1,15 +1,14 @@
-"""Closed-form cross-checks, independent of the matrix estimation paths.
+"""The paper's recovery assumptions and its sample-count lower bound.
 
-Vertex removal follows the explicit edge-weight and noise-variance update
-formulas (verified elsewhere against Schur complements), precision-difference
-entries come from the parent and common-children expansion of
-(I-B)^T D^-1 (I-B), and the assumption checker works from partial
-correlations of restricted covariance matrices. These routines exist to
-validate the estimators and the recovery pipeline. The generator also calls
-``check_assumptions`` on every candidate pair, so that one enumerates its
+``check_assumptions`` certifies that a SEM pair supports exact recovery of
+its difference DAG: invariant vertices keep their edges, and every
+difference edge stays separated by 2*eps in partial correlation and in its
+parent's conditional precision over the ancestor-closed subsets that hold
+it. The generator calls it on every candidate pair, so it enumerates those
 subsets lazily, per edge, as 64-bit masks (so at most 64 non-invariant
-vertices), and reads their gaps from a Cholesky tail in stacks; the rest
-favor clarity over speed.
+vertices), and reads their gaps from a Cholesky tail in stacks.
+``minimax_sample_bound`` is the Omega(d log(p/d)) threshold below which no
+method recovers the difference DAG reliably.
 """
 
 from __future__ import annotations
@@ -20,119 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiffDagError
-from .sem import ZERO_TOL, Sem, covariance, difference_edge_set, precision
+from .sem import ZERO_TOL, Sem, _real, covariance, difference_edge_set, precision
 
 # The most ancestor-closed subsets check_assumptions walks; past it the
 # check is inconclusive.
 SUBSET_BUDGET = 100_000
-
-
-def marginalize_sem(sem: Sem, removed) -> Sem:
-    """The SEM over the retained vertices after integrating out ``removed``.
-
-    For each retained vertex j, with Anc_j the vertices weakly preceding j in
-    the canonical topological order and U_j = Anc_j intersect removed:
-
-        var_j'  = var_j^2 / (var_j - B[j, U_j] W^-1 B[j, U_j]^T)
-        B'[j,k] = (var_j' / var_j) * (B[j, k] - B[j, U_j] W^-1 W_k)
-
-    where W = Omega^{Anc_j}[U_j, U_j] and W_k = Omega^{Anc_j}[U_j, k] come
-    from the precision matrix of the marginal over Anc_j, and B'[j, k] = 0
-    for k outside Anc_j. Removing vertices that are terminal leaves the
-    retained rows and variances untouched.
-    """
-    removed = frozenset(removed)
-    unknown = removed - set(sem.labels)
-    if unknown:
-        raise KeyError(f"unknown vertex labels {sorted(unknown, key=repr)!r}")
-    retained = [lab for lab in sem.labels if lab not in removed]
-    if not retained:
-        raise ValueError("cannot remove every vertex")
-    if not removed:
-        return sem
-
-    topo = sem.topological_order()
-    pos = {lab: k for k, lab in enumerate(topo)}
-    cov = covariance(sem)
-    q = len(retained)
-    new_idx = {lab: k for k, lab in enumerate(retained)}
-    b_new = np.zeros((q, q))
-    nv_new = np.zeros(q)
-
-    for j in retained:
-        jj = sem.index(j)
-        var_j = float(sem.noise_vars[jj])
-        anc = topo[: pos[j] + 1]
-        u_j = [lab for lab in anc if lab in removed]
-        b_ju = sem.b[jj, [sem.index(lab) for lab in u_j]] if u_j else np.zeros(0)
-        if not u_j or not np.any(b_ju):
-            # no removed ancestor feeds j: the correction vanishes exactly,
-            # covering terminal-vertex removal bit for bit
-            nv_new[new_idx[j]] = var_j
-            for k in anc:
-                if k != j and k in new_idx:
-                    b_new[new_idx[j], new_idx[k]] = sem.b[jj, sem.index(k)]
-            continue
-        anc_idx = [sem.index(lab) for lab in anc]
-        om_anc = np.linalg.inv(cov[np.ix_(anc_idx, anc_idx)])
-        a_pos = {lab: t for t, lab in enumerate(anc)}
-        u_pos = [a_pos[lab] for lab in u_j]
-        w = om_anc[np.ix_(u_pos, u_pos)]  # a principal block of a precision matrix
-        corr = np.linalg.solve(w, b_ju)
-        var_new = var_j**2 / (var_j - float(b_ju @ corr))
-        nv_new[new_idx[j]] = var_new
-        for k in anc:
-            if k == j or k not in new_idx:
-                continue
-            om_uk = om_anc[u_pos, a_pos[k]]
-            b_new[new_idx[j], new_idx[k]] = (var_new / var_j) * (
-                sem.b[jj, sem.index(k)] - float(b_ju @ np.linalg.solve(w, om_uk))
-            )
-    return Sem(b_new, nv_new, tuple(retained))
-
-
-def delta_omega_entry(sem1: Sem, sem2: Sem, i, j) -> float:
-    """Closed-form (i, j) entry of precision(sem1) - precision(sem2).
-
-    Requires shared noise variances. The value is the direct edge-difference
-    contribution plus the common-children sums of each model; on the diagonal
-    only the children terms survive.
-    """
-    _require_shared(sem1, sem2)
-    nv = sem1.noise_vars
-    ii, jj = sem1.index(i), sem1.index(j)
-    b1, b2 = sem1.b, sem2.b
-    val = 0.0
-    if ii != jj:
-        val += (b2[ii, jj] - b1[ii, jj]) / nv[ii]
-        val += (b2[jj, ii] - b1[jj, ii]) / nv[jj]
-    for k in range(sem1.p):
-        if b1[k, ii] != 0.0 and b1[k, jj] != 0.0:
-            val += b1[k, ii] * b1[k, jj] / nv[k]
-        if b2[k, ii] != 0.0 and b2[k, jj] != 0.0:
-            val -= b2[k, ii] * b2[k, jj] / nv[k]
-    return float(val)
-
-
-def is_terminal_invariant(sem1: Sem, sem2: Sem, i) -> bool:
-    """Whether column i of the edge-weight matrices is unchanged.
-
-    A vertex with unchanged outgoing edges is terminal in the difference DAG
-    and has a zero diagonal entry in the precision difference; that identity
-    is re-verified through the matrix product as a self-check.
-    """
-    _require_shared(sem1, sem2)
-    ii = sem1.index(i)
-    invariant = bool(np.array_equal(sem1.b[:, ii], sem2.b[:, ii]))
-    if invariant:
-        dd = float((precision(sem1) - precision(sem2))[ii, ii])
-        if abs(dd) > ZERO_TOL:
-            raise DiffDagError(
-                f"column-invariant vertex {i!r} has nonzero precision-difference "
-                f"diagonal {dd:g}; shared noise variances were violated"
-            )
-    return invariant
 
 
 def _require_shared(sem1: Sem, sem2: Sem) -> None:
@@ -151,18 +42,6 @@ def _cholesky_tail(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tail = np.linalg.cholesky(stack)[..., -1, -2:]
     b, c = tail[..., 0], tail[..., 1]
     return b / np.hypot(b, c), 1.0 / (c * c)
-
-
-def partial_correlation(cov: np.ndarray, labels: tuple, i, j, given) -> float:
-    """Partial correlation of X_i and X_j given X_S, from the covariance.
-
-    Computed from the Cholesky tail of the covariance restricted to S, then
-    i, then j.
-    """
-    index = {lab: k for k, lab in enumerate(labels)}
-    rest = set(given) - {i, j}
-    idx = [index[lab] for lab in labels if lab in rest] + [index[i], index[j]]
-    return float(_cholesky_tail(cov[np.ix_(idx, idx)])[0])
 
 
 @dataclass(frozen=True)
@@ -294,7 +173,7 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     violated gap ends the check; ``subsets_checked`` counts the (edge,
     subset) pairs examined up to and including it, and ``detail`` names it.
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+    if not 0.0 <= _real("epsilon", epsilon) < math.inf:
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     _require_shared(sem1, sem2)
     delta = difference_edge_set(sem1, sem2)

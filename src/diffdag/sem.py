@@ -54,6 +54,13 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-real value raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _canonical_topo_positions(support: np.ndarray) -> list[int]:
     """Lexicographically minimal topological order of the row indices.
 
@@ -320,10 +327,11 @@ class CovariancePair(_Labeled):
                 raise InvalidCovarianceError(f"{name} is not symmetric")
         if s1.shape != s2.shape:
             raise InvalidCovarianceError("covariance matrices must share a dimension")
-        if self.n1 < 0 or self.n2 < 0:
-            raise InvalidCovarianceError("sample counts must be nonnegative")
         p = s1.shape[0]
-        for name, n in (("n1", self.n1), ("n2", self.n2)):
+        for name in ("n1", "n2"):
+            n = _integer(name, getattr(self, name))
+            if n < 0:
+                raise InvalidCovarianceError(f"{name} must be nonnegative, got {n}")
             if 0 < n < p:
                 raise InvalidCovarianceError(
                     f"{name}={n} samples are fewer than the p={p} variables; "
@@ -406,11 +414,11 @@ class SemPairGenConfig:
             object.__setattr__(self, "expected_neighbors", float(min(np.sqrt(self.p), self.p - 1)))
         if self.edge_change_prob is None:
             object.__setattr__(self, "edge_change_prob", 0.5 / self.p)
-        if not 0.0 < self.edge_change_prob < 1.0:
+        if not 0.0 < _real("edge_change_prob", self.edge_change_prob) < 1.0:
             raise ValueError("edge_change_prob must lie strictly between 0 and 1")
-        if not 0.0 < self.expected_neighbors <= self.p - 1:
+        if not 0.0 < _real("expected_neighbors", self.expected_neighbors) <= self.p - 1:
             raise ValueError("expected_neighbors must lie in (0, p-1]")
-        if not 0.0 <= self.min_delta_omega < np.inf:
+        if not 0.0 <= _real("min_delta_omega", self.min_delta_omega) < np.inf:
             raise ValueError(
                 f"min_delta_omega must be finite and nonnegative, got {self.min_delta_omega!r}"
             )
@@ -560,7 +568,12 @@ def load_sem(path) -> Sem:
 
 
 def save_data_csv(data: np.ndarray, path) -> None:
-    """One observation per row, comma separated, no header."""
+    """One observation per row, comma separated, no header.
+
+    This is the format of the CLI's ``--data1``/``--data2`` files, which
+    ``load_data_csv`` reads; the package never calls it, and it is public so
+    that a caller can write that input (e.g. from ``sample``).
+    """
     np.savetxt(path, np.asarray(data, dtype=float), delimiter=",")
 
 

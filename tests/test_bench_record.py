@@ -1,5 +1,6 @@
 """``tools/bench_record.py`` rejects a pair count its quartiles cannot use,
-and times the same C07 grid that the acceptance suite runs."""
+times the same C07 grid that the acceptance suite runs, and counts each
+end-to-end metric's wins in the direction ``BENCHMARK.json`` calls better."""
 
 import importlib.util
 import subprocess
@@ -12,6 +13,13 @@ import diffdag as dd
 from helpers import C07_SWEEP
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
@@ -30,9 +38,7 @@ def test_c07_grid_is_the_acceptance_fixture_grid(monkeypatch):
     # exec the script the tool hands a fresh interpreter, with the sweep
     # stubbed out: the records.csv hash in every BENCH file is then the one
     # trend_records checks
-    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool()
 
     class Captured(Exception):
         pass
@@ -44,3 +50,29 @@ def test_c07_grid_is_the_acceptance_fixture_grid(monkeypatch):
     with pytest.raises(Captured) as caught:
         exec(tool.C07_GRID, {"__name__": "__c07_grid__"})
     assert caught.value.args == (C07_SWEEP,)
+
+
+def test_wins_follow_each_metrics_better_side():
+    # three pairs: the change is faster twice and ties once on ops_per_s,
+    # and uses less memory once, more once and the same once
+    runs = [
+        {"parent": {"ops_per_s": 10.0, "peak_rss_mb": 50.0, "f_score_mean": 0.5},
+         "change": {"ops_per_s": 11.0, "peak_rss_mb": 49.0, "f_score_mean": 0.5}},
+        {"parent": {"ops_per_s": 10.0, "peak_rss_mb": 50.0, "f_score_mean": 0.5},
+         "change": {"ops_per_s": 12.0, "peak_rss_mb": 51.0, "f_score_mean": 0.5}},
+        {"parent": {"ops_per_s": 10.0, "peak_rss_mb": 50.0, "f_score_mean": 0.5},
+         "change": {"ops_per_s": 10.0, "peak_rss_mb": 50.0, "f_score_mean": 0.5}},
+    ]
+    better = {"ops_per_s": "higher", "peak_rss_mb": "lower", "f_score_mean": "higher"}
+    assert _tool().tally(runs, better) == {
+        "ops_per_s": {"wins": 2, "losses": 0, "pairs": 3},
+        "peak_rss_mb": {"wins": 1, "losses": 1, "pairs": 3},
+        "f_score_mean": {"wins": 0, "losses": 0, "pairs": 3},
+    }
+
+
+def test_directions_come_from_the_benchmark_file():
+    better = _tool().directions(TOOL.parent.parent / "BENCHMARK.json")
+    assert better["ops_per_s"] == "higher"
+    assert better["setup_s"] == better["peak_rss_mb"] == "lower"
+    assert set(better.values()) == {"higher", "lower"}

@@ -526,9 +526,13 @@ class TestSweep:
         ({"fixed_n": 5.5}, "fixed_n must be an integer, got 5.5"),
         ({"seed_base": -1}, "seed_base must be non-negative, got -1"),
         ({"seed_base": 1.5}, "seed_base must be an integer, got 1.5"),
+        # a bool is not a real setting: "epsilon": true would run at epsilon 1
+        ({"pipeline": {"estimator": "dantzig", "est_cfg": {"epsilon": True}}},
+         "epsilon must be a real number, got True"),
+        ({"gen": {"p": 5, "min_delta_omega": True}}, "min_delta_omega must be a real number, got True"),
     ], ids=["lambda_auto-string", "p_values-fraction", "c_values-fraction",
             "repetitions-fraction", "repetitions-bool", "fixed_n-fraction",
-            "seed_base-negative", "seed_base-fraction"])
+            "seed_base-negative", "seed_base-fraction", "epsilon-bool", "min_delta_omega-bool"])
     def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, entry, message):
         cfg = {"p_values": [5], "c_values": [5], "repetitions": 1, "gen": {"p": 5}, **entry}
         bad = tmp_path / "bad.json"

@@ -61,6 +61,16 @@ class TestDeltaPrecisionType:
         with pytest.raises(ValueError):
             DeltaPrecision(m, threshold_applied=0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_threshold_rejected(self, value):
+        # to_json would write it as NaN or Infinity
+        with pytest.raises(ValueError, match=f"threshold_applied must be finite and nonnegative, got {value!r}"):
+            DeltaPrecision(np.zeros((2, 2)), threshold_applied=value)
+
+    def test_bool_threshold_in_json_rejected(self):
+        with pytest.raises(ValueError, match="threshold_applied must be a real number, got True"):
+            DeltaPrecision.from_json({"matrix": [[0.0]], "threshold": True})
+
     def test_json_round_trip(self):
         dp = DeltaPrecision(np.array([[0.5, 0.0], [0.0, -0.3]]), (2, 7), 0.1)
         back = DeltaPrecision.from_json(dp.to_json())
@@ -170,6 +180,16 @@ class TestDantzig:
     def test_non_finite_config_rejected_naming_the_value(self, field, value):
         with pytest.raises(ValueError, match=rf"{field} must be finite .*, got {value!r}"):
             EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lambda_n", "epsilon"])
+    def test_bool_config_rejected_naming_the_field(self, field):
+        # True would stand for 1.0
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got True"):
+            EstimatorConfig(**{field: True})
+
+    def test_numpy_reals_accepted(self):
+        cfg = EstimatorConfig(lambda_n=np.float32(0.25), epsilon=np.float64(0.5))
+        assert (cfg.lambda_n, cfg.epsilon) == (0.25, 0.5)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="lambda_n must be finite and nonnegative, got -0.5"):
@@ -324,6 +344,12 @@ def test_bad_radius_rejected_before_the_solver(lam, monkeypatch):
     monkeypatch.setattr(estimators, "_program", _no_program)
     with pytest.raises(ValueError, match=rf"lambda_n must be finite and nonnegative, got {lam!r}"):
         dantzig_selector(np.eye(3), 2.0 * np.eye(3), lam)
+
+
+def test_bool_radius_rejected_before_the_solver(monkeypatch):
+    monkeypatch.setattr(estimators, "_program", _no_program)
+    with pytest.raises(ValueError, match="lambda_n must be a real number, got True"):
+        dantzig_selector(np.eye(3), 2.0 * np.eye(3), True)
 
 
 @pytest.mark.parametrize(
@@ -701,3 +727,8 @@ class TestThreshold:
         dp = DeltaPrecision(np.array([[0.3, 0.1], [0.1, -0.5]]))
         with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon!r}"):
             threshold(dp, epsilon)
+
+    def test_bool_epsilon_rejected(self):
+        dp = DeltaPrecision(np.array([[0.3, 0.1], [0.1, -0.5]]))
+        with pytest.raises(ValueError, match="epsilon must be a real number, got True"):
+            threshold(dp, True)

@@ -14,12 +14,37 @@ def test_all_is_sorted_unique_and_resolves():
         assert getattr(dd, name) is not None, name
 
 
+def test_all_is_pinned():
+    # a public name is added or brought back only with a change to this list
+    assert dd.__all__ == [
+        "AssumptionReport", "CellSummary", "CovariancePair", "DagEdgeSet", "DeltaPrecision",
+        "DiffDagError", "EstimatorConfig", "EstimatorConvergenceError", "ExperimentRecord",
+        "GenerationExhaustedError", "InfeasibleEstimateError", "InvalidCovarianceError",
+        "InvalidModelError", "LayeredOrder", "OrderStallError", "PartialPruneWarning",
+        "PipelineConfig", "PipelineResult", "ScoreResult", "Sem", "SemPairGenConfig",
+        "SweepConfig", "VertexMismatchError", "aggregate", "check_assumptions", "compute_order",
+        "covariance", "dantzig_selector", "difference_edge_set", "estimate", "estimate_dantzig",
+        "format_summary_table", "generate_sem_pair", "load_data_csv", "load_sem",
+        "minimax_sample_bound", "orient_edges", "precision", "prune", "run_pipeline", "run_sweep",
+        "run_trial", "sample", "sample_budget", "save_data_csv", "save_sem", "score",
+        "solve_population", "threshold", "write_plot_tsv", "write_records_csv",
+        "write_summary_json",
+    ]
+
+
 def test_deleted_names_stay_gone():
     assert "IncoherenceReport" not in dd.__all__
     assert not hasattr(dd.estimators, "IncoherenceReport")
     # used only inside sem, by CovariancePair.from_data
     assert "empirical_covariance" not in dd.__all__
     assert not hasattr(dd, "empirical_covariance")
+    # nothing in the package runs them: the two closed forms are in
+    # tests/helpers.py, and the other two were wrappers
+    for name in ("marginalize_sem", "delta_omega_entry", "is_terminal_invariant",
+                 "partial_correlation"):
+        assert name not in dd.__all__
+        assert not hasattr(dd, name), name
+        assert not hasattr(dd.oracles, name), name
 
 
 def test_unneeded_members_stay_gone():
@@ -28,7 +53,7 @@ def test_unneeded_members_stay_gone():
     assert not hasattr(dd.SemPairGenConfig, "to_json")
     assert not hasattr(dd.sem, "sem_to_json")
     assert not hasattr(dd.sem, "sem_from_json")
-    # marginalize_sem returns the Sem itself; no test-only accessors on Sem
+    # no test-only accessors on Sem
     assert "MarginalSem" not in dd.__all__
     assert not hasattr(dd.oracles, "MarginalSem")
     for member in ("parents", "children", "edge_set"):

@@ -1,8 +1,8 @@
 """Vertex-removal formulas, closed-form entries, assumption checks, bound.
 
-The Schur complement of the precision matrix is the reference for every
-marginalization claim; the matrix product (I-B)^T D^-1 (I-B) is the reference
-for entry formulas.
+The two closed forms live in tests/helpers.py. The Schur complement of the
+precision matrix is the reference for every marginalization claim; the matrix
+product (I-B)^T D^-1 (I-B) is the reference for entry formulas.
 """
 
 import math
@@ -12,20 +12,10 @@ import pytest
 
 import diffdag as dd
 from diffdag import oracles
-from diffdag import (
-    Sem,
-    check_assumptions,
-    covariance,
-    delta_omega_entry,
-    is_terminal_invariant,
-    marginalize_sem,
-    minimax_sample_bound,
-    partial_correlation,
-    precision,
-)
+from diffdag import Sem, check_assumptions, covariance, minimax_sample_bound, precision
 from diffdag.oracles import AssumptionReport
 from diffdag.sem import difference_edge_set
-from helpers import chain_sem, perturb_sem, random_sem
+from helpers import chain_sem, delta_omega_entry, marginalize_sem, perturb_sem, random_sem
 
 
 def _schur_precision(sem, retained_labels):
@@ -180,19 +170,21 @@ class TestDeltaOmegaEntry:
 
 
 class TestIsTerminalInvariant:
+    """A vertex whose column of B is unchanged is terminal in the difference
+    DAG, and its precision-difference diagonal is zero."""
+
     def test_identical_sems_all_invariant(self):
         sem = random_sem(np.random.default_rng(4), 6)
         dom = precision(sem) - precision(sem)
-        for lab in sem.labels:
-            assert is_terminal_invariant(sem, sem, lab)
-            assert abs(dom[sem.index(lab), sem.index(lab)]) == 0.0
+        for i in range(sem.p):
+            assert abs(dom[i, i]) == 0.0
 
     def test_changed_outgoing_edge_not_invariant(self):
         sem1 = chain_sem([0.5])  # edge 0 <- 1
         b2 = np.array(sem1.b)
         b2[0, 1] = 0.9
         sem2 = Sem(b2, sem1.noise_vars)
-        assert not is_terminal_invariant(sem1, sem2, 1)
+        assert not np.array_equal(sem1.b[:, 1], sem2.b[:, 1])
         assert (precision(sem1) - precision(sem2))[1, 1] != 0.0
 
     def test_changed_incoming_edge_stays_invariant(self):
@@ -200,7 +192,7 @@ class TestIsTerminalInvariant:
         b2 = np.array(sem1.b)
         b2[0, 1] = 0.9
         sem2 = Sem(b2, sem1.noise_vars)
-        assert is_terminal_invariant(sem1, sem2, 0)
+        assert np.array_equal(sem1.b[:, 0], sem2.b[:, 0])
         assert abs((precision(sem1) - precision(sem2))[0, 0]) < 1e-12
 
 
@@ -250,6 +242,11 @@ class TestCheckAssumptions:
         sem = random_sem(np.random.default_rng(0), 4)
         with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
             check_assumptions(sem, sem, epsilon)
+
+    def test_bool_epsilon_rejected(self):
+        sem = random_sem(np.random.default_rng(0), 4)
+        with pytest.raises(ValueError, match="epsilon must be a real number, got True"):
+            check_assumptions(sem, sem, True)
 
     def test_zero_epsilon_passes_every_gap(self):
         # min_delta_omega = 0 is a legal generator setting, and it checks at 0
@@ -305,17 +302,20 @@ class TestMinimaxSampleBound:
 
 
 class TestPartialCorrelation:
+    """``_cholesky_tail`` on a submatrix ordered as the conditioning set, then
+    i, then j, gives the partial correlation of X_i and X_j."""
+
     def test_marginal_correlation(self):
         cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-        assert partial_correlation(cov, (0, 1), 0, 1, ()) == pytest.approx(0.6)
+        assert float(oracles._cholesky_tail(cov)[0]) == pytest.approx(0.6)
 
     def test_chain_middle_separates_ends(self):
         sem = chain_sem([0.7, 0.7])
         cov = covariance(sem)
-        rho = partial_correlation(cov, sem.labels, 0, 2, (1,))
-        assert abs(rho) < 1e-12
-        marginal = partial_correlation(cov, sem.labels, 0, 2, ())
-        assert abs(marginal) > 0.1
+        rho, _ = oracles._cholesky_tail(cov[np.ix_([1, 0, 2], [1, 0, 2])])
+        assert abs(float(rho)) < 1e-12
+        marginal, _ = oracles._cholesky_tail(cov[np.ix_([0, 2], [0, 2])])
+        assert abs(float(marginal)) > 0.1
 
 
 def _reference_ancestor_closed_subsets(vertices: list, parents: dict, cap: int):

@@ -193,6 +193,18 @@ class TestCovariancePair:
         with pytest.raises(InvalidCovarianceError, match=f"{name}=2 samples"):
             CovariancePair(np.eye(3), np.eye(3), **counts)
 
+    @pytest.mark.parametrize("name", ["n1", "n2"])
+    @pytest.mark.parametrize("value, message", [
+        (3.5, "must be an integer, got 3.5"),
+        (True, "must be an integer, got True"),
+        (-1, "must be nonnegative, got -1"),
+    ], ids=["fraction", "bool", "negative"])
+    def test_bad_sample_count_rejected_naming_it(self, name, value, message):
+        # the auto radius divides by the count
+        counts = {"n1": 10, "n2": 10, name: value}
+        with pytest.raises(ValueError, match=f"{name} {message}"):
+            CovariancePair(np.eye(3), np.eye(3), **counts)
+
     def test_from_data_with_fewer_rows_than_columns_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidCovarianceError, match="n1=6 samples"):
@@ -294,6 +306,11 @@ class TestGenerateSemPair:
             SemPairGenConfig(p=5, edge_change_prob=0.0)
         with pytest.raises(ValueError):
             SemPairGenConfig(p=5, min_delta_omega=-0.1)
+
+    @pytest.mark.parametrize("field", ["expected_neighbors", "edge_change_prob", "min_delta_omega"])
+    def test_bool_real_setting_rejected_naming_it(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got True"):
+            SemPairGenConfig(p=5, **{field: True})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_min_delta_omega_must_be_finite_and_nonnegative(self, value):

@@ -15,8 +15,10 @@ at a time, from each tree's own files:
 - the Tier-1 suite, timed.
 
 The file holds every run's end-to-end metrics, each metric's median and
-quartiles per side, the pairs the change wins on ``ops_per_s``, the traced
-per-layer metrics, and the host's core count and RAM.
+quartiles per side, the pairs the change wins and loses on each end-to-end
+metric (in the direction the change checkout's ``BENCHMARK.json`` calls
+better; a tie counts for neither side), the traced per-layer metrics, and the
+host's core count and RAM.
 """
 
 from __future__ import annotations
@@ -118,7 +120,26 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare_workload(trees: dict, workload: str, pairs: int, seconds: float, seed_base: int) -> dict:
+def directions(benchmark: Path) -> dict:
+    """Each end-to-end metric of a ``BENCHMARK.json``, mapped to its better side."""
+    with open(benchmark, encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def tally(runs: list[dict], better: dict) -> dict:
+    """Per end-to-end metric, the pairs the change wins and loses; a pair
+    with equal values counts for neither."""
+    sign = {"higher": 1.0, "lower": -1.0}
+    out = {}
+    for metric, side in better.items():
+        gains = [sign[side] * (r["change"][metric] - r["parent"][metric]) for r in runs]
+        out[metric] = {"wins": sum(g > 0 for g in gains), "losses": sum(g < 0 for g in gains),
+                       "pairs": len(runs)}
+    return out
+
+
+def compare_workload(trees: dict, workload: str, pairs: int, seconds: float, seed_base: int,
+                     better: dict) -> dict:
     runs = []
     for k in range(pairs):
         seed = seed_base + k
@@ -138,11 +159,10 @@ def compare_workload(trees: dict, workload: str, pairs: int, seconds: float, see
             f"{side} {pair[side]['ops_per_s']:.4f}/s" for side in SIDES), flush=True)
     metrics = [m for m in runs[0]["parent"] if m not in ("correct", "attempted", "failed")]
     summary = {m: {side: spread([r[side][m] for r in runs]) for side in SIDES} for m in metrics}
-    wins = sum(r["change"]["ops_per_s"] > r["parent"]["ops_per_s"] for r in runs)
     return {
         "env": {k: env[k] for k in ("nproc", "cpus_usable", "ram_mb", "python", "numpy", "scipy")},
         "summary": summary,
-        "ops_per_s_wins": f"{wins}/{pairs}",
+        "wins": tally(runs, better),
         "runs": runs,
     }
 
@@ -157,6 +177,7 @@ def main() -> int:
     parser.add_argument("--seed-base", type=int, default=100)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    better = directions(trees["change"] / "BENCHMARK.json")
 
     record: dict = {
         "command": f"python3 perfbench/run.py --seconds {args.seconds:g} --trace 0",
@@ -171,7 +192,7 @@ def main() -> int:
 
     for workload in WORKLOADS:
         record["workloads"][workload] = compare_workload(
-            trees, workload, args.pairs, args.seconds, args.seed_base)
+            trees, workload, args.pairs, args.seconds, args.seed_base, better)
         save()
     for workload in WORKLOADS:
         record["traced"][workload] = {side: traced(trees[side], workload) for side in SIDES}
