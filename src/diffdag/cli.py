@@ -35,6 +35,8 @@ from .sem import (
     CovariancePair,
     Sem,
     SemPairGenConfig,
+    _write_json,
+    _write_lines,
     generate_sem_pair,
     load_data_csv,
     load_sem,
@@ -80,12 +82,6 @@ def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_generate(args, parser) -> int:
@@ -212,8 +208,7 @@ def _cmd_sweep(args, parser) -> int:
     write_records_csv(records, out / "records.csv")
     write_summary_json(summaries, out / "summary.json")
     write_plot_tsv(summaries, out / "plot.tsv")
-    with open(out / "table.txt", "w", encoding="utf-8") as fh:
-        fh.write(format_summary_table(summaries))
+    _write_lines(format_summary_table(summaries).splitlines(), out / "table.txt")
     print(f"wrote records.csv, summary.json, plot.tsv, table.txt to {out} "
           f"({len(records)} trials, {len(summaries)} cells)")
     return 0

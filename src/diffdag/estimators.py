@@ -62,7 +62,7 @@ from .errors import (
     InfeasibleEstimateError,
     InvalidCovarianceError,
 )
-from .sem import CovariancePair, _Labeled, _real, _symmetrize
+from .sem import CovariancePair, _Labeled, _matrix, _real, _symmetrize
 
 # HiGHS's primal feasibility tolerance, which also sets the slack of the
 # residual check, and its simplex/IPM iteration limit.
@@ -98,14 +98,8 @@ class DeltaPrecision(_Labeled):
     threshold_applied: float = 0.0
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got {m.shape}")
-        p = m.shape[0]
-        scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-        if m.size and float(np.abs(m - m.T).max()) > 1e-10 * scale:
-            raise ValueError("matrix must be symmetric")
-        self._set_labels(p, ValueError)
+        m = _matrix("matrix", self.matrix, ValueError, 1e-10)
+        self._set_labels(m.shape[0], ValueError)
         if not 0.0 <= _real("threshold_applied", self.threshold_applied) < math.inf:
             raise ValueError(
                 f"threshold_applied must be finite and nonnegative, got {self.threshold_applied!r}"
@@ -115,7 +109,6 @@ class DeltaPrecision(_Labeled):
             bad = (absm > 0.0) & (absm <= self.threshold_applied)
             if bad.any():
                 raise ValueError("entries at or below the threshold must be exactly zero")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property

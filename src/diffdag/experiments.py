@@ -4,12 +4,13 @@ A sweep walks a grid of vertex counts and sample-size constants, runs
 repeated trials with per-trial derived seeds, and scores each recovered edge
 set against the generator's ground truth. Records are deterministic given the
 base seed; the emitted CSV, JSON summary and plot table are byte-stable
-across runs, and no runtime is measured.
+across runs, and no runtime is measured. A ``records.csv`` row is built from
+``CSV_COLUMNS``, and every file is written through ``sem._write_lines`` or
+``sem._write_json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
@@ -24,7 +25,8 @@ from .errors import (
 )
 from .estimators import EstimatorConfig
 from .pipeline import PipelineConfig, run_pipeline
-from .sem import CovariancePair, DagEdgeSet, SemPairGenConfig, _integer, generate_sem_pair, sample
+from .sem import CovariancePair, DagEdgeSet, SemPairGenConfig, generate_sem_pair, sample
+from .sem import _integer, _write_json, _write_lines
 
 _METRICS = ("hamming", "norm_hamming", "precision", "recall", "f_score")
 
@@ -201,12 +203,9 @@ def run_trial(cfg: SweepConfig, p: int, c: int | None, rep: int) -> ExperimentRe
         d_prime=d_prime,
         true_edges=true_delta,
         estimated_edges=estimated,
-        hamming=sc.hamming,
         norm_hamming=norm,
-        precision=sc.precision,
-        recall=sc.recall,
-        f_score=sc.f_score,
         failure=failure,
+        **sc._asdict(),
     )
 
 
@@ -245,9 +244,6 @@ class CellSummary:
     means: dict
     sds: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def aggregate(records: list[ExperimentRecord]) -> list[CellSummary]:
     """Per-cell means and sample standard deviations (sd 0 for single trials)."""
@@ -280,43 +276,31 @@ def aggregate(records: list[ExperimentRecord]) -> list[CellSummary]:
     return out
 
 
+def _csv_cell(value) -> str:
+    """A ``records.csv`` cell: empty for None, 0/1 for a bool, ``repr`` for a
+    float and ``str`` for anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):  # before int: a bool is an int
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def write_records_csv(records: list[ExperimentRecord], path) -> None:
-    """Long-format trial records, one row per trial.
+    """Long-format trial records, one row per trial, one column per name in
+    ``CSV_COLUMNS``.
 
     Repeated runs with the same seeds produce byte-identical files. The
     trailing failure column holds the exception class name of a failed trial
     and is empty otherwise.
     """
-    lines = [CSV_COLUMNS]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.p),
-                    "" if r.c is None else str(r.c),
-                    str(r.n),
-                    str(r.rep),
-                    str(r.seed),
-                    str(r.d_prime),
-                    str(r.hamming),
-                    repr(r.norm_hamming),
-                    repr(r.precision),
-                    repr(r.recall),
-                    repr(r.f_score),
-                    str(int(r.failed)),
-                    r.failure,
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = CSV_COLUMNS.split(",")
+    rows = [",".join(_csv_cell(getattr(r, col)) for col in columns) for r in records]
+    _write_lines([CSV_COLUMNS, *rows], path)
 
 
 def write_summary_json(summaries: list[CellSummary], path) -> None:
-    payload = {"cells": [s.to_dict() for s in summaries]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({"cells": [asdict(s) for s in summaries]}, path)
 
 
 def write_plot_tsv(summaries: list[CellSummary], path) -> None:
@@ -324,8 +308,7 @@ def write_plot_tsv(summaries: list[CellSummary], path) -> None:
     lines = ["p\tc_or_n\tmean_norm_hamming"]
     for s in summaries:
         lines.append(f"{s.p}\t{s.c if s.c is not None else s.n}\t{s.means['norm_hamming']!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def format_summary_table(summaries: list[CellSummary]) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sem import ZERO_TOL, Sem, _real, covariance, difference_edge_set, precision
+from .sem import ZERO_TOL, Sem, _output_order, _real, covariance, difference_edge_set, precision
 
 # The most ancestor-closed subsets check_assumptions walks; past it the
 # check is inconclusive.
@@ -69,8 +69,8 @@ class AssumptionReport:
             "passed": self.passed,
             "failed_condition": self.failed_condition,
             "detail": self.detail,
-            "invariant": sorted(self.invariant),
-            "delta_edges": [list(e) for e in sorted(self.delta_edges)],
+            "invariant": _output_order(self.invariant),
+            "delta_edges": [list(e) for e in _output_order(self.delta_edges)],
             "subsets_checked": self.subsets_checked,
         }
 

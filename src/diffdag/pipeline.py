@@ -32,7 +32,7 @@ from .estimators import (
     solve_population,
     threshold,
 )
-from .sem import ZERO_TOL, CovariancePair, DagEdgeSet
+from .sem import ZERO_TOL, CovariancePair, DagEdgeSet, _output_order
 
 # prune searches at most 2**PRUNE_SUBSET_CAP drop-sets per edge
 PRUNE_SUBSET_CAP = 12
@@ -71,7 +71,7 @@ class LayeredOrder:
         raise KeyError(f"label {label!r} is in no layer")
 
     def to_json(self) -> list:
-        return [sorted(layer) for layer in self.layers]
+        return [_output_order(layer) for layer in self.layers]
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class PipelineResult:
 
     def to_json(self) -> dict:
         return {
-            "invariant": sorted(self.invariant_vertices),
+            "invariant": _output_order(self.invariant_vertices),
             "layers": self.order.to_json(),
             "edges": [list(e) for e in self.delta.sorted_edges()],
             "trace": [
@@ -181,11 +181,13 @@ def compute_order(
         layers.append(frozenset(peeled))
         peeled_set = set(peeled)
         remaining = [lab for lab in remaining if lab not in peeled_set]
-        trace.append({"stage": "order_layer", "layer": sorted(peeled), "remaining": sorted(remaining)})
+        trace.append(
+            {"stage": "order_layer", "layer": _output_order(peeled), "remaining": _output_order(remaining)}
+        )
         if len(remaining) <= 1:
             break
         dp = estimate(cov.restrict(remaining), cfg)
-        trace.append({"stage": "order_estimate", "labels": sorted(remaining), "delta": dp})
+        trace.append({"stage": "order_estimate", "labels": _output_order(remaining), "delta": dp})
     if len(remaining) == 1:
         layers.append(frozenset(remaining))
     return LayeredOrder(tuple(layers))
@@ -197,12 +199,13 @@ def orient_edges(dp: DeltaPrecision, order: LayeredOrder) -> DagEdgeSet:
     For each layer in elimination order and each vertex i in it, every
     support partner j outside the layer contributes the edge (i, j) unless
     the reverse was already added. Earlier-eliminated vertices therefore end
-    up as children.
+    up as children. The result does not depend on the order of the vertices
+    within a layer, or of their partners.
     """
     delta: set = set()
     for layer in order.layers:
-        for i in sorted(layer):
-            for j in sorted(dp.nonzero_partners(i)):
+        for i in layer:
+            for j in dp.nonzero_partners(i):
                 if j in layer or (j, i) in delta:
                     continue
                 delta.add((i, j))
@@ -241,10 +244,11 @@ def prune(
             if retained not in cache:
                 cache[retained] = estimate(cov.restrict(retained), cfg)
             entry = cache[retained].entry(i, j)
-            trace.append({"stage": "prune_test", "edge": [i, j], "dropped": sorted(drop), "entry": entry})
+            dropped = _output_order(drop)
+            trace.append({"stage": "prune_test", "edge": [i, j], "dropped": dropped, "entry": entry})
             if entry == 0.0:
                 kept.discard((i, j))
-                trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": sorted(drop)})
+                trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": dropped})
                 break
         else:
             if len(desc) > PRUNE_SUBSET_CAP:
@@ -269,8 +273,8 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
     invariant = dp_full.zero_rows()
     v_labels = [lab for lab in cov.labels if lab not in invariant]
     trace: list = [
-        {"stage": "estimate_full", "labels": sorted(cov.labels), "delta": dp_full},
-        {"stage": "invariant_vertices", "invariant": sorted(invariant)},
+        {"stage": "estimate_full", "labels": _output_order(cov.labels), "delta": dp_full},
+        {"stage": "invariant_vertices", "invariant": _output_order(invariant)},
     ]
     if not v_labels:
         return PipelineResult(

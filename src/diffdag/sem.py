@@ -7,8 +7,15 @@ support makes (I - B) invertible, which gives closed forms for the covariance
 (I-B)^-1 D (I-B)^-T and the precision (I-B)^T D^-1 (I-B).
 
 ``Sem``, ``CovariancePair`` and ``estimators.DeltaPrecision`` check their
-input once, in the constructor; restrictions and thresholded copies are
-derived from a checked object (``_Labeled._derive``) without a second check.
+input once, in the constructor, each matrix through ``_matrix`` (square,
+finite, and symmetric where required); restrictions and thresholded copies
+are derived from a checked object (``_Labeled._derive``) without a second
+check.
+
+The package's on-disk formats are decided here: ``_write_json`` and
+``_write_lines`` write every artifact, and ``_output_order`` orders every
+label list the package writes, by ``repr`` when the labels mix types that
+cannot be compared.
 
 The module also hosts the random pair generator used by the benchmark
 harness: an Erdos-Renyi DAG under a random topological order, a second model
@@ -59,6 +66,32 @@ def _real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _matrix(name: str, value, error: type[Exception], symmetric_tol: float = 0.0) -> np.ndarray:
+    """``value`` as a read-only float matrix, which must be square with finite
+    entries and, when ``symmetric_tol`` is positive, symmetric to within
+    ``symmetric_tol`` times max(1, its largest magnitude); else ``error``,
+    naming ``name``."""
+    m = np.array(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise error(f"{name} must be square, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise error(f"{name} has non-finite entries (NaN or inf)")
+    if symmetric_tol and m.size:
+        if float(np.abs(m - m.T).max()) > symmetric_tol * max(1.0, float(np.abs(m).max())):
+            raise error(f"{name} is not symmetric")
+    m.setflags(write=False)
+    return m
+
+
+def _output_order(items) -> list:
+    """``items`` sorted, or sorted by ``repr`` when they cannot be compared
+    (labels of mixed types): the order of every label list the package writes."""
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
 
 
 def _canonical_topo_positions(support: np.ndarray) -> list[int]:
@@ -153,12 +186,8 @@ class Sem(_Labeled):
     labels: tuple = ()
 
     def __post_init__(self):
-        b = np.array(self.b, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise InvalidModelError(f"edge-weight matrix must be square, got {b.shape}")
+        b = _matrix("edge-weight matrix", self.b, InvalidModelError)
         p = b.shape[0]
-        if not np.isfinite(b).all():
-            raise InvalidModelError("edge weights must be finite")
         if np.any(np.diag(b) != 0.0):
             raise InvalidModelError("edge-weight matrix must have zero diagonal")
         nv = np.array(self.noise_vars, dtype=float).reshape(-1)
@@ -167,23 +196,14 @@ class Sem(_Labeled):
         if not np.isfinite(nv).all() or np.any(nv <= 0.0):
             raise InvalidModelError("noise variances must be strictly positive and finite")
         self._set_labels(p, InvalidModelError)
-        topo = _canonical_topo_positions(b != 0.0)
-        b.setflags(write=False)
+        _canonical_topo_positions(b != 0.0)  # raises on a cycle
         nv.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "noise_vars", nv)
-        object.__setattr__(self, "_topo_positions", tuple(topo))
 
     @property
     def p(self) -> int:
         return self.b.shape[0]
-
-    def topological_order(self) -> tuple:
-        """Canonical (lexicographically minimal) topological order, as labels.
-
-        Parents appear before their children.
-        """
-        return tuple(self.labels[i] for i in self._topo_positions)
 
 
 @dataclass(frozen=True)
@@ -231,10 +251,10 @@ class DagEdgeSet:
         return DagEdgeSet(vertices=frozenset(vertices), edges=self.edges)
 
     def sorted_edges(self) -> list[tuple]:
-        return sorted(self.edges)
+        return _output_order(self.edges)
 
     def to_json(self) -> dict:
-        return {"vertices": sorted(self.vertices), "edges": [list(e) for e in self.sorted_edges()]}
+        return {"vertices": _output_order(self.vertices), "edges": [list(e) for e in self.sorted_edges()]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "DagEdgeSet":
@@ -315,18 +335,12 @@ class CovariancePair(_Labeled):
     labels: tuple = ()
 
     def __post_init__(self):
-        s1 = np.array(self.sigma1, dtype=float)
-        s2 = np.array(self.sigma2, dtype=float)
-        for name, s in (("sigma1", s1), ("sigma2", s2)):
-            if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
-                raise InvalidCovarianceError(f"{name} must be square and non-empty, got {s.shape}")
-            if not np.isfinite(s).all():
-                raise InvalidCovarianceError(f"{name} has non-finite entries (NaN or inf)")
-            scale = max(1.0, float(np.abs(s).max()))
-            if float(np.abs(s - s.T).max()) > 1e-12 * scale:
-                raise InvalidCovarianceError(f"{name} is not symmetric")
-        if s1.shape != s2.shape:
-            raise InvalidCovarianceError("covariance matrices must share a dimension")
+        s1, s2 = (_matrix(name, getattr(self, name), InvalidCovarianceError, 1e-12)
+                  for name in ("sigma1", "sigma2"))
+        if s1.shape != s2.shape or not s1.size:
+            raise InvalidCovarianceError(
+                f"covariance matrices must be non-empty and share a dimension, got {s1.shape} and {s2.shape}"
+            )
         p = s1.shape[0]
         for name in ("n1", "n2"):
             n = _integer(name, getattr(self, name))
@@ -346,8 +360,6 @@ class CovariancePair(_Labeled):
                     raise InvalidCovarianceError(
                         f"population {name} must be positive definite"
                     ) from None
-        s1.setflags(write=False)
-        s2.setflags(write=False)
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)
 
@@ -534,6 +546,19 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
     )
 
 
+def _write_lines(lines, path) -> None:
+    """Write ``lines`` to ``path`` as UTF-8, each ended by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(obj, path) -> None:
+    """Write ``obj`` to ``path`` as JSON indented by 2, keys sorted. It is
+    encoded before the file is opened, so an object json cannot encode
+    leaves no file behind."""
+    _write_lines([json.dumps(obj, indent=2, sort_keys=True)], path)
+
+
 def save_sem(sem: Sem, path) -> None:
     obj = {
         "p": sem.p,
@@ -541,9 +566,7 @@ def save_sem(sem: Sem, path) -> None:
         "b": [[float(v) for v in row] for row in sem.b],
         "noise_vars": [float(v) for v in sem.noise_vars],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(obj, path)
 
 
 def load_sem(path) -> Sem:

@@ -1,4 +1,5 @@
-"""Shared builders for randomized test instances, and the paper's closed forms.
+"""Shared builders for randomized test instances, a SEM's canonical
+topological order, and the paper's closed forms.
 
 ``marginalize_sem`` (the vertex-removal formulas) and ``delta_omega_entry``
 (the parent and common-children expansion of the precision difference) are
@@ -19,11 +20,13 @@ from diffdag import (
     SemPairGenConfig,
     SweepConfig,
     covariance,
+    generate_sem_pair,
 )
 from diffdag.oracles import _require_shared
+from diffdag.sem import _canonical_topo_positions
 
 # The C07 trend grid: 360 Dantzig trials. Its records.csv is the one whose
-# sha256 the BENCH files cite; tools/bench_record.py's C07_GRID builds it too.
+# sha256 the BENCH files cite; tools/bench_record.py imports it from here.
 C07_SWEEP = SweepConfig(
     p_values=(5, 10, 15),
     c_values=(5, 10, 15, 20),
@@ -35,6 +38,12 @@ C07_SWEEP = SweepConfig(
     ),
     seed_base=0,
 )
+
+
+def topological_order(sem: Sem) -> tuple:
+    """The canonical (lexicographically minimal) topological order of ``sem``,
+    as labels: parents appear before their children."""
+    return tuple(sem.labels[i] for i in _canonical_topo_positions(sem.b != 0.0))
 
 
 def random_sem(rng: np.random.Generator, p: int, edge_prob: float = 0.4) -> Sem:
@@ -58,7 +67,7 @@ def perturb_sem(rng: np.random.Generator, sem: Sem, n_changes: int = 2) -> Sem:
     gain an edge.
     """
     b2 = np.array(sem.b)
-    order = [sem.index(lab) for lab in sem.topological_order()]
+    order = [sem.index(lab) for lab in topological_order(sem)]
     slots = [
         (order[c], order[a]) for a in range(sem.p) for c in range(a + 1, sem.p)
     ]
@@ -71,6 +80,16 @@ def perturb_sem(rng: np.random.Generator, sem: Sem, n_changes: int = 2) -> Sem:
             mag = rng.uniform(0.3, 0.9)
             b2[child, parent] = -mag if rng.random() < 0.5 else mag
     return Sem(b2, sem.noise_vars, sem.labels)
+
+
+def mixed_label_pair() -> tuple[Sem, Sem, frozenset]:
+    """A generated p = 5 pair relabeled ("a", 1, 2, 3, 4), and its difference
+    edges. A string and an int cannot be compared, and this pair mixes them in
+    its labels, its two difference edges, its layers and prune's drop-sets."""
+    labels = ("a", 1, 2, 3, 4)
+    sem1, sem2, truth = generate_sem_pair(SemPairGenConfig(p=5, seed=3))
+    edges = frozenset((labels[i], labels[j]) for i, j in truth.edges)
+    return Sem(sem1.b, sem1.noise_vars, labels), Sem(sem2.b, sem2.noise_vars, labels), edges
 
 
 def chain_sem(weights: list[float], noise: list[float] | None = None) -> Sem:
@@ -106,7 +125,7 @@ def marginalize_sem(sem: Sem, removed) -> Sem:
     if not removed:
         return sem
 
-    topo = sem.topological_order()
+    topo = topological_order(sem)
     pos = {lab: k for k, lab in enumerate(topo)}
     cov = covariance(sem)
     q = len(retained)

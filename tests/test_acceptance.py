@@ -23,7 +23,15 @@ from diffdag import (
     SweepConfig,
 )
 from diffdag.estimators import dantzig_selector
-from diffdag.experiments import _trial_seed, run_trial, write_records_csv
+from diffdag.experiments import (
+    _trial_seed,
+    aggregate,
+    format_summary_table,
+    run_trial,
+    write_plot_tsv,
+    write_records_csv,
+    write_summary_json,
+)
 from helpers import C07_SWEEP, marginalize_sem, perturb_sem, random_sem
 
 
@@ -226,8 +234,9 @@ def test_c07_normalized_hamming_trend(trend_records):
     assert not bad, line
 
 
-# sha256 of the C07 grid's records.csv. A change that moves it updates the pin
-# and says in CHANGES.md which records moved and why.
+# sha256 of the C07 grid's records.csv. A change that moves it, or any of the
+# sweep artifact pins below, updates the pin and says in CHANGES.md which
+# records moved and why.
 C07_RECORDS_SHA256 = "ebddc2ee8aef1dd5a8ff8d78467e1a7be7aa58e60f80f62b6ec864da26c93757"
 
 
@@ -237,20 +246,57 @@ def test_c07_records_csv_is_pinned(trend_records, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == C07_RECORDS_SHA256
 
 
-def test_c08_fixed_sample_f_score():
-    cfg = SweepConfig(
-        p_values=(10,),
-        repetitions=10,
-        fixed_n=1000,
-        gen=SemPairGenConfig(p=10),
-        pipeline=PipelineConfig(
-            estimator="dantzig",
-            est_cfg=EstimatorConfig(lambda_auto=True, epsilon=0.125),
-        ),
-        seed_base=0,
+def _artifact_sha256s(records, tmp_path) -> dict:
+    """sha256 of each file ``diffdag sweep`` writes for these records."""
+    summaries = aggregate(records)
+    write_records_csv(records, tmp_path / "records.csv")
+    write_summary_json(summaries, tmp_path / "summary.json")
+    write_plot_tsv(summaries, tmp_path / "plot.tsv")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("records.csv", "summary.json", "plot.tsv")
+    }
+    digests["table.txt"] = hashlib.sha256(format_summary_table(summaries).encode()).hexdigest()
+    return digests
+
+
+def test_c07_sweep_artifacts_are_pinned(trend_records, tmp_path):
+    # records.csv is C07_RECORDS_SHA256, checked above
+    digests = _artifact_sha256s(trend_records, tmp_path)
+    assert digests["summary.json"] == "68e8551d7e85c8afcfd8b0728ee544a276688aa26b57fe38a45c56995d38a951"
+    assert digests["plot.tsv"] == "d19958160139fc9323b2c6878229d88b273809fe94cc03fb5657a1cee643ef2e"
+    assert digests["table.txt"] == "f01aad2ae8d75c4ba40c32e145435f6758d7329f99b969b7febb1fa8b77e953f"
+
+
+@pytest.fixture(scope="module")
+def fixed_n_records():
+    # the head-to-head setting: one sample count, so every record has c None
+    return dd.run_sweep(
+        SweepConfig(
+            p_values=(10,),
+            repetitions=10,
+            fixed_n=1000,
+            gen=SemPairGenConfig(p=10),
+            pipeline=PipelineConfig(
+                estimator="dantzig",
+                est_cfg=EstimatorConfig(lambda_auto=True, epsilon=0.125),
+            ),
+            seed_base=0,
+        )
     )
-    records = dd.run_sweep(cfg)
-    mean_f = float(np.mean([r.f_score for r in records]))
+
+
+def test_c08_fixed_n_sweep_artifacts_are_pinned(fixed_n_records, tmp_path):
+    assert _artifact_sha256s(fixed_n_records, tmp_path) == {
+        "records.csv": "150d8d64fac31f8161a00e6142c34020ed45f87e75c4c1db4b34ed17dc12a81e",
+        "summary.json": "98e979a30ea1fd9a024e48e57d646ddce6493a015b3d4635c4327ebbea00230d",
+        "plot.tsv": "8dfb88d2828166b41a064efc68b48d205f453d60da1ec016ceb4143dc454d2b7",
+        "table.txt": "3fdfb08e5115b6834b876659604dcbfc5318e49e53703ea7ae5397f162e0eb94",
+    }
+
+
+def test_c08_fixed_sample_f_score(fixed_n_records):
+    mean_f = float(np.mean([r.f_score for r in fixed_n_records]))
     line = _verdict("C08", mean_f >= 0.70, f"mean F-score {mean_f:.3f} at n=1000 (target 0.70)")
     assert mean_f >= 0.70, line
 

@@ -1,6 +1,6 @@
-"""``tools/bench_record.py`` rejects a pair count its quartiles cannot use,
-times the same C07 grid that the acceptance suite runs, and counts each
-end-to-end metric's wins in the direction ``BENCHMARK.json`` calls better."""
+"""``tools/bench_record.py`` rejects a pair count its quartiles cannot use and
+counts each end-to-end metric's wins in the direction ``BENCHMARK.json`` calls
+better."""
 
 import importlib.util
 import subprocess
@@ -8,9 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import diffdag as dd
-from helpers import C07_SWEEP
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 
@@ -32,24 +29,6 @@ def test_fewer_than_two_pairs_rejected_before_any_run(tmp_path, pairs):
     assert result.returncode == 2
     assert f"--pairs: must be at least 2, got {pairs}" in result.stderr
     assert not out.exists()
-
-
-def test_c07_grid_is_the_acceptance_fixture_grid(monkeypatch):
-    # exec the script the tool hands a fresh interpreter, with the sweep
-    # stubbed out: the records.csv hash in every BENCH file is then the one
-    # trend_records checks
-    tool = _tool()
-
-    class Captured(Exception):
-        pass
-
-    def capture(cfg):
-        raise Captured(cfg)
-
-    monkeypatch.setattr(dd, "run_sweep", capture)
-    with pytest.raises(Captured) as caught:
-        exec(tool.C07_GRID, {"__name__": "__c07_grid__"})
-    assert caught.value.args == (C07_SWEEP,)
 
 
 def test_wins_follow_each_metrics_better_side():

@@ -9,7 +9,7 @@ import pytest
 
 import diffdag as dd
 from diffdag.cli import main
-from helpers import random_sem
+from helpers import mixed_label_pair, random_sem
 
 POP = dd.PipelineConfig(estimator="population")
 
@@ -25,6 +25,14 @@ def _write_pair(tmp_path, seed=3, p=5):
     dd.save_sem(sem1, a)
     dd.save_sem(sem2, b)
     return sem1, sem2, delta, str(a), str(b)
+
+
+def _write_mixed_label_pair(tmp_path):
+    sem1, sem2, edges = mixed_label_pair()
+    a, b = tmp_path / "sem1.json", tmp_path / "sem2.json"
+    dd.save_sem(sem1, a)
+    dd.save_sem(sem2, b)
+    return edges, str(a), str(b)
 
 
 class TestBound:
@@ -115,6 +123,15 @@ class TestRunPipeline:
         payload = json.loads((out / "pipeline.json").read_text())
         assert payload["edges"] == []
         assert sorted(payload["invariant"]) == sorted(sem.labels)
+
+    def test_mixed_type_labels_write_the_traced_result(self, tmp_path):
+        edges, a, b = _write_mixed_label_pair(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run-pipeline", "--sem1", a, "--sem2", b, "--trace",
+                     "--output-dir", str(out)]) == 0
+        payload = json.loads((out / "pipeline.json").read_text())
+        assert {tuple(e) for e in payload["edges"]} == edges
+        assert payload["trace"][0]["labels"] == ["a", 1, 2, 3, 4]
 
     def test_population_matches_library(self, tmp_path):
         sem1, sem2, delta, a, b = _write_pair(tmp_path, seed=13, p=6)
@@ -407,6 +424,13 @@ class TestCheckAssumptions:
         assert main(["check-assumptions", "--sem1", a, "--sem2", b]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
+
+    def test_mixed_type_labels_print_the_report(self, tmp_path, capsys):
+        edges, a, b = _write_mixed_label_pair(tmp_path)
+        assert main(["check-assumptions", "--sem1", a, "--sem2", b]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True
+        assert {tuple(e) for e in payload["delta_edges"]} == edges
 
     def test_failing_pair_advisory_by_default(self, tmp_path, capsys):
         a, b = self._planted(tmp_path)

@@ -8,6 +8,7 @@ matrix built from coordinates through scipy.sparse for its array build.
 """
 
 import itertools
+import json
 import math
 import re
 import subprocess
@@ -39,7 +40,7 @@ from diffdag import (
 )
 from diffdag import estimators
 from diffdag.estimators import dantzig_selector, resolve_lambda
-from helpers import perturb_sem, random_sem
+from helpers import perturb_sem, random_sem, topological_order
 
 POP = PipelineConfig(estimator="population")
 
@@ -55,6 +56,30 @@ class TestDeltaPrecisionType:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             DeltaPrecision(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[0.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+         [[0.0, -np.inf], [-np.inf, 0.0]]],
+        ids=["nan", "asymmetric-nan", "inf", "-inf"],
+    )
+    def test_non_finite_entries_rejected_naming_the_matrix(self, matrix):
+        # a NaN passes a symmetry check, and threshold would count it as support
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            DeltaPrecision(np.array(matrix))
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entries_in_json_rejected(self, text):
+        obj = json.loads(f'{{"labels": [0, 1], "matrix": [[{text}, 0.0], [0.0, 1.0]], "threshold": 0.0}}')
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            DeltaPrecision.from_json(obj)
+
+    def test_pipeline_json_with_a_non_finite_estimate_rejected(self):
+        _, _, cov = _population_pair(0)
+        payload = dd.run_pipeline(cov, POP).to_json()
+        payload["trace"][0]["delta"]["matrix"][0][0] = math.inf
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            dd.PipelineResult.from_json(payload)
 
     def test_entries_inside_threshold_rejected(self):
         m = np.array([[0.0, 0.05], [0.05, 0.0]])
@@ -103,7 +128,7 @@ class TestSolvePopulation:
         # same B, noise scaled at a root vertex: the difference is confined to
         # that vertex's diagonal entry (a root has no parents to leak into)
         sem1 = random_sem(np.random.default_rng(13), 6)
-        root = sem1.topological_order()[0]
+        root = topological_order(sem1)[0]
         r = sem1.index(root)
         nv2 = np.array(sem1.noise_vars)
         nv2[r] *= 2.0

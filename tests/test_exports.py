@@ -56,8 +56,9 @@ def test_unneeded_members_stay_gone():
     # no test-only accessors on Sem
     assert "MarginalSem" not in dd.__all__
     assert not hasattr(dd.oracles, "MarginalSem")
-    for member in ("parents", "children", "edge_set"):
+    for member in ("parents", "children", "edge_set", "topological_order"):
         assert not hasattr(dd.Sem, member), member
+    assert not hasattr(dd.Sem([[0.0]], [1.0]), "_topo_positions")
 
 
 def test_config_fields_are_pinned():

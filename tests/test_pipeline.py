@@ -6,6 +6,8 @@ exactness, supergraph and layer-consistency properties against the
 generator's ground truth.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from diffdag import (
     run_pipeline,
     score,
 )
-from helpers import random_sem
+from helpers import mixed_label_pair, random_sem, topological_order
 
 POP = PipelineConfig(estimator="population")
 
@@ -217,7 +219,7 @@ class TestRunPipeline:
     def test_single_changed_edge_recovered(self):
         rng = np.random.default_rng(5)
         sem1 = random_sem(rng, 4, edge_prob=0.6)
-        order = sem1.topological_order()
+        order = topological_order(sem1)
         child, parent = order[-1], order[0]
         i, j = sem1.index(child), sem1.index(parent)
         old = sem1.b[i, j]
@@ -324,3 +326,15 @@ class TestLayeredOrder:
         order = LayeredOrder((frozenset({1}),))
         with pytest.raises(KeyError):
             order.layer_of(9)
+
+
+def test_mixed_type_labels_are_recovered_and_written():
+    # the outputs list labels sorted, by repr when they cannot be compared
+    sem1, sem2, edges = mixed_label_pair()
+    res = run_pipeline(CovariancePair.from_sems(sem1, sem2), POP)
+    assert res.delta.edges == edges
+    assert any(len({type(lab) for lab in layer}) > 1 for layer in res.order.layers)
+    payload = json.loads(json.dumps(res.to_json()))
+    assert payload["trace"][0]["labels"] == ["a", 1, 2, 3, 4]
+    assert payload["edges"] == [list(e) for e in sorted(edges, key=repr)]
+    assert dd.PipelineResult.from_json(payload).delta == res.delta

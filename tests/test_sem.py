@@ -28,8 +28,8 @@ from diffdag import (
 )
 from diffdag.estimators import DeltaPrecision
 from diffdag.oracles import check_assumptions
-from diffdag.sem import ZERO_TOL, empirical_covariance
-from helpers import random_sem
+from diffdag.sem import ZERO_TOL, _output_order, _write_json, empirical_covariance
+from helpers import random_sem, topological_order
 
 
 class TestSemInvariants:
@@ -59,7 +59,7 @@ class TestSemInvariants:
         b[0, 1] = 0.5
         b[1, 2] = 0.5
         sem = Sem(b, np.ones(3))
-        assert sem.topological_order() == (2, 1, 0)
+        assert topological_order(sem) == (2, 1, 0)
 
 
 class TestDagEdgeSet:
@@ -445,3 +445,18 @@ class TestSerialization:
     def test_edge_set_json_round_trip(self):
         es = DagEdgeSet(vertices=frozenset(range(4)), edges=frozenset({(0, 2), (1, 3)}))
         assert DagEdgeSet.from_json(es.to_json()) == es
+
+
+def test_output_order_sorts_and_falls_back_to_repr():
+    # comparable labels keep their natural order (9 before 10); mixed types
+    # are ordered by repr ("'a'" < "10" < "9")
+    assert _output_order({10, 9, 2}) == [2, 9, 10]
+    assert _output_order({"a", 10, 9}) == ["a", 10, 9]
+    assert _output_order([(1, "b"), ("a", 2)]) == [("a", 2), (1, "b")]
+
+
+def test_a_json_write_that_fails_leaves_no_file(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        _write_json({"labels": [np.int64(1)]}, path)
+    assert not path.exists()

@@ -37,24 +37,14 @@ from pathlib import Path
 WORKLOADS = ("sweep-dantzig", "pipeline-large", "sweep-population")
 SIDES = ("parent", "change")
 
-# The C07 grid that the trend_records fixture of tests/test_acceptance.py runs,
-# tests/helpers.py's C07_SWEEP; tests/test_bench_record.py checks they match.
+# Writes the records.csv of the C07 grid, which the trend_records fixture of
+# tests/test_acceptance.py runs: C07_SWEEP of the tree's own tests/helpers.py.
 C07_GRID = """
 import sys
 import diffdag as dd
 from diffdag.experiments import write_records_csv
-cfg = dd.SweepConfig(
-    p_values=(5, 10, 15),
-    c_values=(5, 10, 15, 20),
-    repetitions=30,
-    gen=dd.SemPairGenConfig(p=10),
-    pipeline=dd.PipelineConfig(
-        estimator="dantzig",
-        est_cfg=dd.EstimatorConfig(lambda_auto=True, epsilon=0.125),
-    ),
-    seed_base=0,
-)
-write_records_csv(dd.run_sweep(cfg), sys.argv[1])
+from helpers import C07_SWEEP
+write_records_csv(dd.run_sweep(C07_SWEEP), sys.argv[1])
 """
 
 
@@ -88,10 +78,12 @@ def traced(tree: Path, workload: str) -> dict:
 
 
 def c07_grid(tree: Path) -> dict:
+    env = _env(tree)
+    env["PYTHONPATH"] += os.pathsep + str(tree / "tests")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
         t = time.perf_counter()
-        subprocess.run([sys.executable, "-c", C07_GRID, str(path)], env=_env(tree), check=True)
+        subprocess.run([sys.executable, "-c", C07_GRID, str(path)], env=env, check=True)
         seconds = time.perf_counter() - t
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"s": seconds, "records_sha256": digest}
