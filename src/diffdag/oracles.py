@@ -5,8 +5,9 @@ its difference DAG: invariant vertices keep their edges, and every
 difference edge stays separated by 2*eps in partial correlation and in its
 parent's conditional precision over the ancestor-closed subsets that hold
 it. The generator calls it on every candidate pair, so it enumerates those
-subsets lazily, per edge, as 64-bit masks (so at most 64 non-invariant
-vertices), and reads their gaps from a Cholesky tail in stacks.
+subsets lazily as 64-bit masks (so at most 64 non-invariant vertices), one
+size level of each edge in turn, so that a rejected pair fails on its
+smallest subsets, and reads their gaps from a Cholesky tail in stacks.
 ``minimax_sample_bound`` is the Omega(d log(p/d)) threshold below which no
 method recovers the difference DAG reliably.
 """
@@ -14,6 +15,7 @@ method recovers the difference DAG reliably.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -52,9 +54,12 @@ class AssumptionReport:
     clause: "invariant-vertex-consistency" (vertices with zero
     precision-difference rows must have unchanged edges) or "separation"
     (every difference edge must keep a 2*eps partial-correlation gap, and its
-    parent a 2*eps conditional-precision diagonal gap, over all order-prefix
-    subsets). "subset-budget" marks an inconclusive check: the difference DAG
-    has too many such subsets.
+    parent a 2*eps conditional-precision diagonal gap, over all
+    ancestor-closed subsets that hold it). "subset-budget" marks an
+    inconclusive check: the difference DAG has too many such subsets.
+    ``detail`` names the first violated gap in ``check_assumptions``' walk,
+    and ``subsets_checked`` counts the (edge, subset) pairs examined up to
+    and including it, or all of them on success.
     """
 
     passed: bool
@@ -167,11 +172,15 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     ``subsets_checked`` equal to ``SUBSET_BUDGET``. Within the budget, more
     than 64 non-invariant vertices raise ``ValueError`` (64-bit masks).
 
-    Order: edges are taken by (repr(i), repr(j)). Each edge walks only the
-    subsets that contain the ancestors of i and j, by size and, within one
-    size, by the sorted reprs of their members compared as lists. The first
-    violated gap ends the check; ``subsets_checked`` counts the (edge,
-    subset) pairs examined up to and including it, and ``detail`` names it.
+    Order: edges are ranked by (repr(i), repr(j)). Each edge walks only the
+    subsets that contain the ancestors of i and j, in levels by size; within
+    a level, subsets go by the sorted reprs of their members compared as
+    lists. The walk is level-major across edges: it takes every edge's
+    smallest level in edge rank, then every edge's next level, and so on, an
+    edge dropping out when its levels run out. The order cannot change a
+    verdict, only which violation is found first. The first violated gap
+    ends the check; ``subsets_checked`` counts the (edge, subset) pairs
+    examined up to and including it, and ``detail`` names it.
     """
     if not 0.0 <= _real("epsilon", epsilon) < math.inf:
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
@@ -220,13 +229,21 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
         raise ValueError(f"the subset walk takes at most 64 non-invariant vertices, not {n}")
     covs = np.stack([covariance(sem1), covariance(sem2)])
     flat, p = covs.reshape(2, -1), covs.shape[-1]
-    checked = 0
+    walks: deque = deque()
     for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
         # each submatrix holds S minus {i, j} in label order, then i, then j
         order = [lab for lab in labels if lab in bit and lab != i and lab != j] + [i, j]
         rows = np.array([sem1.index(lab) for lab in order])
         shifts = np.array([bit[lab].bit_length() - 1 for lab in order], dtype=np.uint64)
-        for level in _downsets_above(anc[bit[i]] | anc[bit[j]], parents):
+        walks.append((i, j, rows, shifts, _downsets_above(anc[bit[i]] | anc[bit[j]], parents)))
+    checked = 0
+    # level-major: a rejected pair's first violation tends to sit at the
+    # smallest subsets of some edge, so each turn takes one edge's next level
+    while walks:
+        i, j, rows, shifts, levels = walk = walks.popleft()
+        level = next(levels, None)
+        if level is not None:
+            walks.append(walk)
             for start in range(0, len(level), _CHUNK):
                 masks = level[start : start + _CHUNK]
                 member = ((masks[:, None] >> shifts) & 1).astype(bool)

@@ -126,10 +126,12 @@ class _Labeled:
     def _set_labels(self, p: int, error: type[Exception]) -> None:
         """Default the labels to 0..p-1, check them, and index them.
 
-        A wrong count or a duplicated label raises ``error``, naming the
+        Numpy scalars become the equal Python scalars, which the JSON writers
+        take. A wrong count or a duplicated label raises ``error``, naming the
         problem.
         """
-        labels = tuple(self.labels) if len(self.labels) else tuple(range(p))
+        labels = tuple(lab.item() if isinstance(lab, np.generic) else lab for lab in self.labels)
+        labels = labels or tuple(range(p))
         if len(labels) != p:
             raise error(f"labels must match the dimension: {len(labels)} labels for p={p} variables")
         if len(set(labels)) != p:

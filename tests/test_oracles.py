@@ -5,7 +5,9 @@ precision matrix is the reference for every marginalization claim; the matrix
 product (I-B)^T D^-1 (I-B) is the reference for entry formulas.
 """
 
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,9 +346,29 @@ def _reference_ancestor_closed_subsets(vertices: list, parents: dict, cap: int):
     return sorted(downsets, key=lambda s: (len(s), sorted(map(repr, s))))
 
 
+GAP_NAMES = ("partial-correlation", "parent diagonal")
+DETAIL = re.compile(r"edge \((.*)\): (.*) gap (\S+) < \S+ over subset (\[.*\])")
+
+
+def _inverse_gaps(covs, labels, i, j, s):
+    """The partial-correlation and parent-diagonal gaps of edge (i, j) over
+    the subset s, from the inverse of each covariance's submatrix in label
+    order."""
+    keep = [lab for lab in labels if lab in s]
+    idx = [labels.index(lab) for lab in keep]
+    si, sj = keep.index(i), keep.index(j)
+    rho, diag = [], []
+    for cov in covs:
+        om = np.linalg.inv(cov[np.ix_(idx, idx)])
+        rho.append(-om[si, sj] / math.sqrt(om[si, si] * om[sj, sj]))
+        diag.append(om[sj, sj])
+    return abs(rho[0] - rho[1]), abs(diag[0] - diag[1])
+
+
 def _reference_check(sem1, sem2, epsilon, max_subsets=100_000):
-    """check_assumptions as it was before the lazy walk: it enumerates every
-    ancestor-closed subset up front and inverts one subset at a time."""
+    """check_assumptions without the lazy walk: it enumerates every
+    ancestor-closed subset up front, inverts one subset at a time and takes
+    the (edge, subset) pairs in the checker's level-major order."""
     delta = difference_edge_set(sem1, sem2)
     dom = precision(sem1) - precision(sem2)
     labels = sem1.labels
@@ -378,32 +400,20 @@ def _reference_check(sem1, sem2, epsilon, max_subsets=100_000):
             f"more than {max_subsets} ancestor-closed subsets; check inconclusive",
             max_subsets,
         )
-    cov1, cov2 = covariance(sem1), covariance(sem2)
+    covs = covariance(sem1), covariance(sem2)
+    # level-major: every edge's smallest held subsets, then the next size up
+    walk = []
+    for rank, (i, j) in enumerate(sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1])))):
+        held = [(pos, s) for pos, s in enumerate(downsets) if i in s and j in s]
+        walk += [(len(s) - len(held[0][1]), rank, pos, i, j, s) for pos, s in held]
     checked = 0
-    for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
-        for s in downsets:
-            if i not in s or j not in s:
-                continue
-            checked += 1
-            keep = [lab for lab in labels if lab in s]
-            idx = [sem1.index(lab) for lab in keep]
-            om1 = np.linalg.inv(cov1[np.ix_(idx, idx)])
-            om2 = np.linalg.inv(cov2[np.ix_(idx, idx)])
-            si, sj = keep.index(i), keep.index(j)
-            rho1 = -om1[si, sj] / math.sqrt(om1[si, si] * om1[sj, sj])
-            rho2 = -om2[si, sj] / math.sqrt(om2[si, si] * om2[sj, sj])
-            if abs(rho1 - rho2) < 2.0 * epsilon:
+    for *_, i, j, s in sorted(walk, key=lambda w: w[:3]):
+        checked += 1
+        for name, gap in zip(GAP_NAMES, _inverse_gaps(covs, labels, i, j, s)):
+            if gap < 2.0 * epsilon:
                 return fail(
                     "separation",
-                    f"edge ({i!r}, {j!r}): partial-correlation gap "
-                    f"{abs(rho1 - rho2):.4g} < {2 * epsilon:g} over subset {sorted(s, key=repr)}",
-                    checked,
-                )
-            if abs(om1[sj, sj] - om2[sj, sj]) < 2.0 * epsilon:
-                return fail(
-                    "separation",
-                    f"edge ({i!r}, {j!r}): parent diagonal gap "
-                    f"{abs(om1[sj, sj] - om2[sj, sj]):.4g} < {2 * epsilon:g} "
+                    f"edge ({i!r}, {j!r}): {name} gap {gap:.4g} < {2 * epsilon:g} "
                     f"over subset {sorted(s, key=repr)}",
                     checked,
                 )
@@ -436,7 +446,7 @@ def _with_string_labels(sem):
 
 
 class TestCheckAssumptionsMatchesReference:
-    """The lazy per-edge walk returns the reference's report, field for field."""
+    """The lazy level-major walk returns the reference's report, field for field."""
 
     @pytest.mark.parametrize("max_subsets", BUDGETS)
     def test_generator_candidates(self, generator_candidates, max_subsets, monkeypatch):
@@ -469,6 +479,29 @@ class TestCheckAssumptionsMatchesReference:
         sem2 = perturb_sem(rng, sem1, n_changes=int(rng.integers(1, 6)))
         for eps in (0.01, 0.05, 0.125):
             assert check_assumptions(sem1, sem2, eps) == _reference_check(sem1, sem2, eps)
+
+    def test_a_failing_report_names_a_real_violation(self, generator_candidates):
+        # whatever the walk order, the edge and subset that a separation
+        # failure names hold a gap below 2 eps by the inverse, as printed
+        named = 0
+        for base1, base2, eps in generator_candidates:
+            renamed = _with_string_labels(base1), _with_string_labels(base2)
+            for sem1, sem2 in ((base1, base2), renamed):
+                report = check_assumptions(sem1, sem2, eps)
+                if report.failed_condition != "separation":
+                    continue
+                edge, name, shown, subset = DETAIL.fullmatch(report.detail).groups()
+                (i, j), s = ast.literal_eval(f"({edge})"), set(ast.literal_eval(subset))
+                assert (i, j) in report.delta_edges and {i, j} <= s
+                delta = difference_edge_set(sem1, sem2)
+                assert not s & report.invariant
+                assert all(delta.parents(v) - report.invariant <= s for v in s)  # ancestor-closed
+                covs = covariance(sem1), covariance(sem2)
+                gap = dict(zip(GAP_NAMES, _inverse_gaps(covs, sem1.labels, i, j, s)))[name]
+                assert gap < 2.0 * eps
+                assert float(shown) == pytest.approx(gap, rel=1e-3, abs=1e-12)
+                named += 1
+        assert named >= 100  # 57 candidates, each under both label kinds
 
     def test_cholesky_tail_matches_the_inverse(self, generator_candidates):
         # the walk reads both gaps from _cholesky_tail with i, j last; the

@@ -1,12 +1,13 @@
-"""Properties over generated inputs: relabeling, JSON round-trips, and the
-draws, orders and subset walks behind the generator.
+"""Properties over generated inputs: relabeling, the constrained-l1 path's
+symmetries, JSON round-trips, and the draws, orders and subset walks behind
+the generator.
 
 Hypothesis runs derandomized with few examples and no example database, so
 every run draws the same cases.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import combinations
 
 import numpy as np
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 import diffdag as dd
 from diffdag.errors import InvalidModelError
+from diffdag.experiments import _trial_seed, sample_budget
 from diffdag.oracles import _closures, _downset_count, _downsets_above
 from diffdag.sem import _canonical_topo_positions, _draw_slots
+from helpers import C07_SWEEP
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -59,6 +62,57 @@ def test_pipeline_commutes_with_reordering_and_renaming_vertices(case):
     assert got.order.layers == tuple(
         frozenset(names[k] for k in layer) for layer in base.order.layers
     )
+
+
+# The C07 grid's first three trials per cell at p <= 10, as (p, c, rep):
+# non-empty and empty estimates and order stalls, under a second of solves
+C07_TRIALS = [(p, c, rep) for p in (5, 10) for c in C07_SWEEP.c_values for rep in range(3)]
+FAILURES = (dd.OrderStallError, dd.InfeasibleEstimateError, dd.EstimatorConvergenceError)
+
+
+def _c07_trial_pair(p, c, rep):
+    """The sampled covariance pair of one C07 trial, drawn as run_trial draws it."""
+    seed = _trial_seed(C07_SWEEP.seed_base, p, c, rep)
+    sem1, sem2, truth = dd.generate_sem_pair(replace(C07_SWEEP.gen, p=p, seed=seed))
+    n = sample_budget(p, c, truth.max_degree())
+    x1 = dd.sample(sem1, n, np.random.default_rng((seed, 1)))
+    x2 = dd.sample(sem2, n, np.random.default_rng((seed, 2)))
+    return dd.CovariancePair.from_data(x1, x2, sem1.labels)
+
+
+def _dantzig_outcome(cov):
+    """Edges, invariant set and layers of a C07 run, or its failure class."""
+    try:
+        result = dd.run_pipeline(cov, C07_SWEEP.pipeline)
+    except FAILURES as exc:
+        return type(exc).__name__
+    return result.delta.edges, result.invariant_vertices, result.order.layers
+
+
+@pytest.fixture(scope="module")
+def c07_trials():
+    """Each trial's covariance pair and its outcome as drawn."""
+    pairs = [_c07_trial_pair(*key) for key in C07_TRIALS]
+    outcomes = [_dantzig_outcome(cov) for cov in pairs]
+    # the handful holds non-empty estimates and failures alike
+    assert any(isinstance(o, str) for o in outcomes)
+    assert any(not isinstance(o, str) and o[0] for o in outcomes)
+    return list(zip(pairs, outcomes))
+
+
+def test_dantzig_path_is_symmetric_in_the_two_conditions(c07_trials):
+    # swapping S1 with S2 maps the program's solutions D to -D^T, which has
+    # the same l1 norm and the same support after symmetrizing
+    for cov, outcome in c07_trials:
+        swapped = dd.CovariancePair(cov.sigma2, cov.sigma1, cov.n2, cov.n1, cov.labels)
+        assert _dantzig_outcome(swapped) == outcome
+
+
+def test_dantzig_path_does_not_depend_on_the_vertex_order(c07_trials):
+    for cov, outcome in c07_trials:
+        rev = np.ix_(range(cov.p)[::-1], range(cov.p)[::-1])
+        moved = dd.CovariancePair(cov.sigma1[rev], cov.sigma2[rev], cov.n1, cov.n2, cov.labels[::-1])
+        assert _dantzig_outcome(moved) == outcome
 
 
 @st.composite

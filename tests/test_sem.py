@@ -8,6 +8,8 @@ bit for bit against the scalar loop they replaced, kept here as
 ``_reference_generate``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,13 @@ class TestCovariancePair:
         with pytest.raises(error, match=r"duplicated: \['a', 'c'\]"):
             make(5, ("c", "a", "b", "a", "c"))
 
+    @pytest.mark.parametrize("make, error", LABELED, ids=LABELED_IDS)
+    def test_numpy_scalar_labels_become_python_scalars(self, make, error):
+        obj = make(3, (np.int64(7), np.str_("a"), np.float64(0.5)))
+        assert [type(lab) for lab in obj.labels] == [int, str, float]
+        assert obj.labels == (7, "a", 0.5)
+        assert obj.index(np.int64(7)) == 0
+
     def test_from_data_column_mismatch_gives_both_shapes(self):
         with pytest.raises(InvalidCovarianceError, match=r"got shapes \(5, 3\) and \(5, 2\)"):
             CovariancePair.from_data(np.ones((5, 3)), np.ones((5, 2)))
@@ -445,6 +454,23 @@ class TestSerialization:
     def test_edge_set_json_round_trip(self):
         es = DagEdgeSet(vertices=frozenset(range(4)), edges=frozenset({(0, 2), (1, 3)}))
         assert DagEdgeSet.from_json(es.to_json()) == es
+
+    @pytest.mark.parametrize("labels", [tuple(np.arange(5)), tuple(np.array(list("abcde")))])
+    def test_numpy_scalar_labels_are_written(self, tmp_path, labels):
+        # numpy scalars are stored as the equal Python scalars, which every
+        # JSON writer takes
+        sem1, sem2, _ = generate_sem_pair(SemPairGenConfig(p=5, seed=1))
+        sem1, sem2 = (Sem(s.b, s.noise_vars, labels) for s in (sem1, sem2))
+        path = tmp_path / "sem.json"
+        dd.save_sem(sem1, path)
+        assert dd.load_sem(path).labels == sem1.labels == labels
+        cov = CovariancePair(covariance(sem1), covariance(sem2), labels=labels)
+        assert cov.labels == labels
+        result = dd.run_pipeline(cov, dd.PipelineConfig())
+        assert result.delta.edges == difference_edge_set(sem1, sem2).edges
+        text = json.dumps(result.to_json(), sort_keys=True)
+        back = dd.PipelineResult.from_json(json.loads(text))
+        assert json.dumps(back.to_json(), sort_keys=True) == text
 
 
 def test_output_order_sorts_and_falls_back_to_repr():

@@ -11,7 +11,7 @@ at a time, from each tree's own files:
   alternating which tree runs first, with seed ``--seed-base + k`` for pair k;
 - one traced run (``--trace 1 --seed 0``) per workload and tree;
 - the C07/C08 acceptance fixture's sweep (360 Dantzig trials) in a fresh
-  interpreter, timed, with the sha256 of the ``records.csv`` it writes;
+  interpreter, timed (Tier-1 pins the ``records.csv`` it writes);
 - the Tier-1 suite, timed.
 
 The file holds every run's end-to-end metrics, each metric's median and
@@ -24,7 +24,6 @@ host's core count and RAM.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
@@ -84,9 +83,7 @@ def c07_grid(tree: Path) -> dict:
         path = Path(tmp) / "records.csv"
         t = time.perf_counter()
         subprocess.run([sys.executable, "-c", C07_GRID, str(path)], env=env, check=True)
-        seconds = time.perf_counter() - t
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"s": seconds, "records_sha256": digest}
+        return {"s": time.perf_counter() - t}
 
 
 def tier1(tree: Path) -> dict:
