@@ -312,8 +312,9 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     Otherwise the program over exactly (sigma1, sigma2) is built in the
     calling thread's HiGHS instance and solved once, from the crash basis.
     HiGHS's model status names a failure, and the residual check bounds
-    |S1 D S2 - (S2 - S1)| by lambda_n. A bad radius or bad shapes raise
-    ``ValueError`` before HiGHS is called.
+    each entry of |S1 D S2 - (S2 - S1)| by lambda_n plus 100 SOLVER_TOL
+    times the larger of 1 and the entry's magnitude, |S1| |D| |S2| + |S2 - S1|.
+    A bad radius or bad shapes raise ``ValueError`` before HiGHS is called.
     """
     # the binding is loaded even when no program is solved, so that a caller's
     # first call, and not a later one, pays for the import
@@ -352,11 +353,16 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     x = np.asarray(highs.getSolution().col_value)
     n = p * p
     delta = (x[:n] - x[n : 2 * n]).reshape((p, p), order="F")
-    residual = float(np.abs(s1 @ delta @ s2 - (s2 - s1)).max())
-    if residual > lambda_n + 100.0 * SOLVER_TOL:
+    # HiGHS meets SOLVER_TOL in its scaled model, so an entry's slack grows
+    # with its magnitude; below magnitude 1 it stays 100 SOLVER_TOL
+    residual = np.abs(s1 @ delta @ s2 - (s2 - s1))
+    magnitude = np.abs(s1) @ np.abs(delta) @ np.abs(s2) + np.abs(s2 - s1)
+    excess = residual - lambda_n - 100.0 * SOLVER_TOL * np.maximum(magnitude, 1.0)
+    if excess.max() > 0.0:
         raise EstimatorConvergenceError(
-            f"LP solution violates the residual bound ({residual:g} > {lambda_n:g} + tol)",
-            best_residual=residual,
+            f"LP solution violates the residual bound "
+            f"({residual.flat[excess.argmax()]:g} > {lambda_n:g} + tol)",
+            best_residual=float(residual.max()),
         )
     return delta
 

@@ -4,10 +4,12 @@
 its difference DAG: invariant vertices keep their edges, and every
 difference edge stays separated by 2*eps in partial correlation and in its
 parent's conditional precision over the ancestor-closed subsets that hold
-it. The generator calls it on every candidate pair, so it enumerates those
-subsets lazily as 64-bit masks (so at most 64 non-invariant vertices), one
-size level of each edge in turn, so that a rejected pair fails on its
-smallest subsets, and reads their gaps from a Cholesky tail in stacks.
+it. It reads the difference DAG from one entrywise comparison B1 != B2: the
+invariant clause from its rows and columns, the subset walk's parent masks
+from its rows. The generator calls it on every candidate pair, so it
+enumerates those subsets lazily as 64-bit masks (so at most 64 non-invariant
+vertices), one size level of each edge in turn, so that a rejected pair fails
+on its smallest subsets, and reads their gaps from a Cholesky tail in stacks.
 ``minimax_sample_bound`` is the Omega(d log(p/d)) threshold below which no
 method recovers the difference DAG reliably.
 """
@@ -195,18 +197,15 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
         return AssumptionReport(False, cond, detail, invariant, delta.edges, checked)
 
     # clause one: invariant vertices must have genuinely unchanged edges
+    changed = sem1.b != sem2.b
+    moved = {"incoming": changed.any(axis=1), "outgoing": changed.any(axis=0)}
     for lab in sorted(invariant, key=repr):
-        k = sem1.index(lab)
-        if not np.array_equal(sem1.b[k, :], sem2.b[k, :]):
-            return fail(
-                "invariant-vertex-consistency",
-                f"vertex {lab!r} has a zero difference row but changed incoming edges",
-            )
-        if not np.array_equal(sem1.b[:, k], sem2.b[:, k]):
-            return fail(
-                "invariant-vertex-consistency",
-                f"vertex {lab!r} has a zero difference row but changed outgoing edges",
-            )
+        for side, edges_moved in moved.items():
+            if edges_moved[sem1.index(lab)]:
+                return fail(
+                    "invariant-vertex-consistency",
+                    f"vertex {lab!r} has a zero difference row but changed {side} edges",
+                )
     if not delta.edges:
         return AssumptionReport(True, None, None, invariant, delta.edges, 0)
 
@@ -217,7 +216,9 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     ranked = sorted((lab for lab in labels if lab not in invariant), key=repr)
     n = len(ranked)
     bit = {lab: 1 << (n - 1 - r) for r, lab in enumerate(ranked)}
-    parents = {bit[lab]: sum(bit[q] for q in delta.parents(lab) if q in bit) for lab in ranked}
+    # clause one passed, so every endpoint of a changed entry has a bit
+    parents = {bit[lab]: sum(bit[labels[q]] for q in np.flatnonzero(changed[sem1.index(lab)]))
+               for lab in ranked}
     anc, desc = _closures(parents)
     if _downset_count((1 << n) - 1, anc, desc, {}) > SUBSET_BUDGET:
         return fail(

@@ -10,7 +10,8 @@ support makes (I - B) invertible, which gives closed forms for the covariance
 input once, in the constructor, each matrix through ``_matrix`` (square,
 finite, and symmetric where required); restrictions and thresholded copies
 are derived from a checked object (``_Labeled._derive``) without a second
-check.
+check. ``Sem`` and ``DagEdgeSet`` reject a directed cycle through one check,
+``_require_acyclic``, which builds no topological order.
 
 The package's on-disk formats are decided here: ``_write_json`` and
 ``_write_lines`` write every artifact, and ``_output_order`` orders every
@@ -26,7 +27,6 @@ separated from zero.
 
 from __future__ import annotations
 
-import heapq
 import json
 import numbers
 import warnings
@@ -94,30 +94,16 @@ def _output_order(items) -> list:
         return sorted(items, key=repr)
 
 
-def _canonical_topo_positions(support: np.ndarray) -> list[int]:
-    """Lexicographically minimal topological order of the row indices.
-
-    ``support[i, j]`` True means j is a parent of i. Kahn's sort that always
-    places the smallest ready index. Raises on cycles.
-    """
-    p = support.shape[0]
-    missing = [0] * p  # unplaced parents of each row
-    children: list[list[int]] = [[] for _ in range(p)]
-    for child, parent in zip(*(k.tolist() for k in np.nonzero(support))):
-        missing[child] += 1
-        children[parent].append(child)
-    ready = [i for i in range(p) if not missing[i]]
-    placed: list[int] = []
-    while ready:
-        nxt = heapq.heappop(ready)
-        placed.append(nxt)
-        for child in children[nxt]:
-            missing[child] -= 1
-            if not missing[child]:
-                heapq.heappush(ready, child)
-    if len(placed) < p:
+def _require_acyclic(support: np.ndarray) -> None:
+    """Raise ``InvalidModelError`` when the square boolean ``support`` holds a
+    directed cycle. A graph on p vertices is acyclic exactly when no walk has
+    p edges; k squarings of its 0/1 adjacency matrix, clipped to 0/1, mark
+    the walks of 2^k >= p edges."""
+    walks = support.astype(float)
+    for _ in range(max(len(support) - 1, 0).bit_length()):
+        walks = np.minimum(walks @ walks, 1.0)
+    if walks.any():
         raise InvalidModelError("edge support contains a directed cycle")
-    return placed
 
 
 class _Labeled:
@@ -198,7 +184,7 @@ class Sem(_Labeled):
         if not np.isfinite(nv).all() or np.any(nv <= 0.0):
             raise InvalidModelError("noise variances must be strictly positive and finite")
         self._set_labels(p, InvalidModelError)
-        _canonical_topo_positions(b != 0.0)  # raises on a cycle
+        _require_acyclic(b != 0.0)
         nv.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "noise_vars", nv)
@@ -234,19 +220,11 @@ class DagEdgeSet:
             if child == parent:
                 raise InvalidModelError(f"self-loop at {child!r}")
             support[index[child], index[parent]] = True
-        _canonical_topo_positions(support)
-
-    def parents(self, label) -> set:
-        return {j for (i, j) in self.edges if i == label}
-
-    def degree(self, label) -> int:
-        return sum(1 for e in self.edges if label in e)
+        _require_acyclic(support)
 
     def max_degree(self) -> int:
         """Largest number of incident edges over all vertices (0 if empty)."""
-        if not self.edges:
-            return 0
-        return max(self.degree(v) for v in self.vertices)
+        return max(Counter(v for e in self.edges for v in e).values(), default=0)
 
     def with_vertices(self, vertices) -> "DagEdgeSet":
         """The same edges over a different (superset) vertex universe."""

@@ -22,8 +22,8 @@ from diffdag import (
     covariance,
     generate_sem_pair,
 )
+from diffdag.errors import InvalidModelError
 from diffdag.oracles import _require_shared
-from diffdag.sem import _canonical_topo_positions
 
 # The C07 trend grid: 360 Dantzig trials. Its records.csv is the one whose
 # sha256 the BENCH files cite; tools/bench_record.py imports it from here.
@@ -40,10 +40,27 @@ C07_SWEEP = SweepConfig(
 )
 
 
+def _scan_topo_positions(support: np.ndarray) -> list[int]:
+    """The lexicographically minimal topological order of the row indices of
+    ``support`` (``support[i, j]`` True when j is a parent of i): the smallest
+    ready index, found by scanning every row each step. A cycle raises the
+    ``InvalidModelError`` that ``Sem`` raises."""
+    p = support.shape[0]
+    parents = [set(np.flatnonzero(support[i]).tolist()) for i in range(p)]
+    placed, placed_set = [], set()
+    while len(placed) < p:
+        ready = [i for i in range(p) if i not in placed_set and parents[i] <= placed_set]
+        if not ready:
+            raise InvalidModelError("edge support contains a directed cycle")
+        placed.append(min(ready))
+        placed_set.add(placed[-1])
+    return placed
+
+
 def topological_order(sem: Sem) -> tuple:
     """The canonical (lexicographically minimal) topological order of ``sem``,
     as labels: parents appear before their children."""
-    return tuple(sem.labels[i] for i in _canonical_topo_positions(sem.b != 0.0))
+    return tuple(sem.labels[i] for i in _scan_topo_positions(sem.b != 0.0))
 
 
 def random_sem(rng: np.random.Generator, p: int, edge_prob: float = 0.4) -> Sem:

@@ -1,6 +1,6 @@
-"""``tools/bench_record.py`` rejects a pair count its quartiles cannot use and
+"""``tools/bench_record.py`` rejects a pair count its quartiles cannot use,
 counts each end-to-end metric's wins in the direction ``BENCHMARK.json`` calls
-better."""
+better, and gives each metric a verdict against the bound it fixes."""
 
 import importlib.util
 import subprocess
@@ -55,3 +55,46 @@ def test_directions_come_from_the_benchmark_file():
     assert better["ops_per_s"] == "higher"
     assert better["setup_s"] == better["peak_rss_mb"] == "lower"
     assert set(better.values()) == {"higher", "lower"}
+
+
+def test_bounds_come_from_the_benchmark_file():
+    bounds = _tool().directions(TOOL.parent.parent / "BENCHMARK.json", "bound")
+    assert bounds["ops_per_s"] == 0.25
+    assert bounds["peak_rss_mb"] == 0.15
+
+
+# ten pairs each; ops_per_s is better higher, peak_rss_mb lower, both with
+# the benchmark's bounds (a fraction of the parent's median)
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]
+
+
+@pytest.mark.parametrize(
+    ("change", "better", "bound", "expected"),
+    [
+        # wins 10 of 10 and the medians differ by 2 against a parent IQR of 0.2
+        ([v + 2.0 for v in PARENT], "higher", 0.25, "gain"),
+        # the same runs read as memory, where lower is better
+        ([v + 2.0 for v in PARENT], "lower", 0.25, "within bound"),
+        ([v + 2.0 for v in PARENT], "lower", 0.15, "regressed"),
+        # 8 wins and 2 ties: too few wins for a gain
+        ([v + 2.0 for v in PARENT[:8]] + PARENT[8:], "higher", 0.25, "within bound"),
+        # wins 10 of 10, but by less than the parent's IQR
+        ([v + 0.01 for v in PARENT], "higher", 0.25, "within bound"),
+        # median 30 % worse
+        ([v * 0.7 for v in PARENT], "higher", 0.25, "regressed"),
+    ],
+    ids=["gain", "worse-within-bound", "regressed-lower", "ties-no-gain", "small-gain", "regressed-higher"],
+)
+def test_verdicts_on_synthetic_runs(change, better, bound, expected):
+    assert _tool().verdict(PARENT, change, better, bound) == expected
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    tool = _tool()
+    parent = [6.0, 14.0, 8.0, 12.0, 10.0, 7.0, 13.0, 9.0, 11.0, 10.0]  # IQR 3.5 on a median of 10
+    assert tool.verdict(parent, [v + 0.1 for v in parent], "higher", 0.25) == "unresolved"
+    # a skewed parent (IQR 8 on a median of 9.95) that every change run beats,
+    # by less than that IQR: resolved, but not a gain
+    skewed = [1.0, 1.0, 1.0, 5.0, 9.9, 10.0, 10.0, 10.0, 10.0, 10.0]
+    assert tool.verdict(skewed, [10.5] * 10, "higher", 0.25) == "within bound"
+    assert tool.verdict(skewed, [10.5] * 9 + [9.0], "higher", 0.25) == "unresolved"

@@ -17,6 +17,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from diffdag import (
 )
 from diffdag import estimators
 from diffdag.estimators import dantzig_selector, resolve_lambda
+from diffdag.experiments import _trial_seed
 from helpers import perturb_sem, random_sem, topological_order
 
 POP = PipelineConfig(estimator="population")
@@ -386,6 +388,62 @@ def test_bad_shapes_rejected_before_the_solver(shape1, shape2, monkeypatch):
     monkeypatch.setattr(estimators, "_program", _no_program)
     with pytest.raises(ValueError, match=rf"got {re.escape(str(shape1))} and {re.escape(str(shape2))}"):
         dantzig_selector(np.ones(shape1), 2.0 * np.ones(shape2), 0.1)
+
+
+@pytest.mark.parametrize("p", [20, 25, 30])
+def test_badly_scaled_pairs_solve(p):
+    # the n = 2000 pair of the fixed-n trial at (p, rep 0), as perfbench's
+    # pipeline-large draws it, with variable 0 scaled by 1000 and variable 3
+    # by 1/1000 (covariances D S D). HiGHS meets its tolerance in its scaled
+    # model; a flat slack of 100 SOLVER_TOL rejects the p = 25 and 30 solves
+    seed = _trial_seed(0, p, 0, 0)
+    sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
+    cov = CovariancePair.from_data(dd.sample(sem1, 2000, np.random.default_rng((seed, 1))),
+                                   dd.sample(sem2, 2000, np.random.default_rng((seed, 2))))
+    d = np.ones(p)
+    d[0], d[3] = 1e3, 1e-3
+    s1, s2 = cov.sigma1 * np.outer(d, d), cov.sigma2 * np.outer(d, d)
+    lam = resolve_lambda(cov, EstimatorConfig(lambda_auto=True)).lambda_n
+    raw = dantzig_selector(s1, s2, lam)
+    assert np.abs(s1 @ raw @ s2 - (s2 - s1)).max() <= 1.001 * lam
+
+
+class _Reports:
+    """A program that reports an optimum at ``x`` without solving."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def run(self):
+        pass
+
+    def getModelStatus(self):
+        return HighsModelStatus.kOptimal
+
+    def getSolution(self):
+        return SimpleNamespace(col_value=self.x)
+
+
+@pytest.mark.parametrize(("past", "raises"), [(-0.01, False), (0.01, True)], ids=["inside", "past"])
+def test_residual_bound_on_a_unit_scale_entry(past, raises, monkeypatch):
+    # the solver reports a D whose residual is zero but at (0, 0), which sits
+    # 1 % of lambda inside or past that entry's bound, lambda + 100 SOLVER_TOL
+    s1 = 0.25 * np.array([[1.0, 0.2], [0.2, 1.0]])
+    s2 = 0.25 * np.array([[1.5, 0.1], [0.1, 1.0]])
+    lam = 0.01
+    e = np.zeros((2, 2))
+    e[0, 0] = lam + 100.0 * estimators.SOLVER_TOL + past * lam
+    delta = np.linalg.solve(s1, s2 - s1 + e) @ np.linalg.inv(s2)
+    magnitude = np.abs(s1) @ np.abs(delta) @ np.abs(s2) + np.abs(s2 - s1)
+    assert magnitude[0, 0] < 1.0  # a unit-scale entry: the slack is not widened
+    x = np.concatenate([np.maximum(delta, 0.0).ravel(order="F"),
+                        np.maximum(-delta, 0.0).ravel(order="F"), np.zeros(4)])
+    monkeypatch.setattr(estimators, "_program", lambda *args: _Reports(x))
+    if raises:
+        with pytest.raises(EstimatorConvergenceError, match="violates the residual bound"):
+            dantzig_selector(s1, s2, lam)
+    else:
+        np.testing.assert_allclose(dantzig_selector(s1, s2, lam), delta)
 
 
 def test_highs_binding_has_everything_the_program_uses():

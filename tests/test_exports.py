@@ -48,7 +48,11 @@ def test_deleted_names_stay_gone():
 
 
 def test_unneeded_members_stay_gone():
-    assert not hasattr(dd.DagEdgeSet, "children")
+    # an edge set is read through its edges; Sem and DagEdgeSet check
+    # acyclicity without building an order
+    for member in ("children", "parents", "degree"):
+        assert not hasattr(dd.DagEdgeSet, member), member
+    assert not hasattr(dd.sem, "_canonical_topo_positions")
     assert not hasattr(dd.CovariancePair, "is_population")
     assert not hasattr(dd.SemPairGenConfig, "to_json")
     assert not hasattr(dd.sem, "sem_to_json")

@@ -238,6 +238,24 @@ class TestCheckAssumptions:
         assert not report.passed
         assert report.failed_condition == "separation"
 
+    @pytest.mark.parametrize("side, flipped", [("incoming", (0, 1)), ("outgoing", (1, 0))])
+    def test_invariant_vertex_with_changed_edges_fails(self, side, flipped):
+        # the edge at 0 flips sign, and so does 2 <- 1; with 2 <- 0 kept, the
+        # common-child term cancels the edge's own, so row 0 of the precision
+        # difference vanishes although an edge at 0 changed
+        b1 = np.zeros((3, 3))
+        b1[flipped], b1[2, 0], b1[2, 1] = 0.5, 1.0, 0.5
+        b2 = b1.copy()
+        b2[flipped] = b2[2, 1] = -0.5
+        sem1, sem2 = Sem(b1, np.ones(3)), Sem(b2, np.ones(3))
+        assert not (precision(sem1) - precision(sem2))[0].any()
+        report = check_assumptions(sem1, sem2, 0.125)
+        assert (report.failed_condition, report.detail) == (
+            "invariant-vertex-consistency",
+            f"vertex 0 has a zero difference row but changed {side} edges",
+        )
+        assert report == _reference_check(sem1, sem2, 0.125)
+
     def test_subset_budget_marks_inconclusive(self, monkeypatch):
         sem1, sem2, delta = dd.generate_sem_pair(dd.SemPairGenConfig(p=8, seed=2))
         assert delta.edges  # a pair with separations to enumerate
@@ -392,7 +410,7 @@ def _reference_check(sem1, sem2, epsilon, max_subsets=100_000):
     if not delta.edges:
         return AssumptionReport(True, None, None, invariant, delta.edges, 0)
     v_labels = [lab for lab in labels if lab not in invariant]
-    parents = {lab: delta.parents(lab) & set(v_labels) for lab in v_labels}
+    parents = {lab: {j for (i, j) in delta.edges if i == lab} & set(v_labels) for lab in v_labels}
     downsets = _reference_ancestor_closed_subsets(v_labels, parents, max_subsets)
     if downsets is None:
         return fail(
@@ -495,7 +513,9 @@ class TestCheckAssumptionsMatchesReference:
                 assert (i, j) in report.delta_edges and {i, j} <= s
                 delta = difference_edge_set(sem1, sem2)
                 assert not s & report.invariant
-                assert all(delta.parents(v) - report.invariant <= s for v in s)  # ancestor-closed
+                # ancestor-closed
+                assert all(parent in s or parent in report.invariant
+                           for (child, parent) in delta.edges if child in s)
                 covs = covariance(sem1), covariance(sem2)
                 gap = dict(zip(GAP_NAMES, _inverse_gaps(covs, sem1.labels, i, j, s)))[name]
                 assert gap < 2.0 * eps

@@ -1,6 +1,6 @@
-"""Properties over generated inputs: relabeling, the constrained-l1 path's
-symmetries, JSON round-trips, and the draws, orders and subset walks behind
-the generator.
+"""Properties over generated inputs: relabeling and rescaling, the
+constrained-l1 path's symmetries, JSON round-trips, and the draws, cycle check
+and subset walks behind the generator.
 
 Hypothesis runs derandomized with few examples and no example database, so
 every run draws the same cases.
@@ -19,8 +19,8 @@ import diffdag as dd
 from diffdag.errors import InvalidModelError
 from diffdag.experiments import _trial_seed, sample_budget
 from diffdag.oracles import _closures, _downset_count, _downsets_above
-from diffdag.sem import _canonical_topo_positions, _draw_slots
-from helpers import C07_SWEEP
+from diffdag.sem import _draw_slots, _require_acyclic
+from helpers import C07_SWEEP, _scan_topo_positions
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 
@@ -62,6 +62,22 @@ def test_pipeline_commutes_with_reordering_and_renaming_vertices(case):
     assert got.order.layers == tuple(
         frozenset(names[k] for k in layer) for layer in base.order.layers
     )
+
+
+@pytest.mark.parametrize("p", [10, 20, 25])
+def test_population_edges_survive_rescaling_the_variables(p):
+    # covariances D S D with D = diag(10^u), u ~ U(-3, 3) per variable, on the
+    # pairs of seeds 0-9. The invariant set and layers are not compared: the
+    # numerical zero ZERO_TOL is absolute, and rounding noise of up to 1e-8 on
+    # the scaled solves moves them on some of these pairs
+    cfg = dd.PipelineConfig(estimator="population")
+    for seed in range(10):
+        sem1, sem2, truth = dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
+        cov = dd.CovariancePair.from_sems(sem1, sem2)
+        d = 10.0 ** np.random.default_rng(seed).uniform(-3, 3, p)
+        outer = np.outer(d, d)
+        scaled = dd.CovariancePair(cov.sigma1 * outer, cov.sigma2 * outer, labels=cov.labels)
+        assert dd.run_pipeline(scaled, cfg).delta.edges == truth.edges, seed
 
 
 # The C07 grid's first three trials per cell at p <= 10, as (p, c, rep):
@@ -262,20 +278,6 @@ def test_sweep_config_json_round_trip(cfg):
     assert dd.SweepConfig.from_json(_fields_round_trip(cfg)) == cfg
 
 
-def _scan_topo_positions(support):
-    """The smallest ready index, found by scanning every row each step."""
-    p = support.shape[0]
-    parents = [set(np.flatnonzero(support[i]).tolist()) for i in range(p)]
-    placed, placed_set = [], set()
-    while len(placed) < p:
-        ready = [i for i in range(p) if i not in placed_set and parents[i] <= placed_set]
-        if not ready:
-            raise InvalidModelError("edge support contains a directed cycle")
-        placed.append(min(ready))
-        placed_set.add(placed[-1])
-    return placed
-
-
 @st.composite
 def supports(draw):
     """A random parent support; with a back edge it may hold a cycle."""
@@ -293,14 +295,14 @@ def supports(draw):
 
 @settings(FIXED, max_examples=60)
 @given(supports())
-def test_heap_topological_order_is_the_scanned_minimal_order(support):
+def test_cycle_check_raises_exactly_when_the_scan_finds_a_cycle(support):
     try:
-        expected = _scan_topo_positions(support)
-    except InvalidModelError:
-        with pytest.raises(InvalidModelError):
-            _canonical_topo_positions(support)
+        _scan_topo_positions(support)
+    except InvalidModelError as scanned:
+        with pytest.raises(InvalidModelError, match=str(scanned)):
+            _require_acyclic(support)
         return
-    assert _canonical_topo_positions(support) == expected
+    _require_acyclic(support)
 
 
 @st.composite

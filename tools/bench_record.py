@@ -17,7 +17,8 @@ at a time, from each tree's own files:
 The file holds every run's end-to-end metrics, each metric's median and
 quartiles per side, the pairs the change wins and loses on each end-to-end
 metric (in the direction the change checkout's ``BENCHMARK.json`` calls
-better; a tie counts for neither side), the traced per-layer metrics, and the
+better; a tie counts for neither side), one verdict per workload and
+end-to-end metric (see ``verdict``), the traced per-layer metrics, and the
 host's core count and RAM.
 """
 
@@ -109,10 +110,11 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def directions(benchmark: Path) -> dict:
-    """Each end-to-end metric of a ``BENCHMARK.json``, mapped to its better side."""
+def directions(benchmark: Path, field: str = "better") -> dict:
+    """Each end-to-end metric of a ``BENCHMARK.json``, mapped to its better
+    side, or with ``field="bound"`` to its bound."""
     with open(benchmark, encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: m[field] for m in json.load(fh)["end_to_end"]}
 
 
 def tally(runs: list[dict], better: dict) -> dict:
@@ -127,8 +129,35 @@ def tally(runs: list[dict], better: dict) -> dict:
     return out
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One end-to-end metric's verdict over paired runs (``parent[k]`` and
+    ``change[k]`` ran as pair k). ``bound`` is the fraction of the parent's
+    median by which the metric may worsen; the first rule that holds decides:
+
+    - "gain": the change wins at least 9 in 10 pairs (a tie counts for
+      neither side), and its median is better by more than the parent's
+      q3 - q1;
+    - "regressed": its median is worse by more than the bound;
+    - "unresolved": the parent's q3 - q1 exceeds the bound, unless every
+      change run is better than every parent run;
+    - "within bound".
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    ours, theirs = [sign * v for v in change], [sign * v for v in parent]
+    base, after = spread(parent), spread(change)
+    iqr, allowed = base["q3"] - base["q1"], bound * abs(base["median"])
+    gain = sign * (after["median"] - base["median"])
+    if 10 * sum(c > p for p, c in zip(theirs, ours)) >= 9 * len(parent) and gain > iqr:
+        return "gain"
+    if gain < -allowed:
+        return "regressed"
+    if iqr > allowed and min(ours) <= max(theirs):
+        return "unresolved"
+    return "within bound"
+
+
 def compare_workload(trees: dict, workload: str, pairs: int, seconds: float, seed_base: int,
-                     better: dict) -> dict:
+                     better: dict, bounds: dict) -> dict:
     runs = []
     for k in range(pairs):
         seed = seed_base + k
@@ -152,6 +181,8 @@ def compare_workload(trees: dict, workload: str, pairs: int, seconds: float, see
         "env": {k: env[k] for k in ("nproc", "cpus_usable", "ram_mb", "python", "numpy", "scipy")},
         "summary": summary,
         "wins": tally(runs, better),
+        "verdicts": {m: verdict([r["parent"][m] for r in runs], [r["change"][m] for r in runs],
+                                better[m], bounds[m]) for m in better},
         "runs": runs,
     }
 
@@ -167,6 +198,7 @@ def main() -> int:
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     better = directions(trees["change"] / "BENCHMARK.json")
+    bounds = directions(trees["change"] / "BENCHMARK.json", "bound")
 
     record: dict = {
         "command": f"python3 perfbench/run.py --seconds {args.seconds:g} --trace 0",
@@ -181,7 +213,9 @@ def main() -> int:
 
     for workload in WORKLOADS:
         record["workloads"][workload] = compare_workload(
-            trees, workload, args.pairs, args.seconds, args.seed_base, better)
+            trees, workload, args.pairs, args.seconds, args.seed_base, better, bounds)
+        print(f"{workload} verdicts: " + ", ".join(
+            f"{m} {v}" for m, v in record["workloads"][workload]["verdicts"].items()), flush=True)
         save()
     for workload in WORKLOADS:
         record["traced"][workload] = {side: traced(trees[side], workload) for side in SIDES}
