@@ -35,6 +35,7 @@ from .sem import (
     CovariancePair,
     Sem,
     SemPairGenConfig,
+    _real,
     _write_json,
     _write_lines,
     generate_sem_pair,
@@ -65,9 +66,10 @@ def _load_json(path: str) -> dict:
 
 
 def _finite_nonnegative(text: str) -> float:
-    if not 0.0 <= float(text) < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
-    return float(text)
+    try:
+        return _real("value", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _require_positive_epsilon(args, parser: argparse.ArgumentParser) -> None:

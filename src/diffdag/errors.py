@@ -24,10 +24,6 @@ class InfeasibleEstimateError(DiffDagError):
 class EstimatorConvergenceError(DiffDagError):
     """The LP backend stopped before reaching optimality."""
 
-    def __init__(self, message: str, best_residual: float | None = None):
-        super().__init__(message)
-        self.best_residual = best_residual
-
 
 class OrderStallError(DiffDagError):
     """Layer extraction found no zero-diagonal vertex while several remain.

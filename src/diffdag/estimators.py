@@ -100,11 +100,7 @@ class DeltaPrecision(_Labeled):
     def __post_init__(self):
         m = _matrix("matrix", self.matrix, ValueError, 1e-10)
         self._set_labels(m.shape[0], ValueError)
-        if not 0.0 <= _real("threshold_applied", self.threshold_applied) < math.inf:
-            raise ValueError(
-                f"threshold_applied must be finite and nonnegative, got {self.threshold_applied!r}"
-            )
-        if self.threshold_applied > 0.0:
+        if _real("threshold_applied", self.threshold_applied) > 0.0:
             absm = np.abs(m)
             bad = (absm > 0.0) & (absm <= self.threshold_applied)
             if bad.any():
@@ -156,7 +152,8 @@ class EstimatorConfig:
 
     ``lambda_n`` is the constraint radius and ``epsilon`` the hard threshold
     on the estimate; both must be finite. With ``lambda_auto`` the radius is
-    set instead to ``sqrt(log(2 p / 0.05) / min(n1, n2))``.
+    set instead to ``sqrt(log(2 p / 0.05) / min(n1, n2))``, so a positive
+    ``lambda_n`` alongside it is rejected rather than dropped.
     """
 
     lambda_n: float = 0.0
@@ -164,12 +161,12 @@ class EstimatorConfig:
     lambda_auto: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= _real("lambda_n", self.lambda_n) < math.inf:
-            raise ValueError(f"lambda_n must be finite and nonnegative, got {self.lambda_n!r}")
-        if not 0.0 < _real("epsilon", self.epsilon) < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
+        _real("lambda_n", self.lambda_n)
+        _real("epsilon", self.epsilon, positive=True)
         if not isinstance(self.lambda_auto, bool):
             raise ValueError(f"lambda_auto must be true or false, got {self.lambda_auto!r}")
+        if self.lambda_auto and self.lambda_n > 0.0:
+            raise ValueError(f"lambda_n={self.lambda_n!r} and lambda_auto both set the radius; set one")
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
@@ -314,21 +311,18 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     HiGHS's model status names a failure, and the residual check bounds
     each entry of |S1 D S2 - (S2 - S1)| by lambda_n plus 100 SOLVER_TOL
     times the larger of 1 and the entry's magnitude, |S1| |D| |S2| + |S2 - S1|.
-    A bad radius or bad shapes raise ``ValueError`` before HiGHS is called.
+    A bad radius, a matrix that ``sem._matrix`` rejects or two shapes that
+    differ raise ``ValueError`` before HiGHS is called.
     """
     # the binding is loaded even when no program is solved, so that a caller's
     # first call, and not a later one, pays for the import
     model_status = _highs().HighsModelStatus
-    s1 = np.asarray(sigma1, dtype=float)
-    s2 = np.asarray(sigma2, dtype=float)
-    if not 0.0 <= _real("lambda_n", lambda_n) < math.inf:
-        raise ValueError(f"lambda_n must be finite and nonnegative, got {lambda_n!r}")
-    if s1.ndim != 2 or s1.shape[0] != s1.shape[1] or s1.shape != s2.shape or not s1.size:
-        raise ValueError("sigma1 and sigma2 must be square, non-empty and of one shape, "
+    _real("lambda_n", lambda_n)
+    s1, s2 = _matrix("sigma1", sigma1, ValueError), _matrix("sigma2", sigma2, ValueError)
+    if s1.shape != s2.shape or not s1.size:
+        raise ValueError("sigma1 and sigma2 must be non-empty and of one shape, "
                          f"got {s1.shape} and {s2.shape}")
     p = s1.shape[0]
-    if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
-        raise ValueError("sigma1 and sigma2 must be finite")
     if lambda_n >= float(np.abs(s2 - s1).max()):
         return np.zeros((p, p))
     if lambda_n == 0.0:
@@ -346,10 +340,7 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
             "increase lambda_n (the empirical system is inconsistent)"
         )
     if status != model_status.kOptimal:
-        raise EstimatorConvergenceError(
-            f"LP solver stopped early ({status.name}) at lambda_n={lambda_n:g}",
-            best_residual=None,
-        )
+        raise EstimatorConvergenceError(f"LP solver stopped early ({status.name}) at lambda_n={lambda_n:g}")
     x = np.asarray(highs.getSolution().col_value)
     n = p * p
     delta = (x[:n] - x[n : 2 * n]).reshape((p, p), order="F")
@@ -361,16 +352,14 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     if excess.max() > 0.0:
         raise EstimatorConvergenceError(
             f"LP solution violates the residual bound "
-            f"({residual.flat[excess.argmax()]:g} > {lambda_n:g} + tol)",
-            best_residual=float(residual.max()),
+            f"({residual.flat[excess.argmax()]:g} > {lambda_n:g} + tol)"
         )
     return delta
 
 
 def threshold(dp: DeltaPrecision, epsilon: float) -> DeltaPrecision:
     """Zero all entries with magnitude at or below epsilon (inclusive)."""
-    if not 0.0 < _real("epsilon", epsilon) < math.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    _real("epsilon", epsilon, positive=True)
     m = dp.matrix.copy()
     m[np.abs(m) <= epsilon] = 0.0
     return dp._derive(dp.labels, matrix=m, threshold_applied=epsilon)

@@ -70,8 +70,7 @@ def sample_budget(p: int, c: int, d_prime: int) -> int:
     the empirical covariances usable when the difference DAG is tiny or
     empty, not a recovery budget.
     """
-    if p < 2 or c < 1 or d_prime < 0:
-        raise ValueError("need p >= 2, c >= 1, d_prime >= 0")
+    p, c, d_prime = _integer("p", p, 2), _integer("c", c, 1), _integer("d_prime", d_prime, 0)
     return max(int(math.floor(c * d_prime**2 * math.log(p))), p + 1)
 
 
@@ -128,26 +127,17 @@ class SweepConfig:
     seed_base: int = 0
 
     def __post_init__(self):
-        for name in ("p_values", "c_values"):
-            values = tuple(_integer(f"{name} entry", v) for v in getattr(self, name))
+        # a SEM pair needs two vertices, and the sample budget c >= 1
+        for name, least in (("p_values", 2), ("c_values", 1)):
+            values = tuple(_integer(f"{name} entry", v, least) for v in getattr(self, name))
             object.__setattr__(self, name, values)
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
-        for p in self.p_values:
-            if p < 2:
-                raise ValueError(f"p_values entry {p} is below 2; a SEM pair needs two vertices")
-        for c in self.c_values:
-            if c < 1:
-                raise ValueError(f"c_values entry {c} is below 1; the sample budget needs c >= 1")
-        if _integer("repetitions", self.repetitions) < 1:
-            raise ValueError("repetitions must be at least 1")
-        if _integer("seed_base", self.seed_base) < 0:
-            raise ValueError(f"seed_base must be non-negative, got {self.seed_base!r}")
+        _integer("repetitions", self.repetitions, least=1)
+        _integer("seed_base", self.seed_base, least=0)
         if self.fixed_n is None and not self.c_values:
             raise ValueError("need c_values or fixed_n")
-        if self.fixed_n is not None and _integer("fixed_n", self.fixed_n) < 2:
-            raise ValueError("fixed_n must be at least 2")
-        if self.fixed_n is not None and self.fixed_n < max(self.p_values):
+        if self.fixed_n is not None and _integer("fixed_n", self.fixed_n) < max(self.p_values):
             raise ValueError(
                 f"fixed_n={self.fixed_n} is below the largest p={max(self.p_values)}; "
                 "every trial needs at least p samples per model"

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sem import ZERO_TOL, Sem, _output_order, _real, covariance, difference_edge_set, precision
+from .sem import ZERO_TOL, Sem, covariance, difference_edge_set, precision
+from .sem import _integer, _output_order, _real
 
 # The most ancestor-closed subsets check_assumptions walks; past it the
 # check is inconclusive.
@@ -184,8 +185,7 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     ends the check; ``subsets_checked`` counts the (edge, subset) pairs
     examined up to and including it, and ``detail`` names it.
     """
-    if not 0.0 <= _real("epsilon", epsilon) < math.inf:
-        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
+    _real("epsilon", epsilon)
     _require_shared(sem1, sem2)
     delta = difference_edge_set(sem1, sem2)
     dom = precision(sem1) - precision(sem2)
@@ -277,10 +277,7 @@ def minimax_sample_bound(p: int, d: int) -> float:
     difference DAG with error probability under one half, for difference
     DAGs with at most d parents per node: (d/2) ln(p/(2d)) - (2/p) ln 2.
     """
-    if int(p) != p or int(d) != d:
-        raise ValueError("p and d must be integers")
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    p, d = _integer("p", p), _integer("d", d, least=1)
     if p < 2 * d:
         raise ValueError(f"require p >= 2d, got p={p}, d={d}")
     return (d / 2.0) * math.log(p / (2.0 * d)) - (2.0 / p) * math.log(2.0)

@@ -6,12 +6,16 @@ parents, so B[i, j] != 0 encodes the directed edge i <- j. Acyclicity of the
 support makes (I - B) invertible, which gives closed forms for the covariance
 (I-B)^-1 D (I-B)^-T and the precision (I-B)^T D^-1 (I-B).
 
-``Sem``, ``CovariancePair`` and ``estimators.DeltaPrecision`` check their
-input once, in the constructor, each matrix through ``_matrix`` (square,
-finite, and symmetric where required); restrictions and thresholded copies
-are derived from a checked object (``_Labeled._derive``) without a second
-check. ``Sem`` and ``DagEdgeSet`` reject a directed cycle through one check,
-``_require_acyclic``, which builds no topological order.
+The package checks each kind of input in one place, and every error names
+the input and its value: a matrix through ``_matrix`` (square, finite, and
+symmetric where required), a count through ``_integer`` (an integer, not a
+bool, at least its lower bound) and a real setting through ``_real`` (finite
+and non-negative, or positive). ``Sem``, ``CovariancePair`` and
+``estimators.DeltaPrecision`` check their input once, in the constructor;
+restrictions and thresholded copies are derived from a checked object
+(``_Labeled._derive``) without a second check. ``Sem`` and ``DagEdgeSet``
+reject a directed cycle through one check, ``_require_acyclic``, which
+builds no topological order.
 
 The package's on-disk formats are decided here: ``_write_json`` and
 ``_write_lines`` write every artifact, and ``_output_order`` orders every
@@ -54,17 +58,24 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integral value raises ``ValueError``."""
+def _integer(name: str, value, least: int | None = None, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int, which must not be a bool and, when ``least`` is given,
+    must be at least ``least``; else ``error``, naming ``name`` and the value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be at least {least}, got {value!r}")
     return int(value)
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float; a bool or a non-real value raises ``ValueError``."""
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float, which must not be a bool and must be finite and non-negative,
+    or positive when ``positive``; else ``ValueError``, naming ``name`` and the value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value < np.inf or (positive and value == 0.0):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
     return float(value)
 
 
@@ -278,8 +289,7 @@ def sample(sem: Sem, n: int, seed) -> np.ndarray:
     ``seed`` may be an int or a ``numpy.random.Generator``; equal seeds give
     identical outputs.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer("n", n, least=1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eps = rng.standard_normal((n, sem.p)) * np.sqrt(sem.noise_vars)
     a = np.eye(sem.p) - sem.b
@@ -323,9 +333,7 @@ class CovariancePair(_Labeled):
             )
         p = s1.shape[0]
         for name in ("n1", "n2"):
-            n = _integer(name, getattr(self, name))
-            if n < 0:
-                raise InvalidCovarianceError(f"{name} must be nonnegative, got {n}")
+            n = _integer(name, getattr(self, name), least=0, error=InvalidCovarianceError)
             if 0 < n < p:
                 raise InvalidCovarianceError(
                     f"{name}={n} samples are fewer than the p={p} variables; "
@@ -382,13 +390,14 @@ class CovariancePair(_Labeled):
 class SemPairGenConfig:
     """Parameters of the random SEM pair generator.
 
-    ``expected_neighbors`` defaults to sqrt(p), at most p - 1, and
-    ``edge_change_prob`` to 0.5/p when left unset. ``min_delta_omega`` is
-    enforced on every nonzero entry of the population precision difference
-    by rejection sampling, together with the 2*eps partial-correlation
-    separations at eps = min_delta_omega / 2. Edge weights, noise variances
-    and the attempt limit are the module constants ``WEIGHT_RANGE``,
-    ``NOISE_VAR_RANGE`` and ``MAX_ATTEMPTS``.
+    ``expected_neighbors`` and ``edge_change_prob`` left unset stay None, and
+    ``generate_sem_pair`` resolves them at the config's p, as sqrt(p) (at most
+    p - 1) and 0.5/p, so a copy with another p draws at that p.
+    ``min_delta_omega`` is enforced on every nonzero entry of the population
+    precision difference by rejection sampling, together with the 2*eps
+    partial-correlation separations at eps = min_delta_omega / 2. Edge
+    weights, noise variances and the attempt limit are the module constants
+    ``WEIGHT_RANGE``, ``NOISE_VAR_RANGE`` and ``MAX_ATTEMPTS``.
     """
 
     p: int
@@ -398,22 +407,14 @@ class SemPairGenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if _integer("p", self.p) < 2:
-            raise ValueError("p must be at least 2")
-        if _integer("seed", self.seed) < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        if self.expected_neighbors is None:
-            object.__setattr__(self, "expected_neighbors", float(min(np.sqrt(self.p), self.p - 1)))
-        if self.edge_change_prob is None:
-            object.__setattr__(self, "edge_change_prob", 0.5 / self.p)
-        if not 0.0 < _real("edge_change_prob", self.edge_change_prob) < 1.0:
-            raise ValueError("edge_change_prob must lie strictly between 0 and 1")
-        if not 0.0 < _real("expected_neighbors", self.expected_neighbors) <= self.p - 1:
-            raise ValueError("expected_neighbors must lie in (0, p-1]")
-        if not 0.0 <= _real("min_delta_omega", self.min_delta_omega) < np.inf:
-            raise ValueError(
-                f"min_delta_omega must be finite and nonnegative, got {self.min_delta_omega!r}"
-            )
+        _integer("p", self.p, least=2)
+        _integer("seed", self.seed, least=0)
+        prob, neighbors = self.edge_change_prob, self.expected_neighbors
+        if prob is not None and not 0.0 < _real("edge_change_prob", prob) < 1.0:
+            raise ValueError(f"edge_change_prob must lie strictly between 0 and 1, got {prob!r}")
+        if neighbors is not None and not 0.0 < _real("expected_neighbors", neighbors) <= self.p - 1:
+            raise ValueError(f"expected_neighbors must lie in (0, p-1], got {neighbors!r}")
+        _real("min_delta_omega", self.min_delta_omega)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SemPairGenConfig":
@@ -465,7 +466,9 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
     """Generate a pair of SEMs with a sparse, well-separated difference.
 
     The first model is an Erdos-Renyi DAG under a random topological order
-    with per-slot edge probability expected_neighbors/(p-1). The second keeps
+    with per-slot edge probability expected_neighbors/(p-1), where unset
+    ``expected_neighbors`` and ``edge_change_prob`` are resolved at ``cfg.p``
+    (see ``SemPairGenConfig``). The second keeps
     the same order and noise variances; each existing edge is deleted and each
     absent order-consistent slot gains a fresh edge, independently with
     probability ``edge_change_prob``. Candidate pairs are rejected until every
@@ -488,7 +491,9 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
 
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
-    q_edge = cfg.expected_neighbors / (p - 1)
+    neighbors = float(min(np.sqrt(p), p - 1)) if cfg.expected_neighbors is None else cfg.expected_neighbors
+    change_prob = 0.5 / p if cfg.edge_change_prob is None else cfg.edge_change_prob
+    q_edge = neighbors / (p - 1)
     lo, hi = WEIGHT_RANGE
     earlier, later = np.triu_indices(p, 1)  # slot positions in the order
     every_slot = np.ones(len(earlier), dtype=bool)
@@ -498,7 +503,7 @@ def generate_sem_pair(cfg: SemPairGenConfig) -> tuple[Sem, Sem, DagEdgeSet]:
         order = rng.permutation(p)
         child, parent = order[later], order[earlier]
         in1, w1 = _draw_slots(rng, q_edge, every_slot, lo, hi)
-        changed, w2 = _draw_slots(rng, cfg.edge_change_prob, ~in1, lo, hi)
+        changed, w2 = _draw_slots(rng, change_prob, ~in1, lo, hi)
         noise = rng.uniform(*NOISE_VAR_RANGE, size=p)
         b1 = np.zeros((p, p))
         b1[child, parent] = w1

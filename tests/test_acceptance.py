@@ -237,7 +237,7 @@ def test_c07_normalized_hamming_trend(trend_records):
 # sha256 of the C07 grid's records.csv. A change that moves it, or any of the
 # sweep artifact pins below, updates the pin and says in CHANGES.md which
 # records moved and why.
-C07_RECORDS_SHA256 = "ebddc2ee8aef1dd5a8ff8d78467e1a7be7aa58e60f80f62b6ec864da26c93757"
+C07_RECORDS_SHA256 = "ac7d2717a8bafd570e6b020683502a594bbcdce5c0213a02ce31b0e52a634c15"
 
 
 def test_c07_records_csv_is_pinned(trend_records, tmp_path):
@@ -263,9 +263,9 @@ def _artifact_sha256s(records, tmp_path) -> dict:
 def test_c07_sweep_artifacts_are_pinned(trend_records, tmp_path):
     # records.csv is C07_RECORDS_SHA256, checked above
     digests = _artifact_sha256s(trend_records, tmp_path)
-    assert digests["summary.json"] == "68e8551d7e85c8afcfd8b0728ee544a276688aa26b57fe38a45c56995d38a951"
-    assert digests["plot.tsv"] == "d19958160139fc9323b2c6878229d88b273809fe94cc03fb5657a1cee643ef2e"
-    assert digests["table.txt"] == "f01aad2ae8d75c4ba40c32e145435f6758d7329f99b969b7febb1fa8b77e953f"
+    assert digests["summary.json"] == "d6d8b29a6213f3e1c93d81e9b6af8bccbe1518d6a920d169e70d6f7191d05df4"
+    assert digests["plot.tsv"] == "e5002098cba0e246d9b9a19171434b1ffb16d4edc6246694376e5ff4d75d434a"
+    assert digests["table.txt"] == "e019aec6925c95cbc17e560f7356f0fc129d880fc7d30166543291cad037f48b"
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 """``tools/bench_record.py`` rejects a pair count its quartiles cannot use,
-counts each end-to-end metric's wins in the direction ``BENCHMARK.json`` calls
+counts a tree's ``src/`` lines, counts each end-to-end metric's wins in the direction ``BENCHMARK.json`` calls
 better, and gives each metric a verdict against the bound it fixes."""
 
 import importlib.util
@@ -29,6 +29,17 @@ def test_fewer_than_two_pairs_rejected_before_any_run(tmp_path, pairs):
     assert result.returncode == 2
     assert f"--pairs: must be at least 2, got {pairs}" in result.stderr
     assert not out.exists()
+
+
+def test_src_lines_count_every_python_file_under_src(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "sub" / "b.py").write_text('"""doc"""\ny = 2\n')
+    (package / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("def test():\n    pass\n")
+    assert _tool().src_lines(tmp_path) == 5
 
 
 def test_wins_follow_each_metrics_better_side():

@@ -78,9 +78,10 @@ class TestGenerate:
 
     @pytest.mark.parametrize("entry, message", [
         ({"p": 5.5}, "p must be an integer, got 5.5"),
-        ({"p": 5, "seed": -1}, "seed must be non-negative, got -1"),
+        ({"p": 5, "seed": -1}, "seed must be at least 0, got -1"),
         ({"p": 5, "seed": 1.5}, "seed must be an integer, got 1.5"),
-    ], ids=["fractional-p", "negative-seed", "fractional-seed"])
+        ({"p": 1}, "p must be at least 2, got 1"),
+    ], ids=["fractional-p", "negative-seed", "fractional-seed", "p-one"])
     def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, entry, message):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps(entry))
@@ -547,15 +548,16 @@ class TestSweep:
         ({"c_values": [5.5]}, "c_values entry must be an integer, got 5.5"),
         ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
         ({"repetitions": True}, "repetitions must be an integer, got True"),
+        ({"repetitions": 0}, "repetitions must be at least 1, got 0"),
         ({"fixed_n": 5.5}, "fixed_n must be an integer, got 5.5"),
-        ({"seed_base": -1}, "seed_base must be non-negative, got -1"),
+        ({"seed_base": -1}, "seed_base must be at least 0, got -1"),
         ({"seed_base": 1.5}, "seed_base must be an integer, got 1.5"),
         # a bool is not a real setting: "epsilon": true would run at epsilon 1
         ({"pipeline": {"estimator": "dantzig", "est_cfg": {"epsilon": True}}},
          "epsilon must be a real number, got True"),
         ({"gen": {"p": 5, "min_delta_omega": True}}, "min_delta_omega must be a real number, got True"),
     ], ids=["lambda_auto-string", "p_values-fraction", "c_values-fraction",
-            "repetitions-fraction", "repetitions-bool", "fixed_n-fraction",
+            "repetitions-fraction", "repetitions-bool", "repetitions-zero", "fixed_n-fraction",
             "seed_base-negative", "seed_base-fraction", "epsilon-bool", "min_delta_omega-bool"])
     def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, entry, message):
         cfg = {"p_values": [5], "c_values": [5], "repetitions": 1, "gen": {"p": 5}, **entry}
@@ -563,6 +565,17 @@ class TestSweep:
         bad.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fixed_radius_with_auto_radius_is_usage_error(self, tmp_path, capsys):
+        # --lambda and --lambda-auto exclude each other; so do the config's fields
+        est_cfg = {"lambda_n": 0.5, "lambda_auto": True}
+        cfg = {"p_values": [5], "c_values": [5], "repetitions": 1,
+               "pipeline": {"estimator": "dantzig", "est_cfg": est_cfg}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "lambda_n=0.5 and lambda_auto both set the radius" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -91,7 +91,7 @@ class TestDeltaPrecisionType:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_threshold_rejected(self, value):
         # to_json would write it as NaN or Infinity
-        with pytest.raises(ValueError, match=f"threshold_applied must be finite and nonnegative, got {value!r}"):
+        with pytest.raises(ValueError, match=f"threshold_applied must be finite and non-negative, got {value!r}"):
             DeltaPrecision(np.zeros((2, 2)), threshold_applied=value)
 
     def test_bool_threshold_in_json_rejected(self):
@@ -219,8 +219,14 @@ class TestDantzig:
         assert (cfg.lambda_n, cfg.epsilon) == (0.25, 0.5)
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError, match="lambda_n must be finite and nonnegative, got -0.5"):
+        with pytest.raises(ValueError, match="lambda_n must be finite and non-negative, got -0.5"):
             EstimatorConfig(lambda_n=-0.5)
+
+    def test_fixed_radius_with_auto_radius_rejected(self):
+        # the auto rule would drop the fixed radius without a word
+        with pytest.raises(ValueError, match="lambda_n=0.5 and lambda_auto both set the radius"):
+            EstimatorConfig(lambda_n=0.5, lambda_auto=True)
+        assert EstimatorConfig(lambda_n=0.0, lambda_auto=True).lambda_auto
 
     def test_auto_radius_is_the_unscaled_rule(self):
         rng = np.random.default_rng(4)
@@ -358,7 +364,7 @@ def test_lp_memory_stays_below_the_dense_lift():
 def test_non_finite_matrices_rejected_before_the_solver():
     s2 = 2.0 * np.eye(3)
     s2[0, 1] = s2[1, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=re.escape("sigma2 has non-finite entries (NaN or inf)")):
         dantzig_selector(np.eye(3), s2, 0.1)
 
 
@@ -369,7 +375,7 @@ def _no_program(*args):
 @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
 def test_bad_radius_rejected_before_the_solver(lam, monkeypatch):
     monkeypatch.setattr(estimators, "_program", _no_program)
-    with pytest.raises(ValueError, match=rf"lambda_n must be finite and nonnegative, got {lam!r}"):
+    with pytest.raises(ValueError, match=rf"lambda_n must be finite and non-negative, got {lam!r}"):
         dantzig_selector(np.eye(3), 2.0 * np.eye(3), lam)
 
 
@@ -380,13 +386,20 @@ def test_bool_radius_rejected_before_the_solver(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("shape1", "shape2"),
-    [((4, 4), (3, 3)), ((0, 0), (0, 0)), ((3, 4), (3, 4)), ((3,), (3,))],
-    ids=["mismatched", "empty", "non-square", "one-dimensional"],
+    ("shape1", "shape2", "message"),
+    [
+        ((4, 4), (3, 3), "sigma1 and sigma2 must be non-empty and of one shape, got (4, 4) and (3, 3)"),
+        ((0, 0), (0, 0), "sigma1 and sigma2 must be non-empty and of one shape, got (0, 0) and (0, 0)"),
+        ((3, 4), (3, 4), "sigma1 must be square, got (3, 4)"),
+        ((3,), (3,), "sigma1 must be square, got (3,)"),
+        ((3, 3), (3, 4), "sigma2 must be square, got (3, 4)"),
+    ],
+    ids=["mismatched", "empty", "non-square", "one-dimensional", "second-non-square"],
 )
-def test_bad_shapes_rejected_before_the_solver(shape1, shape2, monkeypatch):
+def test_bad_shapes_rejected_before_the_solver(shape1, shape2, message, monkeypatch):
+    # sem._matrix checks each matrix; dantzig_selector only that they match
     monkeypatch.setattr(estimators, "_program", _no_program)
-    with pytest.raises(ValueError, match=rf"got {re.escape(str(shape1))} and {re.escape(str(shape2))}"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         dantzig_selector(np.ones(shape1), 2.0 * np.ones(shape2), 0.1)
 
 

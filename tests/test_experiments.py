@@ -45,6 +45,18 @@ class TestSampleBudget:
         with pytest.raises(ValueError):
             sample_budget(10, 0, 1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((5.5, 5, 1), "p must be an integer, got 5.5"),
+        ((True, 5, 1), "p must be an integer, got True"),
+        ((10, 5, 1.5), "d_prime must be an integer, got 1.5"),
+        ((1, 5, 1), "p must be at least 2, got 1"),
+        ((10, 0, 1), "c must be at least 1, got 0"),
+        ((10, 5, -1), "d_prime must be at least 0, got -1"),
+    ], ids=["fractional-p", "bool-p", "fractional-d_prime", "p-one", "c-zero", "negative-d_prime"])
+    def test_bad_argument_rejected_naming_it(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            sample_budget(*args)
+
 
 def _edges(vertices, *pairs):
     return DagEdgeSet(frozenset(vertices), frozenset(pairs))
@@ -136,12 +148,12 @@ class TestSweepConfig:
         assert SweepConfig(p_values=(5, 10), fixed_n=10).fixed_n == 10
 
     def test_p_below_two_rejected_naming_it(self):
-        with pytest.raises(ValueError, match="p_values entry 1 is below 2"):
+        with pytest.raises(ValueError, match="p_values entry must be at least 2, got 1"):
             SweepConfig(p_values=(5, 1))
 
     @pytest.mark.parametrize("c", [0, -2])
     def test_c_below_one_rejected_naming_it(self, c):
-        with pytest.raises(ValueError, match=f"c_values entry {c} is below 1"):
+        with pytest.raises(ValueError, match=f"c_values entry must be at least 1, got {c}"):
             SweepConfig(c_values=(5, c))
 
     def test_numpy_integer_counts_and_seeds_are_accepted(self):

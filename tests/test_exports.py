@@ -63,6 +63,9 @@ def test_unneeded_members_stay_gone():
     for member in ("parents", "children", "edge_set", "topological_order"):
         assert not hasattr(dd.Sem, member), member
     assert not hasattr(dd.Sem([[0.0]], [1.0]), "_topo_positions")
+    # a convergence failure's message names the residual; nothing read a field
+    assert "__init__" not in vars(dd.EstimatorConvergenceError)
+    assert not hasattr(dd.EstimatorConvergenceError("stopped"), "best_residual")
 
 
 def test_config_fields_are_pinned():

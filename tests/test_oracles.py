@@ -327,6 +327,16 @@ class TestMinimaxSampleBound:
         with pytest.raises(ValueError):
             minimax_sample_bound(10, 0)
 
+    @pytest.mark.parametrize("p, d, message", [
+        (10.0, 2, "p must be an integer, got 10.0"),
+        (True, 1, "p must be an integer, got True"),
+        (10, 1.5, "d must be an integer, got 1.5"),
+        (10, 0, "d must be at least 1, got 0"),
+    ], ids=["float-p", "bool-p", "fractional-d", "d-zero"])
+    def test_bad_argument_rejected_naming_it(self, p, d, message):
+        with pytest.raises(ValueError, match=message):
+            minimax_sample_bound(p, d)
+
 
 class TestPartialCorrelation:
     """``_cholesky_tail`` on a submatrix ordered as the conditioning set, then

@@ -238,11 +238,10 @@ def test_generator_config_json_round_trip(cfg):
 
 
 def _pipeline_configs():
-    est = st.builds(
-        dd.EstimatorConfig,
-        lambda_n=st.floats(0.0, 10.0),
-        epsilon=st.floats(1e-3, 1.0),
-        lambda_auto=st.booleans(),
+    # a fixed radius, or the auto rule with lambda_n left at 0
+    epsilon = st.floats(1e-3, 1.0)
+    est = st.builds(dd.EstimatorConfig, lambda_n=st.floats(0.0, 10.0), epsilon=epsilon) | st.builds(
+        dd.EstimatorConfig, epsilon=epsilon, lambda_auto=st.just(True)
     )
     return st.builds(
         dd.PipelineConfig,

@@ -9,6 +9,7 @@ bit for bit against the scalar loop they replaced, kept here as
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,16 @@ class TestSample:
         emp = empirical_covariance(sample(sem, 1_000_000, seed=5))
         assert np.abs(emp - covariance(sem)).max() < 1e-2
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (True, "n must be an integer, got True"),
+        (0, "n must be at least 1, got 0"),
+    ], ids=["fraction", "bool", "zero"])
+    def test_bad_sample_count_rejected_naming_it(self, n, message):
+        sem = random_sem(np.random.default_rng(0), p=3)
+        with pytest.raises(ValueError, match=message):
+            sample(sem, n, seed=0)
+
 
 class TestEmpiricalCovariance:
     def test_single_row_outer_product(self):
@@ -198,7 +209,7 @@ class TestCovariancePair:
     @pytest.mark.parametrize("value, message", [
         (3.5, "must be an integer, got 3.5"),
         (True, "must be an integer, got True"),
-        (-1, "must be nonnegative, got -1"),
+        (-1, "must be at least 0, got -1"),
     ], ids=["fraction", "bool", "negative"])
     def test_bad_sample_count_rejected_naming_it(self, name, value, message):
         # the auto radius divides by the count
@@ -267,10 +278,25 @@ class TestGenerateSemPair:
         np.testing.assert_array_equal(sem1.b, sem2.b)
 
     def test_two_vertex_defaults_are_valid(self):
-        # sqrt(2) neighbours would exceed the one other vertex
-        assert SemPairGenConfig(p=2).expected_neighbors == 1.0
-        sem1, _, _ = generate_sem_pair(SemPairGenConfig(p=2, seed=0))
+        # sqrt(2) neighbours would exceed the one other vertex: the default
+        # draws as an explicit 1, the largest valid setting
+        cfg = SemPairGenConfig(p=2, seed=0)
+        sem1, _, _ = generate_sem_pair(cfg)
         assert sem1.p == 2
+        assert _outcome(generate_sem_pair, cfg) == _outcome(
+            generate_sem_pair, replace(cfg, expected_neighbors=1.0, edge_change_prob=0.25)
+        )
+
+    @pytest.mark.parametrize("p", [5, 15])
+    def test_unset_defaults_are_resolved_at_the_drawn_p(self, p):
+        # a sweep copies its template config to each p of its grid
+        template = SemPairGenConfig(p=10)
+        assert template.expected_neighbors is None and template.edge_change_prob is None
+        for seed in range(3):
+            copied = replace(template, p=p, seed=seed)
+            assert _outcome(generate_sem_pair, copied) == _outcome(
+                generate_sem_pair, SemPairGenConfig(p=p, seed=seed)
+            )
 
     def test_returned_difference_matches_recomputation(self):
         sem1, sem2, delta = generate_sem_pair(SemPairGenConfig(p=5, seed=123))
@@ -320,9 +346,9 @@ class TestGenerateSemPair:
         with pytest.raises(ValueError, match=f"{field} must be a real number, got True"):
             SemPairGenConfig(p=5, **{field: True})
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, float("-inf")])
     def test_min_delta_omega_must_be_finite_and_nonnegative(self, value):
-        message = f"min_delta_omega must be finite and nonnegative, got {value!r}"
+        message = f"min_delta_omega must be finite and non-negative, got {value!r}"
         with pytest.raises(ValueError, match=message):
             SemPairGenConfig(p=5, min_delta_omega=value)
 
@@ -331,7 +357,9 @@ def _reference_generate(cfg):
     """The generator's rejection loop with one scalar draw at a time."""
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
-    q_edge = cfg.expected_neighbors / (p - 1)
+    neighbors = cfg.expected_neighbors if cfg.expected_neighbors is not None else min(p**0.5, p - 1)
+    change_prob = cfg.edge_change_prob if cfg.edge_change_prob is not None else 0.5 / p
+    q_edge = neighbors / (p - 1)
     lo, hi = dd.sem.WEIGHT_RANGE
 
     def draw_weight():
@@ -348,9 +376,9 @@ def _reference_generate(cfg):
         b2 = b1.copy()
         for child, parent in slots:
             if b1[child, parent] != 0.0:
-                if rng.random() < cfg.edge_change_prob:
+                if rng.random() < change_prob:
                     b2[child, parent] = 0.0
-            elif rng.random() < cfg.edge_change_prob:
+            elif rng.random() < change_prob:
                 b2[child, parent] = draw_weight()
         noise = rng.uniform(dd.sem.NOISE_VAR_RANGE[0], dd.sem.NOISE_VAR_RANGE[1], size=p)
         sem1 = Sem(b1, noise)

@@ -14,12 +14,12 @@ at a time, from each tree's own files:
   interpreter, timed (Tier-1 pins the ``records.csv`` it writes);
 - the Tier-1 suite, timed.
 
-The file holds every run's end-to-end metrics, each metric's median and
-quartiles per side, the pairs the change wins and loses on each end-to-end
-metric (in the direction the change checkout's ``BENCHMARK.json`` calls
-better; a tie counts for neither side), one verdict per workload and
-end-to-end metric (see ``verdict``), the traced per-layer metrics, and the
-host's core count and RAM.
+The file holds each tree's ``src/`` line count, every run's end-to-end
+metrics, each metric's median and quartiles per side, the pairs the change
+wins and loses on each end-to-end metric (in the direction the change
+checkout's ``BENCHMARK.json`` calls better; a tie counts for neither side),
+one verdict per workload and end-to-end metric (see ``verdict``), the traced
+per-layer metrics, and the host's core count and RAM.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ def _env(tree: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
     return env
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's ``src/**/*.py`` files, the count ``wc -l`` gives."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -203,6 +208,7 @@ def main() -> int:
     record: dict = {
         "command": f"python3 perfbench/run.py --seconds {args.seconds:g} --trace 0",
         "pairs": args.pairs,
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "workloads": {},
         "traced": {},
     }
