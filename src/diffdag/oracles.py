@@ -10,6 +10,8 @@ from its rows. The generator calls it on every candidate pair, so it
 enumerates those subsets lazily as 64-bit masks (so at most 64 non-invariant
 vertices), one size level of each edge in turn, so that a rejected pair fails
 on its smallest subsets, and reads their gaps from a Cholesky tail in stacks.
+It counts the (edge, subset) pairs as it walks them and gives up, inconclusive,
+before a level would take the count past ``SUBSET_BUDGET``.
 ``minimax_sample_bound`` is the Omega(d log(p/d)) threshold below which no
 method recovers the difference DAG reliably.
 """
@@ -26,8 +28,8 @@ import numpy as np
 from .sem import ZERO_TOL, Sem, covariance, difference_edge_set, precision
 from .sem import _integer, _output_order, _real
 
-# The most ancestor-closed subsets check_assumptions walks; past it the
-# check is inconclusive.
+# The most (edge, subset) pairs check_assumptions walks; a level that would
+# take it past them makes the check inconclusive.
 SUBSET_BUDGET = 100_000
 
 
@@ -59,10 +61,12 @@ class AssumptionReport:
     (every difference edge must keep a 2*eps partial-correlation gap, and its
     parent a 2*eps conditional-precision diagonal gap, over all
     ancestor-closed subsets that hold it). "subset-budget" marks an
-    inconclusive check: the difference DAG has too many such subsets.
-    ``detail`` names the first violated gap in ``check_assumptions``' walk,
-    and ``subsets_checked`` counts the (edge, subset) pairs examined up to
-    and including it, or all of them on success.
+    inconclusive check: the walk found no violation before its next level
+    would pass ``SUBSET_BUDGET`` (edge, subset) pairs. ``detail`` names the
+    first violated gap in ``check_assumptions``' walk, and
+    ``subsets_checked`` counts the (edge, subset) pairs examined: up to and
+    including that gap, all of them on success, or those walked before the
+    budget stopped the walk.
     """
 
     passed: bool
@@ -88,11 +92,11 @@ class AssumptionReport:
 _CHUNK = 256
 
 
-def _closures(parents: dict) -> tuple[dict, dict]:
-    """Each vertex bit's ancestors and descendants, the vertex included.
+def _closures(parents: dict) -> dict:
+    """Each vertex bit's ancestors, the vertex included.
 
     ``parents`` maps each vertex bit to the mask of its parents; the result
-    maps each bit to two masks.
+    maps each bit to the mask of its ancestors.
     """
     anc: dict = {}
 
@@ -108,35 +112,7 @@ def _closures(parents: dict) -> tuple[dict, dict]:
 
     for b in parents:
         visit(b)
-    return anc, {b: sum(c for c in anc if anc[c] & b) for b in anc}
-
-
-def _downset_count(mask: int, anc: dict, desc: dict, memo: dict) -> int:
-    """Number of ancestor-closed subsets of the vertices in ``mask``.
-
-    It is the product over the parts that comparability splits ``mask``
-    into, and a lone vertex counts 2. A larger part splits on its lowest
-    bit x: the subsets without x are those of the part minus x's
-    descendants, the subsets with x those of the part minus x's ancestors.
-    """
-    total = 1
-    while mask:
-        part = frontier = mask & -mask
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            grown = (anc[low] | desc[low]) & mask & ~part
-            part |= grown
-            frontier |= grown
-        mask &= ~part
-        if part not in memo:
-            x = part & -part
-            memo[part] = 2 if part == x else (
-                _downset_count(part & ~desc[x], anc, desc, memo)
-                + _downset_count(part & ~anc[x], anc, desc, memo)
-            )
-        total *= memo[part]
-    return total
+    return anc
 
 
 def _downsets_above(base: int, parents: dict) -> Iterator[np.ndarray]:
@@ -169,11 +145,14 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     precision entry of the parent j over S. ``epsilon`` must be finite and
     non-negative; at 0 every gap passes.
 
-    Budget: the second clause first counts the ancestor-closed subsets of
-    the difference DAG. If there are more than ``SUBSET_BUDGET`` (100 000),
-    the report fails with "subset-budget", an inconclusive verdict, and
-    ``subsets_checked`` equal to ``SUBSET_BUDGET``. Within the budget, more
-    than 64 non-invariant vertices raise ``ValueError`` (64-bit masks).
+    Budget: the second clause counts the (edge, subset) pairs it walks.
+    Before it examines a level, if the pairs examined so far plus the
+    level's would pass ``SUBSET_BUDGET`` (100 000), the report fails with
+    "subset-budget", an inconclusive verdict, and ``subsets_checked`` equal
+    to the pairs examined so far. So a violation in an earlier level is
+    still found, however many subsets the difference DAG has. More than 64
+    non-invariant vertices raise ``ValueError`` (64-bit masks) before the
+    walk starts, whatever the number of subsets.
 
     Order: edges are ranked by (repr(i), repr(j)). Each edge walks only the
     subsets that contain the ancestors of i and j, in levels by size; within
@@ -219,15 +198,9 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     # clause one passed, so every endpoint of a changed entry has a bit
     parents = {bit[lab]: sum(bit[labels[q]] for q in np.flatnonzero(changed[sem1.index(lab)]))
                for lab in ranked}
-    anc, desc = _closures(parents)
-    if _downset_count((1 << n) - 1, anc, desc, {}) > SUBSET_BUDGET:
-        return fail(
-            "subset-budget",
-            f"more than {SUBSET_BUDGET} ancestor-closed subsets; check inconclusive",
-            SUBSET_BUDGET,
-        )
     if n > 64:
         raise ValueError(f"the subset walk takes at most 64 non-invariant vertices, not {n}")
+    anc = _closures(parents)
     covs = np.stack([covariance(sem1), covariance(sem2)])
     flat, p = covs.reshape(2, -1), covs.shape[-1]
     walks: deque = deque()
@@ -244,6 +217,12 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
         i, j, rows, shifts, levels = walk = walks.popleft()
         level = next(levels, None)
         if level is not None:
+            if checked + len(level) > SUBSET_BUDGET:
+                return fail(
+                    "subset-budget",
+                    f"more than {SUBSET_BUDGET} (edge, subset) pairs to walk; check inconclusive",
+                    checked,
+                )
             walks.append(walk)
             for start in range(0, len(level), _CHUNK):
                 masks = level[start : start + _CHUNK]

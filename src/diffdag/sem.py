@@ -586,12 +586,16 @@ def save_data_csv(data: np.ndarray, path) -> None:
 
 
 def load_data_csv(path) -> np.ndarray:
-    """The sample matrix that ``save_data_csv`` wrote; a file with no rows
-    raises ``ValueError``."""
+    """The sample matrix that ``save_data_csv`` wrote; a file with no rows,
+    a cell that is not a number or a ragged row raises ``ValueError`` naming
+    the path."""
     with warnings.catch_warnings():
         # the error below says it, and names the file
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not data.size:
         raise ValueError(f"{path}: the data file has no rows")
     return data

@@ -125,6 +125,16 @@ class TestRunPipeline:
         assert payload["edges"] == []
         assert sorted(payload["invariant"]) == sorted(sem.labels)
 
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "1,2\n3\n"], ids=["not-a-number", "ragged-row"])
+    def test_malformed_data_file_is_a_domain_error_naming_the_file(self, tmp_path, capsys, text):
+        bad, good = tmp_path / "bad.csv", tmp_path / "x2.csv"
+        bad.write_text(text)
+        dd.save_data_csv(np.random.default_rng(0).standard_normal((4, 2)), good)
+        assert main(["run-pipeline", "--data1", str(bad), "--data2", str(good),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
     def test_mixed_type_labels_write_the_traced_result(self, tmp_path):
         edges, a, b = _write_mixed_label_pair(tmp_path)
         out = tmp_path / "out"

@@ -53,6 +53,8 @@ def test_unneeded_members_stay_gone():
     for member in ("children", "parents", "degree"):
         assert not hasattr(dd.DagEdgeSet, member), member
     assert not hasattr(dd.sem, "_canonical_topo_positions")
+    # the subset walk counts the pairs it examines; nothing counts the lattice
+    assert not hasattr(dd.oracles, "_downset_count")
     assert not hasattr(dd.CovariancePair, "is_population")
     assert not hasattr(dd.SemPairGenConfig, "to_json")
     assert not hasattr(dd.sem, "sem_to_json")

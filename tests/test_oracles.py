@@ -257,12 +257,46 @@ class TestCheckAssumptions:
         assert report == _reference_check(sem1, sem2, 0.125)
 
     def test_subset_budget_marks_inconclusive(self, monkeypatch):
+        # the budget caps the (edge, subset) pairs walked: a passing pair
+        # whose walk is wider stops before a level would pass it, and only
+        # the pairs it examined were factored
         sem1, sem2, delta = dd.generate_sem_pair(dd.SemPairGenConfig(p=8, seed=2))
-        assert delta.edges  # a pair with separations to enumerate
-        monkeypatch.setattr(oracles, "SUBSET_BUDGET", 1)
-        report = check_assumptions(sem1, sem2, 0.125)
-        assert not report.passed
-        assert report.failed_condition == "subset-budget"
+        walked = check_assumptions(sem1, sem2, 0.125)
+        assert walked.passed and walked.subsets_checked == 12  # over 2 edges
+        factored, tail = [], oracles._cholesky_tail
+
+        def counting(stack):
+            factored.append(stack.shape[1])
+            return tail(stack)
+
+        monkeypatch.setattr(oracles, "_cholesky_tail", counting)
+        for k in (1, 2, 5, 11):
+            monkeypatch.setattr(oracles, "SUBSET_BUDGET", k)
+            factored.clear()
+            report = check_assumptions(sem1, sem2, 0.125)
+            assert (report.failed_condition, report.detail) == (
+                "subset-budget",
+                f"more than {k} (edge, subset) pairs to walk; check inconclusive",
+            )
+            assert 0 < report.subsets_checked == sum(factored) <= k
+        monkeypatch.setattr(oracles, "SUBSET_BUDGET", 12)
+        assert check_assumptions(sem1, sem2, 0.125) == walked
+
+    def test_violation_found_in_a_lattice_past_the_budget(self):
+        # the third candidate of this config has 138 240 ancestor-closed
+        # subsets, more than SUBSET_BUDGET, and its walk meets a violation
+        # on its first subset: the budget caps the walk, not the lattice
+        sem1, sem2, eps = _checked_candidates([dd.SemPairGenConfig(p=20, seed=0)])[2]
+        report = check_assumptions(sem1, sem2, eps)
+        ranked = sorted((lab for lab in sem1.labels if lab not in report.invariant), key=repr)
+        bit = {lab: 1 << (len(ranked) - 1 - r) for r, lab in enumerate(ranked)}
+        masks = {bit[v]: sum(bit[q] for (c, q) in report.delta_edges if c == v) for v in ranked}
+        assert sum(map(len, oracles._downsets_above(0, masks))) > oracles.SUBSET_BUDGET
+        assert (report.failed_condition, report.subsets_checked) == ("separation", 1)
+        edge, name, _, subset = DETAIL.fullmatch(report.detail).groups()
+        (i, j), s = ast.literal_eval(f"({edge})"), set(ast.literal_eval(subset))
+        covs = covariance(sem1), covariance(sem2)
+        assert dict(zip(GAP_NAMES, _inverse_gaps(covs, sem1.labels, i, j, s)))[name] < 2.0 * eps
 
     @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, math.nan, math.inf])
     def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
@@ -298,6 +332,16 @@ class TestCheckAssumptions:
         else:
             with pytest.raises(ValueError, match="at most 64 non-invariant vertices, not 65"):
                 check_assumptions(sem1, sem2, 0.125)
+
+    def test_more_than_64_vertices_raise_whatever_the_lattice(self):
+        # 33 changed disjoint edges: 66 non-invariant vertices and 3^33
+        # ancestor-closed subsets, far past the budget; the walk's vertex
+        # limit is checked first
+        b1 = np.zeros((66, 66))
+        b1[np.arange(1, 66, 2), np.arange(0, 66, 2)] = 0.8
+        sem1, sem2 = Sem(b1, np.ones(66)), Sem(np.zeros((66, 66)), np.ones(66))
+        with pytest.raises(ValueError, match="at most 64 non-invariant vertices, not 66"):
+            check_assumptions(sem1, sem2, 0.125)
 
     def test_report_dict_round_trip(self):
         sem = random_sem(np.random.default_rng(9), 4)
@@ -355,23 +399,20 @@ class TestPartialCorrelation:
         assert abs(float(marginal)) > 0.1
 
 
-def _reference_ancestor_closed_subsets(vertices: list, parents: dict, cap: int):
-    """Every subset closed under taking parents, sorted by (size, sorted
-    reprs), or None past the cap."""
-    downsets = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        base = frontier.pop()
-        for v in vertices:
-            if v in base or not parents[v] <= base:
-                continue
-            ext = base | {v}
-            if ext not in downsets:
-                downsets.add(ext)
-                frontier.append(ext)
-                if len(downsets) > cap:
-                    return None
-    return sorted(downsets, key=lambda s: (len(s), sorted(map(repr, s))))
+def _reference_held_levels(i, j, vertices: list, parents: dict):
+    """The subsets of ``vertices`` closed under taking parents that hold i
+    and j, one list per size, smallest first, each sorted by sorted reprs.
+
+    A level is built from the one below by adding each vertex whose parents
+    it holds: removing a childless vertex outside the ancestors of i and j
+    leaves a smaller such subset."""
+    base = {i, j}
+    while not all(parents[v] <= base for v in base):
+        base = base.union(*(parents[v] for v in base))
+    level = {frozenset(base)}
+    while level:
+        yield sorted(level, key=lambda s: sorted(map(repr, s)))
+        level = {s | {v} for s in level for v in vertices if v not in s and parents[v] <= s}
 
 
 GAP_NAMES = ("partial-correlation", "parent diagonal")
@@ -394,9 +435,11 @@ def _inverse_gaps(covs, labels, i, j, s):
 
 
 def _reference_check(sem1, sem2, epsilon, max_subsets=100_000):
-    """check_assumptions without the lazy walk: it enumerates every
-    ancestor-closed subset up front, inverts one subset at a time and takes
-    the (edge, subset) pairs in the checker's level-major order."""
+    """check_assumptions without the mask walk: it builds each edge's held
+    subsets as Python sets, inverts one subset at a time and takes the
+    (edge, subset) pairs level-major, in rounds of one level per edge in
+    edge rank. It stops, inconclusive, before a level would take the pairs
+    examined past ``max_subsets``."""
     delta = difference_edge_set(sem1, sem2)
     dom = precision(sem1) - precision(sem2)
     labels = sem1.labels
@@ -421,39 +464,42 @@ def _reference_check(sem1, sem2, epsilon, max_subsets=100_000):
         return AssumptionReport(True, None, None, invariant, delta.edges, 0)
     v_labels = [lab for lab in labels if lab not in invariant]
     parents = {lab: {j for (i, j) in delta.edges if i == lab} & set(v_labels) for lab in v_labels}
-    downsets = _reference_ancestor_closed_subsets(v_labels, parents, max_subsets)
-    if downsets is None:
-        return fail(
-            "subset-budget",
-            f"more than {max_subsets} ancestor-closed subsets; check inconclusive",
-            max_subsets,
-        )
     covs = covariance(sem1), covariance(sem2)
-    # level-major: every edge's smallest held subsets, then the next size up
-    walk = []
-    for rank, (i, j) in enumerate(sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1])))):
-        held = [(pos, s) for pos, s in enumerate(downsets) if i in s and j in s]
-        walk += [(len(s) - len(held[0][1]), rank, pos, i, j, s) for pos, s in held]
+    levels = {
+        (i, j): _reference_held_levels(i, j, v_labels, parents)
+        for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1])))
+    }
     checked = 0
-    for *_, i, j, s in sorted(walk, key=lambda w: w[:3]):
-        checked += 1
-        for name, gap in zip(GAP_NAMES, _inverse_gaps(covs, labels, i, j, s)):
-            if gap < 2.0 * epsilon:
+    while levels:
+        for (i, j), held in list(levels.items()):
+            level = next(held, None)
+            if level is None:
+                del levels[i, j]
+                continue
+            if checked + len(level) > max_subsets:
                 return fail(
-                    "separation",
-                    f"edge ({i!r}, {j!r}): {name} gap {gap:.4g} < {2 * epsilon:g} "
-                    f"over subset {sorted(s, key=repr)}",
+                    "subset-budget",
+                    f"more than {max_subsets} (edge, subset) pairs to walk; check inconclusive",
                     checked,
                 )
+            for s in level:
+                checked += 1
+                for name, gap in zip(GAP_NAMES, _inverse_gaps(covs, labels, i, j, s)):
+                    if gap < 2.0 * epsilon:
+                        return fail(
+                            "separation",
+                            f"edge ({i!r}, {j!r}): {name} gap {gap:.4g} < {2 * epsilon:g} "
+                            f"over subset {sorted(s, key=repr)}",
+                            checked,
+                        )
     return AssumptionReport(True, None, None, invariant, delta.edges, checked)
 
 
 BUDGETS = (100_000, 1, 10, 100, 1000)
 
 
-@pytest.fixture(scope="module")
-def generator_candidates():
-    """Every pair generate_sem_pair hands the checker, at p = 5-20, seeds 0-5."""
+def _checked_candidates(configs):
+    """Every (sem1, sem2, epsilon) generate_sem_pair hands the checker."""
     seen = []
     real = oracles.check_assumptions
 
@@ -463,10 +509,17 @@ def generator_candidates():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "check_assumptions", recording)
-        for p in (5, 8, 10, 12, 15, 18, 20):
-            for seed in range(6):
-                dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
+        for cfg in configs:
+            dd.generate_sem_pair(cfg)
     return seen
+
+
+@pytest.fixture(scope="module")
+def generator_candidates():
+    """Every pair generate_sem_pair hands the checker, at p = 5-20, seeds 0-5."""
+    return _checked_candidates(
+        dd.SemPairGenConfig(p=p, seed=seed) for p in (5, 8, 10, 12, 15, 18, 20) for seed in range(6)
+    )
 
 
 def _with_string_labels(sem):
@@ -484,9 +537,10 @@ class TestCheckAssumptionsMatchesReference:
             report = check_assumptions(sem1, sem2, eps)
             assert report == _reference_check(sem1, sem2, eps, max_subsets)
             verdicts.add(report.failed_condition)
-        # the candidates reach every verdict the budget allows
+        # the candidates reach every verdict the budget allows: the longest
+        # walk examines 864 pairs, so only budgets below it stop a walk
         assert verdicts == (
-            {"subset-budget", None} if max_subsets == 1 else {"subset-budget", "separation", None}
+            {"subset-budget", "separation", None} if max_subsets < 864 else {"separation", None}
         )
 
     @pytest.mark.parametrize("max_subsets", BUDGETS)
@@ -531,7 +585,7 @@ class TestCheckAssumptionsMatchesReference:
                 assert gap < 2.0 * eps
                 assert float(shown) == pytest.approx(gap, rel=1e-3, abs=1e-12)
                 named += 1
-        assert named >= 100  # 57 candidates, each under both label kinds
+        assert named >= 100  # 58 candidates, each under both label kinds
 
     def test_cholesky_tail_matches_the_inverse(self, generator_candidates):
         # the walk reads both gaps from _cholesky_tail with i, j last; the

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import diffdag as dd
 from diffdag.errors import InvalidModelError
 from diffdag.experiments import _trial_seed, sample_budget
-from diffdag.oracles import _closures, _downset_count, _downsets_above
+from diffdag.oracles import _closures, _downsets_above
 from diffdag.sem import _draw_slots, _require_acyclic
 from helpers import C07_SWEEP, _scan_topo_positions
 
@@ -320,13 +320,13 @@ def labeled_dags(draw):
 
 @settings(FIXED, max_examples=40)
 @given(labeled_dags())
-def test_downset_count_and_walk_match_brute_force(dag):
+def test_subset_walk_matches_brute_force(dag):
     labels, parents = dag
     ranked = sorted(labels, key=repr)
     n = len(ranked)
     bit = {lab: 1 << (n - 1 - r) for r, lab in enumerate(ranked)}
     masks = {bit[lab]: sum(bit[q] for q in parents[lab]) for lab in labels}
-    anc, desc = _closures(masks)
+    anc = _closures(masks)
 
     closed = [
         frozenset(s)
@@ -335,16 +335,18 @@ def test_downset_count_and_walk_match_brute_force(dag):
         if all(parents[v] <= set(s) for v in s)
     ]
     closed.sort(key=lambda s: (len(s), sorted(map(repr, s))))
-    assert _downset_count((1 << n) - 1, anc, desc, {}) == len(closed)
 
+    def walked(base):
+        return [
+            frozenset(lab for lab in labels if m & bit[lab])
+            for level in _downsets_above(base, masks)
+            for m in level
+        ]
+
+    assert walked(0) == closed
     for i in labels:
         for j in parents[i]:
-            walked = [
-                frozenset(lab for lab in labels if m & bit[lab])
-                for level in _downsets_above(anc[bit[i]] | anc[bit[j]], masks)
-                for m in level
-            ]
-            assert walked == [s for s in closed if {i, j} <= s]
+            assert walked(anc[bit[i]] | anc[bit[j]]) == [s for s in closed if {i, j} <= s]
 
 
 def _scalar_slots(rng, prob, addable, lo, hi):

@@ -478,6 +478,17 @@ class TestSerialization:
         dd.save_data_csv(data, path)
         np.testing.assert_allclose(dd.load_data_csv(path), data, atol=1e-12)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("a,b\n1,2\n", "could not convert string 'a' to float64 at row 0, column 1"),
+        ("1,2\n3\n", "the number of columns changed from 2 to 1 at row 2"),
+    ], ids=["not-a-number", "ragged-row"])
+    def test_malformed_data_csv_rejected_naming_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            dd.load_data_csv(path)
+        assert str(info.value).startswith(f"{path}: {problem}")
+
     def test_edge_set_json_round_trip(self):
         es = DagEdgeSet(vertices=frozenset(range(4)), edges=frozenset({(0, 2), (1, 3)}))
         assert DagEdgeSet.from_json(es.to_json()) == es
