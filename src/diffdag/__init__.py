@@ -17,6 +17,7 @@ from .errors import (
     InvalidCovarianceError,
     InvalidModelError,
     OrderStallError,
+    PruneBudgetError,
     VertexMismatchError,
 )
 from .estimators import (
@@ -49,7 +50,6 @@ from .oracles import (
 )
 from .pipeline import (
     LayeredOrder,
-    PartialPruneWarning,
     PipelineConfig,
     PipelineResult,
     compute_order,
@@ -92,9 +92,9 @@ __all__ = [
     "InvalidModelError",
     "LayeredOrder",
     "OrderStallError",
-    "PartialPruneWarning",
     "PipelineConfig",
     "PipelineResult",
+    "PruneBudgetError",
     "ScoreResult",
     "Sem",
     "SemPairGenConfig",

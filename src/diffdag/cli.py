@@ -6,8 +6,8 @@ ignore, such as ``--lambda`` with SEM inputs or ``--strict`` with data
 inputs, is a usage error.
 
 Exit codes: 0 on success, 1 on domain errors (infeasibility, order stall,
-assumption failure under --strict), 2 on usage errors including malformed
-config files.
+spent prune budget, assumption failure under --strict), 2 on usage errors
+including malformed config files.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from .errors import DiffDagError
@@ -30,7 +29,7 @@ from .experiments import (
     write_summary_json,
 )
 from .oracles import check_assumptions, minimax_sample_bound
-from .pipeline import PartialPruneWarning, PipelineConfig, estimate, run_pipeline
+from .pipeline import PipelineConfig, estimate, run_pipeline
 from .sem import (
     CovariancePair,
     Sem,
@@ -168,21 +167,10 @@ def _cmd_run_pipeline(args, parser) -> int:
                 print(f"error: {msg}", file=sys.stderr)
                 return 1
             print(f"warning: {msg}", file=sys.stderr)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PartialPruneWarning)
-        result = run_pipeline(cov, cfg)
+    result = run_pipeline(cov, cfg)
     payload = result.to_json()
     if not args.trace:
         del payload["trace"]
-    partial = []
-    for w in caught:
-        if issubclass(w.category, PartialPruneWarning):
-            partial.append(str(w.message))
-            print(f"warning: {w.message}", file=sys.stderr)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if partial:
-        payload["warnings"] = partial
     out = _out_dir(args)
     _write_json(payload, out / "pipeline.json")
     print(f"wrote pipeline.json to {out} ({len(result.delta.edges)} difference edges, "

@@ -36,5 +36,9 @@ class OrderStallError(DiffDagError):
         self.stuck_delta = stuck_delta
 
 
+class PruneBudgetError(DiffDagError):
+    """Pruning needed more distinct estimates than ``pipeline.PRUNE_BUDGET``."""
+
+
 class VertexMismatchError(DiffDagError, ValueError):
     """Two edge sets are defined over different vertex sets."""

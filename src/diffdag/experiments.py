@@ -21,6 +21,7 @@ from .errors import (
     EstimatorConvergenceError,
     InfeasibleEstimateError,
     OrderStallError,
+    PruneBudgetError,
     VertexMismatchError,
 )
 from .estimators import EstimatorConfig
@@ -78,12 +79,13 @@ def sample_budget(p: int, c: int, d_prime: int) -> int:
 class ExperimentRecord:
     """One benchmark trial, including the edge sets it was scored on.
 
-    ``failure`` names the exception class that stopped the pipeline
-    (``OrderStallError``, ``InfeasibleEstimateError`` or
-    ``EstimatorConvergenceError``), or is empty when it returned. A failed
-    trial is scored as an empty estimate, which matches an empty truth at
-    Hamming distance 0. Code that counts exact recoveries must also check
-    ``failed``.
+    ``failure`` names the exception class that stopped the pipeline, one of
+    four: ``OrderStallError``, ``InfeasibleEstimateError``,
+    ``EstimatorConvergenceError`` or ``PruneBudgetError`` (prune needed more
+    than ``pipeline.PRUNE_BUDGET`` distinct estimates). It is empty when the
+    pipeline returned. A failed trial is scored as an empty estimate, which
+    matches an empty truth at Hamming distance 0. Code that counts exact
+    recoveries must also check ``failed``.
     """
 
     p: int
@@ -162,7 +164,11 @@ def _trial_seed(seed_base: int, p: int, c_key: int, rep: int) -> int:
 
 
 def run_trial(cfg: SweepConfig, p: int, c: int | None, rep: int) -> ExperimentRecord:
-    """One generate-sample-recover-score trial; deterministic given its key."""
+    """One generate-sample-recover-score trial; deterministic given its key.
+
+    The four pipeline failures of ``ExperimentRecord.failure`` are recorded,
+    with an empty estimate; any other exception propagates.
+    """
     seed = _trial_seed(cfg.seed_base, p, c if c is not None else 0, rep)
     gen_cfg = replace(cfg.gen, p=p, seed=seed)
     sem1, sem2, true_delta = generate_sem_pair(gen_cfg)
@@ -179,7 +185,9 @@ def run_trial(cfg: SweepConfig, p: int, c: int | None, rep: int) -> ExperimentRe
     try:
         result = run_pipeline(cov, cfg.pipeline)
         estimated = result.delta.with_vertices(true_delta.vertices)
-    except (OrderStallError, InfeasibleEstimateError, EstimatorConvergenceError) as exc:
+    except (
+        OrderStallError, InfeasibleEstimateError, EstimatorConvergenceError, PruneBudgetError
+    ) as exc:
         failure = type(exc).__name__
         estimated = DagEdgeSet(vertices=true_delta.vertices, edges=frozenset())
     sc = score(true_delta, estimated)
@@ -204,12 +212,12 @@ def run_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
 
     Trials are independent (per-trial seeds are derived, not shared), so the
     loop parallelizes trivially; this runner keeps them sequential and the
-    output order canonical. Pipeline failures are recorded as empty estimates
-    with the exception class name in ``failure``; against an empty truth such
-    a record scores Hamming 0, so a count of recoveries must also check
-    ``failed``.
-    Generator exhaustion aborts the sweep, since it signals an unsatisfiable
-    configuration.
+    output order canonical. Pipeline failures (a stalled order, an infeasible
+    or unconverged estimate, a spent prune budget) are recorded as empty
+    estimates with the exception class name in ``failure``, and the sweep
+    goes on; against an empty truth such a record scores Hamming 0, so a
+    count of recoveries must also check ``failed``. Generator exhaustion
+    aborts the sweep, since it signals an unsatisfiable configuration.
     """
     if cfg.fixed_n is not None:
         cells = [(p, None) for p in cfg.p_values]

@@ -12,6 +12,9 @@ that way is an artifact of shared children and is pruned.
 
 Every estimate after the first is over ``CovariancePair.restrict`` of the
 pair, and ``compute_order`` and ``prune`` append each step to the run's trace.
+Prune makes at most ``PRUNE_BUDGET`` distinct estimates in a run and raises
+``PruneBudgetError`` before the next one, so a run either prunes every edge
+in full or fails; it never returns a partly pruned edge set.
 
 On exact covariances from a pair that passes ``oracles.check_assumptions``,
 the pruned result equals the support of B1 - B2 exactly.
@@ -20,10 +23,9 @@ the pruned result equals the support of B1 - B2 exactly.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, replace
 
-from .errors import OrderStallError
+from .errors import OrderStallError, PruneBudgetError
 from .estimators import (
     DeltaPrecision,
     EstimatorConfig,
@@ -34,12 +36,8 @@ from .estimators import (
 )
 from .sem import ZERO_TOL, CovariancePair, DagEdgeSet, _output_order
 
-# prune searches at most 2**PRUNE_SUBSET_CAP drop-sets per edge
-PRUNE_SUBSET_CAP = 12
-
-
-class PartialPruneWarning(UserWarning):
-    """Pruning stopped early because a descendant set exceeded the cap."""
+# a run makes at most PRUNE_BUDGET distinct prune estimates
+PRUNE_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -225,10 +223,10 @@ def prune(
     eliminated strictly before j (descendants of j in the layered order),
     excluding i. Subsets are removed in increasing size and the difference is
     re-estimated over the rest; the first subset that zeroes the (i, j) entry
-    kills the edge. Only the first 2**PRUNE_SUBSET_CAP subsets in that order
-    are tested, so a larger descendant set is searched in part; an edge that
-    survives such a search raises a ``PartialPruneWarning``. Each test and
-    removal is appended to ``trace``.
+    kills the edge. Estimates are cached by retained set across edges, and the
+    run may make ``PRUNE_BUDGET`` distinct ones; the next raises
+    ``PruneBudgetError``, naming the budget, the count and the edge under
+    test. Each test and removal is appended to ``trace``.
     """
     kept = set(delta.edges)
     cache: dict[tuple, DeltaPrecision] = {}  # by retained labels, in cov's order
@@ -237,11 +235,15 @@ def prune(
         subsets = itertools.chain.from_iterable(
             itertools.combinations(desc, size) for size in range(len(desc) + 1)
         )
-        budget = 2 ** min(len(desc), PRUNE_SUBSET_CAP)
-        for drop in itertools.islice(subsets, budget):
+        for drop in subsets:
             drop_set = set(drop)
             retained = tuple(lab for lab in cov.labels if lab not in drop_set)
             if retained not in cache:
+                if len(cache) >= PRUNE_BUDGET:
+                    raise PruneBudgetError(
+                        f"prune budget {PRUNE_BUDGET} spent: {len(cache)} distinct estimates "
+                        f"made, and edge ({i!r}, {j!r}) needs another"
+                    )
                 cache[retained] = estimate(cov.restrict(retained), cfg)
             entry = cache[retained].entry(i, j)
             dropped = _output_order(drop)
@@ -250,14 +252,6 @@ def prune(
                 kept.discard((i, j))
                 trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": dropped})
                 break
-        else:
-            if len(desc) > PRUNE_SUBSET_CAP:
-                warnings.warn(
-                    f"edge ({i!r}, {j!r}): descendant set of size {len(desc)} exceeds the "
-                    f"cap {PRUNE_SUBSET_CAP}; searched {budget} subsets before giving up",
-                    PartialPruneWarning,
-                    stacklevel=2,
-                )
     return DagEdgeSet(vertices=delta.vertices, edges=frozenset(kept))
 
 

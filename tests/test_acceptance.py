@@ -237,7 +237,7 @@ def test_c07_normalized_hamming_trend(trend_records):
 # sha256 of the C07 grid's records.csv. A change that moves it, or any of the
 # sweep artifact pins below, updates the pin and says in CHANGES.md which
 # records moved and why.
-C07_RECORDS_SHA256 = "ac7d2717a8bafd570e6b020683502a594bbcdce5c0213a02ce31b0e52a634c15"
+C07_RECORDS_SHA256 = "f7a7a8fdb46c3c6c557f1e05347627f254ecd84b4bff52e3e866b2ac1e617a90"
 
 
 def test_c07_records_csv_is_pinned(trend_records, tmp_path):
@@ -263,9 +263,9 @@ def _artifact_sha256s(records, tmp_path) -> dict:
 def test_c07_sweep_artifacts_are_pinned(trend_records, tmp_path):
     # records.csv is C07_RECORDS_SHA256, checked above
     digests = _artifact_sha256s(trend_records, tmp_path)
-    assert digests["summary.json"] == "d6d8b29a6213f3e1c93d81e9b6af8bccbe1518d6a920d169e70d6f7191d05df4"
-    assert digests["plot.tsv"] == "e5002098cba0e246d9b9a19171434b1ffb16d4edc6246694376e5ff4d75d434a"
-    assert digests["table.txt"] == "e019aec6925c95cbc17e560f7356f0fc129d880fc7d30166543291cad037f48b"
+    assert digests["summary.json"] == "aeef00c29cec98b72552032851f7a1ca0320433305133d0e79eb32f019f38fc5"
+    assert digests["plot.tsv"] == "ddbcd79e6d03c0b5ae8bfce98ef404be7c8477d2a613e6bc8862a2805b53a689"
+    assert digests["table.txt"] == "455e26ba1f5bcfb972806e67314539db217f07a0e90d9c74956f565a7db42b2b"
 
 
 @pytest.fixture(scope="module")

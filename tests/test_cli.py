@@ -300,25 +300,14 @@ class TestRunPipeline:
         assert code == 0
         assert (out / "pipeline.json").exists()
 
-    def test_partial_prune_lands_in_warnings_and_on_stderr(self, tmp_path, monkeypatch, capsys):
-        msg = "edge (1, 0): descendant set of size 3 exceeds the cap 1; searched 2 subsets"
-        real = dd.run_pipeline
-
-        def partial(cov, cfg):
-            warnings.warn(msg, dd.PartialPruneWarning)
-            warnings.warn("not prune's", RuntimeWarning)
-            return real(cov, cfg)
-
-        monkeypatch.setattr("diffdag.cli.run_pipeline", partial)
-        _, _, _, a, b = _write_pair(tmp_path)
+    def test_spent_prune_budget_exits_1_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        _, _, delta, a, b = _write_pair(tmp_path)
+        assert delta.edges  # so prune has an edge to test
+        monkeypatch.setattr(dd.pipeline, "PRUNE_BUDGET", 0)
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning, match="not prune's"):
-            code = main(["run-pipeline", "--sem1", a, "--sem2", b,
-                         "--output-dir", str(out)])
-        assert code == 0
-        assert json.loads((out / "pipeline.json").read_text())["warnings"] == [msg]
-        assert f"warning: {msg}\n" in capsys.readouterr().err
-
+        assert main(["run-pipeline", "--sem1", a, "--sem2", b, "--output-dir", str(out)]) == 1
+        assert "error: prune budget 0 spent: 0 distinct estimates made" in capsys.readouterr().err
+        assert not (out / "pipeline.json").exists()
 
     def test_strict_with_data_inputs_is_usage_error(self, tmp_path, capsys):
         # --strict acts on the assumption check, which only SEM inputs get
@@ -475,7 +464,8 @@ class TestCheckAssumptions:
 
     def test_sem_file_missing_a_field_is_a_domain_error_naming_it(self, tmp_path, capsys):
         _, _, _, a, b = _write_pair(tmp_path)
-        obj = json.loads(open(a).read())
+        with open(a) as fh:
+            obj = json.load(fh)
         del obj["b"]
         with open(a, "w") as fh:
             json.dump(obj, fh)

@@ -230,6 +230,27 @@ class TestRunSweep:
         assert row[11] == "1"
         assert row[-1] == "OrderStallError"
 
+    def test_spent_prune_budget_is_recorded_and_the_sweep_goes_on(self, monkeypatch):
+        cfg = SweepConfig(
+            p_values=(6,),
+            c_values=(5,),
+            repetitions=6,
+            gen=dd.SemPairGenConfig(p=6),
+            pipeline=PipelineConfig(estimator="population"),
+        )
+        full = run_sweep(cfg)
+        # reps 3 and 5 need more than 3 prune estimates, the others at most 3
+        monkeypatch.setattr(dd.pipeline, "PRUNE_BUDGET", 3)
+        cut = run_sweep(cfg)
+        assert [r.failure for r in full] == [""] * 6
+        assert [r.failure for r in cut] == ["", "", "", "PruneBudgetError", "", "PruneBudgetError"]
+        for before, after in zip(full, cut):
+            if after.failed:
+                assert after.estimated_edges.edges == frozenset()
+                assert after.true_edges == before.true_edges
+            else:
+                assert after == before
+
     def test_returned_trial_records_no_failure(self):
         rec = run_sweep(_tiny_sweep())[0]
         assert rec.failure == ""

@@ -20,8 +20,8 @@ def test_all_is_pinned():
         "AssumptionReport", "CellSummary", "CovariancePair", "DagEdgeSet", "DeltaPrecision",
         "DiffDagError", "EstimatorConfig", "EstimatorConvergenceError", "ExperimentRecord",
         "GenerationExhaustedError", "InfeasibleEstimateError", "InvalidCovarianceError",
-        "InvalidModelError", "LayeredOrder", "OrderStallError", "PartialPruneWarning",
-        "PipelineConfig", "PipelineResult", "ScoreResult", "Sem", "SemPairGenConfig",
+        "InvalidModelError", "LayeredOrder", "OrderStallError", "PipelineConfig",
+        "PipelineResult", "PruneBudgetError", "ScoreResult", "Sem", "SemPairGenConfig",
         "SweepConfig", "VertexMismatchError", "aggregate", "check_assumptions", "compute_order",
         "covariance", "dantzig_selector", "difference_edge_set", "estimate", "estimate_dantzig",
         "format_summary_table", "generate_sem_pair", "load_data_csv", "load_sem",
@@ -108,6 +108,12 @@ def test_stage_parameters_are_pinned():
         params = inspect.signature(stage).parameters
         assert list(params) == names
         assert all(param.default is param.empty for param in params.values()), stage.__name__
+
+
+def test_prune_budget_is_a_constant():
+    # one budget per run, counted in distinct prune estimates; past it a run fails
+    assert dd.pipeline.PRUNE_BUDGET == 2048
+    assert issubclass(dd.PruneBudgetError, dd.DiffDagError)
 
 
 def test_checker_budget_is_a_constant():

@@ -2,10 +2,12 @@
 
 One pass over each pool of ``perfbench/workloads.py`` (only read from here)
 must reproduce a pinned digest of its per-op records, its count of
-constrained-l1 solves (``dantzig_selector`` calls) and its count of estimates
-made inside ``prune``. Counting wrappers stand in for perfbench's tracer; the
-counts are the ones its traced runs report. A change that moves a pin updates
-it and says in CHANGES.md which records moved and why.
+constrained-l1 solves (``dantzig_selector`` calls), its count of estimates
+made inside ``prune`` and the most of those one op makes, which must stay
+below ``pipeline.PRUNE_BUDGET`` so that no op fails on it. Counting wrappers
+stand in for perfbench's tracer; the counts are the ones its traced runs
+report. A change that moves a pin updates it and says in CHANGES.md which
+records moved and why.
 """
 
 import hashlib
@@ -20,11 +22,12 @@ from diffdag import estimators, pipeline
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
-# workload -> (sha256 of repr of the per-op records, LPs, prune estimates)
+# workload -> (sha256 of repr of the per-op records, LPs, prune estimates,
+# most prune estimates in one op)
 PINS = {
-    "sweep-dantzig": ("dbaa12b35f2d330e3d0bd4e3094b92250a0948ab7b9083cdb87f76b920620a0d", 1849, 1813),
-    "pipeline-large": ("50680661a201babbfcb8b08596c2fa929f20475b89301818ae9384802fd27489", 69, 63),
-    "sweep-population": ("0f99f72624e1ef8cd7ad66ddb01804aaa8c62eada3e6a99d9567628e5ec6053c", 0, 165),
+    "sweep-dantzig": ("dbaa12b35f2d330e3d0bd4e3094b92250a0948ab7b9083cdb87f76b920620a0d", 1849, 1813, 1029),
+    "pipeline-large": ("50680661a201babbfcb8b08596c2fa929f20475b89301818ae9384802fd27489", 69, 63, 48),
+    "sweep-population": ("0f99f72624e1ef8cd7ad66ddb01804aaa8c62eada3e6a99d9567628e5ec6053c", 0, 165, 128),
 }
 
 
@@ -73,6 +76,11 @@ def test_one_pass_over_the_pool_is_pinned(name, workloads, monkeypatch):
     monkeypatch.setattr(pipeline, "prune", _in_prune(pipeline.prune, inside))
     for attr in ("estimate_dantzig", "solve_population"):
         monkeypatch.setattr(pipeline, attr, _counting(getattr(pipeline, attr), counts, "prune", inside))
-    records = [workload.run(op).record for op in ops]
+    records, most = [], 0
+    for op in ops:
+        before = counts["prune"]
+        records.append(workload.run(op).record)
+        most = max(most, counts["prune"] - before)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
-    assert (digest, counts["lp"], counts["prune"]) == PINS[name]
+    assert (digest, counts["lp"], counts["prune"], most) == PINS[name]
+    assert most < pipeline.PRUNE_BUDGET

@@ -171,18 +171,40 @@ class TestPrune:
         rough = orient_edges(dp, order)
         assert prune(rough, cov, order, POP, []).edges == rough.edges == frozenset({(0, 1)})
 
-    def test_subset_cap_warns_and_keeps_edge(self, monkeypatch):
-        cov, order, rough = self._common_child_setup()
-        monkeypatch.setattr(dd.pipeline, "PRUNE_SUBSET_CAP", 0)
-        with pytest.warns(dd.PartialPruneWarning, match="searched 1 subsets before giving up"):
-            pruned = prune(rough, cov, order, POP, [])
-        # budget 2**0 = 1 subset (the empty one): the artifact edge survives
-        assert (1, 0) in pruned.edges
+    # the setup's prune estimates: the full set, then without 2, then without 1
+    SETUP_ESTIMATES = 3
 
-    def test_cap_past_the_largest_index_searches_every_subset(self, monkeypatch):
+    def test_budget_past_the_run_raises_naming_budget_and_edge(self, monkeypatch):
         cov, order, rough = self._common_child_setup()
-        monkeypatch.setattr(dd.pipeline, "PRUNE_SUBSET_CAP", 100)
-        assert prune(rough, cov, order, POP, []).edges == frozenset({(2, 0)})
+        k = self.SETUP_ESTIMATES - 1
+        monkeypatch.setattr(dd.pipeline, "PRUNE_BUDGET", k)
+        trace: list = []
+        with pytest.raises(dd.PruneBudgetError, match=rf"prune budget {k} spent: {k} distinct "
+                           r"estimates made, and edge \(2, 0\) needs another"):
+            prune(rough, cov, order, POP, trace)
+        # the spurious edge (1, 0) went before the budget ran out
+        assert [e["edge"] for e in trace if e["stage"] == "prune_remove"] == [[1, 0]]
+
+    def test_budget_of_exactly_the_run_prunes_in_full(self, monkeypatch):
+        cov, order, rough = self._common_child_setup()
+        monkeypatch.setattr(dd.pipeline, "PRUNE_BUDGET", self.SETUP_ESTIMATES)
+        trace: list = []
+        assert prune(rough, cov, order, POP, trace).edges == frozenset({(2, 0)})
+        tested = {tuple(e["dropped"]) for e in trace if e["stage"] == "prune_test"}
+        assert len(tested) == self.SETUP_ESTIMATES
+
+    # the population pairs of p = 20/25/30 and seeds 0-29 that make the most
+    # prune estimates, as (p, seed, distinct estimates): the two largest at
+    # p = 30 and the largest overall
+    @pytest.mark.parametrize("p, seed, estimates", [(30, 17, 192), (30, 14, 100), (25, 1, 238)])
+    def test_population_pairs_stay_well_under_the_budget(self, p, seed, estimates):
+        sem1, sem2, truth = dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
+        result = run_pipeline(_pair_cov(sem1, sem2), POP)
+        assert result.delta.edges == truth.edges
+        # a dropped set is the complement of a retained set
+        tested = {tuple(e["dropped"]) for e in result.trace if e["stage"] == "prune_test"}
+        assert len(tested) == estimates
+        assert 8 * estimates < dd.pipeline.PRUNE_BUDGET
 
 
 class TestHamming:

@@ -1,12 +1,14 @@
-"""Properties over generated inputs: relabeling and rescaling, the
-constrained-l1 path's symmetries, JSON round-trips, and the draws, cycle check
-and subset walks behind the generator.
+"""Properties over generated inputs: relabeling and rescaling, loud failure
+of the population pipeline on broken assumptions, the constrained-l1 path's
+symmetries, JSON round-trips, and the draws, cycle check and subset walks
+behind the generator.
 
 Hypothesis runs derandomized with few examples and no example database, so
 every run draws the same cases.
 """
 
 import json
+from collections import Counter
 from dataclasses import asdict, replace
 from itertools import combinations
 
@@ -80,10 +82,63 @@ def test_population_edges_survive_rescaling_the_variables(p):
         assert dd.run_pipeline(scaled, cfg).delta.edges == truth.edges, seed
 
 
+def _broken_model_2(p, seed):
+    """A generated pair's model 1, and its model 2 with one assumption broken.
+
+    Each way: one noise variance scaled by 1 + delta, delta in {0.01, 0.2}, and
+    one edge reversed unless that makes a cycle. The seed draws the vertex and
+    the edge.
+    """
+    sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
+    rng = np.random.default_rng((seed, 1))
+    k = int(rng.integers(p))
+    broken = []
+    for delta in (0.01, 0.2):
+        noise = np.array(sem2.noise_vars)
+        noise[k] *= 1 + delta
+        broken.append(dd.Sem(sem2.b, noise, sem2.labels))
+    rows, cols = np.nonzero(sem2.b)
+    if len(rows):
+        e = int(rng.integers(len(rows)))
+        i, j = rows[e], cols[e]
+        b = np.array(sem2.b)
+        b[j, i], b[i, j] = b[i, j], 0.0
+        try:
+            broken.append(dd.Sem(b, sem2.noise_vars, sem2.labels))
+        except InvalidModelError:
+            pass  # the reversal closes a cycle
+    return sem1, broken
+
+
+@pytest.mark.parametrize("p", [10, 20])
+def test_population_pipeline_fails_loudly_when_an_assumption_breaks(p):
+    # on the pairs of seeds 0-19 the population pipeline either stalls or
+    # returns the support of B1 - B2' for the broken model 2'; it never returns
+    # other edges, and no other failure, such as a spent prune budget, occurs
+    cfg = dd.PipelineConfig(estimator="population")
+    outcomes = Counter()
+    for seed in range(20):
+        sem1, broken = _broken_model_2(p, seed)
+        for sem2 in broken:
+            changed = zip(*np.nonzero(sem1.b != sem2.b))
+            support = {(sem1.labels[i], sem1.labels[j]) for i, j in changed}
+            try:
+                result = dd.run_pipeline(dd.CovariancePair.from_sems(sem1, sem2), cfg)
+            except dd.OrderStallError:
+                outcomes["stalled"] += 1
+                continue
+            assert result.delta.edges == support, seed
+            outcomes["returned"] += 1
+    # both outcomes occur, so neither half of the property holds vacuously
+    assert outcomes["stalled"] and outcomes["returned"], outcomes
+
+
 # The C07 grid's first three trials per cell at p <= 10, as (p, c, rep):
 # non-empty and empty estimates and order stalls, under a second of solves
 C07_TRIALS = [(p, c, rep) for p in (5, 10) for c in C07_SWEEP.c_values for rep in range(3)]
-FAILURES = (dd.OrderStallError, dd.InfeasibleEstimateError, dd.EstimatorConvergenceError)
+FAILURES = (
+    dd.OrderStallError, dd.InfeasibleEstimateError, dd.EstimatorConvergenceError, dd.PruneBudgetError
+)
 
 
 def _c07_trial_pair(p, c, rep):
