@@ -1,19 +1,20 @@
 """The paper's recovery assumptions and its sample-count lower bound.
 
-``check_assumptions`` certifies that a SEM pair supports exact recovery of
-its difference DAG: invariant vertices keep their edges, and every
-difference edge stays separated by 2*eps in partial correlation and in its
-parent's conditional precision over the ancestor-closed subsets that hold
-it. It reads the difference DAG from one entrywise comparison B1 != B2: the
-invariant clause from its rows and columns, the subset walk's parent masks
-from its rows. The generator calls it on every candidate pair, so it
-enumerates those subsets lazily as 64-bit masks (so at most 64 non-invariant
-vertices), one size level of each edge in turn, so that a rejected pair fails
-on its smallest subsets, and reads their gaps from a Cholesky tail in stacks.
-It counts the (edge, subset) pairs as it walks them and gives up, inconclusive,
-before a level would take the count past ``SUBSET_BUDGET``.
-``minimax_sample_bound`` is the Omega(d log(p/d)) threshold below which no
-method recovers the difference DAG reliably.
+``check_assumptions`` certifies that a SEM pair supports exact recovery of its
+difference DAG: invariant vertices keep their edges, and every difference edge
+stays separated by 2*eps in partial correlation and in its parent's
+conditional precision over the ancestor-closed subsets that hold it. It reads
+the difference DAG from one entrywise comparison B1 != B2: the invariant
+clause from its rows and columns, the subset walk's parent masks from its
+rows, and its ancestor masks from the rows of its closure under
+``sem._ancestry``, the one ancestry relation. The generator calls it on every
+candidate pair, so it enumerates those subsets lazily as 64-bit masks (so at
+most 64 non-invariant vertices), one size level of each edge in turn, so that
+a rejected pair fails on its smallest subsets, and reads their gaps from a
+Cholesky tail in stacks. It counts the (edge, subset) pairs as it walks them
+and gives up, inconclusive, before a level would take the count past
+``SUBSET_BUDGET``. ``minimax_sample_bound`` is the Omega(d log(p/d)) threshold
+below which no method recovers the difference DAG reliably.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sem import ZERO_TOL, Sem, covariance, difference_edge_set, precision
-from .sem import _integer, _output_order, _real
+from .sem import ZERO_TOL, Sem, covariance, precision
+from .sem import _ancestry, _integer, _output_order, _real
 
 # The most (edge, subset) pairs check_assumptions walks; a level that would
 # take it past them makes the check inconclusive.
@@ -92,29 +93,6 @@ class AssumptionReport:
 _CHUNK = 256
 
 
-def _closures(parents: dict) -> dict:
-    """Each vertex bit's ancestors, the vertex included.
-
-    ``parents`` maps each vertex bit to the mask of its parents; the result
-    maps each bit to the mask of its ancestors.
-    """
-    anc: dict = {}
-
-    def visit(b: int) -> int:
-        if b not in anc:
-            mask, rest = b, parents[b]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                mask |= visit(low)
-            anc[b] = mask
-        return anc[b]
-
-    for b in parents:
-        visit(b)
-    return anc
-
-
 def _downsets_above(base: int, parents: dict) -> Iterator[np.ndarray]:
     """The ancestor-closed supersets of the ancestor-closed ``base``.
 
@@ -152,31 +130,34 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     to the pairs examined so far. So a violation in an earlier level is
     still found, however many subsets the difference DAG has. More than 64
     non-invariant vertices raise ``ValueError`` (64-bit masks) before the
-    walk starts, whatever the number of subsets.
+    walk starts, whatever the number of subsets. A difference B1 != B2 that
+    holds a directed cycle raises ``InvalidModelError`` from ``sem._ancestry``
+    before either clause.
 
     Order: edges are ranked by (repr(i), repr(j)). Each edge walks only the
-    subsets that contain the ancestors of i and j, in levels by size; within
-    a level, subsets go by the sorted reprs of their members compared as
-    lists. The walk is level-major across edges: it takes every edge's
-    smallest level in edge rank, then every edge's next level, and so on, an
-    edge dropping out when its levels run out. The order cannot change a
-    verdict, only which violation is found first. The first violated gap
-    ends the check; ``subsets_checked`` counts the (edge, subset) pairs
-    examined up to and including it, and ``detail`` names it.
+    subsets that contain the ancestors of i, j among them, in levels by
+    size; within a level, subsets go by the sorted reprs of their members
+    compared as lists. The walk is level-major across edges: it takes every
+    edge's smallest level in edge rank, then every edge's next level, and so
+    on, an edge dropping out when its levels run out. The order cannot
+    change a verdict, only which violation is found first. The first
+    violated gap ends the check; ``subsets_checked`` counts the (edge,
+    subset) pairs examined up to and including it, and ``detail`` names it.
     """
     _real("epsilon", epsilon)
     _require_shared(sem1, sem2)
-    delta = difference_edge_set(sem1, sem2)
-    dom = precision(sem1) - precision(sem2)
     labels = sem1.labels
+    changed = sem1.b != sem2.b
+    reach = _ancestry(changed)
+    delta_edges = frozenset((labels[i], labels[j]) for i, j in zip(*np.nonzero(changed)))
+    dom = precision(sem1) - precision(sem2)
     row_zero = np.abs(dom).max(axis=1) <= ZERO_TOL
     invariant = frozenset(labels[k] for k in np.flatnonzero(row_zero))
 
     def fail(cond: str, detail: str, checked: int = 0) -> AssumptionReport:
-        return AssumptionReport(False, cond, detail, invariant, delta.edges, checked)
+        return AssumptionReport(False, cond, detail, invariant, delta_edges, checked)
 
     # clause one: invariant vertices must have genuinely unchanged edges
-    changed = sem1.b != sem2.b
     moved = {"incoming": changed.any(axis=1), "outgoing": changed.any(axis=0)}
     for lab in sorted(invariant, key=repr):
         for side, edges_moved in moved.items():
@@ -185,8 +166,8 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
                     "invariant-vertex-consistency",
                     f"vertex {lab!r} has a zero difference row but changed {side} edges",
                 )
-    if not delta.edges:
-        return AssumptionReport(True, None, None, invariant, delta.edges, 0)
+    if not delta_edges:
+        return AssumptionReport(True, None, None, invariant, delta_edges, 0)
 
     # clause two: separations over ancestor-closed subsets of the difference
     # DAG. A vertex set is a bitmask in which the vertex of repr rank r has
@@ -196,20 +177,23 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
     n = len(ranked)
     bit = {lab: 1 << (n - 1 - r) for r, lab in enumerate(ranked)}
     # clause one passed, so every endpoint of a changed entry has a bit
-    parents = {bit[lab]: sum(bit[labels[q]] for q in np.flatnonzero(changed[sem1.index(lab)]))
-               for lab in ranked}
+    def mask(row: np.ndarray) -> int:
+        return sum(bit[labels[q]] for q in np.flatnonzero(row))
+
+    parents = {bit[lab]: mask(changed[sem1.index(lab)]) for lab in ranked}
+    anc = {lab: mask(reach[sem1.index(lab)]) for lab in ranked}
     if n > 64:
         raise ValueError(f"the subset walk takes at most 64 non-invariant vertices, not {n}")
-    anc = _closures(parents)
     covs = np.stack([covariance(sem1), covariance(sem2)])
     flat, p = covs.reshape(2, -1), covs.shape[-1]
     walks: deque = deque()
-    for (i, j) in sorted(delta.edges, key=lambda e: (repr(e[0]), repr(e[1]))):
+    for (i, j) in sorted(delta_edges, key=lambda e: (repr(e[0]), repr(e[1]))):
         # each submatrix holds S minus {i, j} in label order, then i, then j
         order = [lab for lab in labels if lab in bit and lab != i and lab != j] + [i, j]
         rows = np.array([sem1.index(lab) for lab in order])
         shifts = np.array([bit[lab].bit_length() - 1 for lab in order], dtype=np.uint64)
-        walks.append((i, j, rows, shifts, _downsets_above(anc[bit[i]] | anc[bit[j]], parents)))
+        # j is a parent of i, so anc(i) holds anc(j)
+        walks.append((i, j, rows, shifts, _downsets_above(anc[i], parents)))
     checked = 0
     # level-major: a rejected pair's first violation tends to sit at the
     # smallest subsets of some edge, so each turn takes one edge's next level
@@ -248,7 +232,7 @@ def check_assumptions(sem1: Sem, sem2: Sem, epsilon: float) -> AssumptionReport:
                     f"over subset {s}",
                     checked,
                 )
-    return AssumptionReport(True, None, None, invariant, delta.edges, checked)
+    return AssumptionReport(True, None, None, invariant, delta_edges, checked)
 
 
 def minimax_sample_bound(p: int, d: int) -> float:

@@ -77,7 +77,9 @@ class PipelineConfig:
     """How the pipeline estimates and reads the precision difference.
 
     ``estimator`` picks exact population solves or the constrained-l1
-    program; ``estimate`` says how each is read.
+    program; ``estimate`` says how each is read. The population estimate
+    thresholds at ``ZERO_TOL`` and reads no ``est_cfg``, so with it an
+    ``est_cfg`` other than the default is rejected rather than dropped.
     """
 
     estimator: str = "population"
@@ -86,6 +88,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.estimator not in ("population", "dantzig"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.estimator == "population" and self.est_cfg != EstimatorConfig():
+            raise ValueError(f"the population estimator reads no est_cfg, got {self.est_cfg!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":

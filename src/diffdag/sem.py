@@ -14,8 +14,9 @@ and non-negative, or positive). ``Sem``, ``CovariancePair`` and
 ``estimators.DeltaPrecision`` check their input once, in the constructor;
 restrictions and thresholded copies are derived from a checked object
 (``_Labeled._derive``) without a second check. ``Sem`` and ``DagEdgeSet``
-reject a directed cycle through one check, ``_require_acyclic``, which
-builds no topological order.
+reject a directed cycle through ``_ancestry``, which builds no topological
+order; it is the one ancestry relation, and gives the assumption checker its
+ancestors too.
 
 The package's on-disk formats are decided here: ``_write_json`` and
 ``_write_lines`` write every artifact, and ``_output_order`` orders every
@@ -105,16 +106,18 @@ def _output_order(items) -> list:
         return sorted(items, key=repr)
 
 
-def _require_acyclic(support: np.ndarray) -> None:
-    """Raise ``InvalidModelError`` when the square boolean ``support`` holds a
-    directed cycle. A graph on p vertices is acyclic exactly when no walk has
-    p edges; k squarings of its 0/1 adjacency matrix, clipped to 0/1, mark
-    the walks of 2^k >= p edges."""
-    walks = support.astype(float)
+def _ancestry(support: np.ndarray) -> np.ndarray:
+    """The reflexive-transitive closure of the square boolean parent
+    ``support``: entry (i, j) is True when j is i or an ancestor of i. k
+    squarings of I | support reach the paths of 2^k >= p - 1 edges. An edge
+    (i, j) with i among j's ancestors closes a directed cycle, which raises."""
+    reach = (support | np.eye(len(support), dtype=bool)).astype(float)
     for _ in range(max(len(support) - 1, 0).bit_length()):
-        walks = np.minimum(walks @ walks, 1.0)
-    if walks.any():
+        reach = np.minimum(reach @ reach, 1.0)
+    reach = reach > 0.0
+    if (support & reach.T).any():
         raise InvalidModelError("edge support contains a directed cycle")
+    return reach
 
 
 class _Labeled:
@@ -195,7 +198,7 @@ class Sem(_Labeled):
         if not np.isfinite(nv).all() or np.any(nv <= 0.0):
             raise InvalidModelError("noise variances must be strictly positive and finite")
         self._set_labels(p, InvalidModelError)
-        _require_acyclic(b != 0.0)
+        _ancestry(b != 0.0)
         nv.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "noise_vars", nv)
@@ -231,7 +234,7 @@ class DagEdgeSet:
             if child == parent:
                 raise InvalidModelError(f"self-loop at {child!r}")
             support[index[child], index[parent]] = True
-        _require_acyclic(support)
+        _ancestry(support)
 
     def max_degree(self) -> int:
         """Largest number of incident edges over all vertices (0 if empty)."""
@@ -373,9 +376,9 @@ class CovariancePair(_Labeled):
     def from_data(cls, x1: np.ndarray, x2: np.ndarray, labels: tuple = ()) -> "CovariancePair":
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1]:
+        if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1] or min(len(x1), len(x2)) == 0:
             raise InvalidCovarianceError(
-                f"data matrices must be 2-d with equal column counts, got shapes {x1.shape} and {x2.shape}"
+                f"data matrices must be 2-d, with rows and equal columns, got shapes {x1.shape} and {x2.shape}"
             )
         return cls(
             empirical_covariance(x1),

@@ -456,6 +456,16 @@ class TestCheckAssumptions:
                      "--strict"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    def test_models_with_opposite_orders_are_a_domain_error(self, tmp_path, capsys):
+        # 1 <- 0 in one model and 0 <- 1 in the other: the difference holds a cycle
+        b1, b2 = np.zeros((2, 2)), np.zeros((2, 2))
+        b1[1, 0], b2[0, 1] = 0.5, 0.5
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        dd.save_sem(dd.Sem(b1, np.ones(2)), a)
+        dd.save_sem(dd.Sem(b2, np.ones(2)), b)
+        assert main(["check-assumptions", "--sem1", str(a), "--sem2", str(b)]) == 1
+        assert capsys.readouterr().err == "error: edge support contains a directed cycle\n"
+
     def test_sem_file_holding_a_list_is_a_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
         bad.write_text("[[0.0]]")
@@ -576,6 +586,21 @@ class TestSweep:
         bad.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
         assert "lambda_n=0.5 and lambda_auto both set the radius" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("est_cfg", [{"epsilon": 0.3}, {"lambda_auto": True}],
+                             ids=["epsilon", "lambda_auto"])
+    def test_est_cfg_the_population_estimator_would_ignore_is_usage_error(
+        self, tmp_path, capsys, est_cfg
+    ):
+        # a setting the run would drop is a usage error, as a flag it would ignore is
+        cfg = {"p_values": [5], "c_values": [5], "repetitions": 1, "gen": {"p": 5},
+               "pipeline": {"estimator": "population", "est_cfg": est_cfg}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "the population estimator reads no est_cfg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -53,6 +53,11 @@ def test_unneeded_members_stay_gone():
     for member in ("children", "parents", "degree"):
         assert not hasattr(dd.DagEdgeSet, member), member
     assert not hasattr(dd.sem, "_canonical_topo_positions")
+    # one ancestry relation decides cycles and gives the checker its
+    # ancestors: no second cycle check in sem, no closure helper in oracles
+    assert [name for name in vars(dd.sem) if "acycl" in name or "ancest" in name] == ["_ancestry"]
+    assert not [name for name in vars(dd.oracles) if "closure" in name or "acycl" in name]
+    assert not hasattr(dd.oracles, "difference_edge_set")
     # the subset walk counts the pairs it examines; nothing counts the lattice
     assert not hasattr(dd.oracles, "_downset_count")
     assert not hasattr(dd.CovariancePair, "is_population")

@@ -6,8 +6,11 @@ product (I-B)^T D^-1 (I-B) is the reference for entry formulas.
 """
 
 import ast
+import hashlib
+import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 import diffdag as dd
 from diffdag import oracles
 from diffdag import Sem, check_assumptions, covariance, minimax_sample_bound, precision
+from diffdag.errors import InvalidModelError
 from diffdag.oracles import AssumptionReport
 from diffdag.sem import difference_edge_set
 from helpers import (
@@ -342,6 +346,41 @@ class TestCheckAssumptions:
         sem1, sem2 = Sem(b1, np.ones(66)), Sem(np.zeros((66, 66)), np.ones(66))
         with pytest.raises(ValueError, match="at most 64 non-invariant vertices, not 66"):
             check_assumptions(sem1, sem2, 0.125)
+
+    def test_difference_with_a_cycle_raises(self):
+        # 1 <- 0 in one model and 0 <- 1 in the other: each model is acyclic,
+        # their difference is not, and no clause is read
+        b1, b2 = np.zeros((2, 2)), np.zeros((2, 2))
+        b1[1, 0], b2[0, 1] = 0.5, 0.5
+        with pytest.raises(InvalidModelError, match="^edge support contains a directed cycle$"):
+            check_assumptions(Sem(b1, np.ones(2)), Sem(b2, np.ones(2)), 0.125)
+
+    def test_large_p_pairs_and_reports_are_pinned(self):
+        # every pair the generator returns at p = 20-30 and every report it
+        # reads on the way there, byte for byte: a change to the cycle check,
+        # the ancestry or the walk that moved a verdict, a count or a draw
+        # would move the digest
+        reports, real = [], oracles.check_assumptions
+
+        def recording(sem1, sem2, epsilon):
+            reports.append(real(sem1, sem2, epsilon))
+            return reports[-1]
+
+        digest, pairs = hashlib.sha256(), 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "check_assumptions", recording)
+            for p in (20, 25, 30):
+                for seed in range(20):
+                    sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=p, seed=seed))
+                    for array in (sem1.b, sem2.b, sem1.noise_vars):
+                        digest.update(array.tobytes())
+                    pairs += 1
+        for report in reports:
+            digest.update(json.dumps(report.to_dict()).encode())
+        verdicts = Counter(report.failed_condition for report in reports)
+        assert (pairs, len(reports), verdicts) == (60, 302, {"separation": 242, None: 60})
+        assert sum(report.subsets_checked for report in reports) == 2943
+        assert digest.hexdigest() == "d8392a391afbab3197224fc8c9970b38bb89bf10895de6312d7c3b57bb4a4421"
 
     def test_report_dict_round_trip(self):
         sem = random_sem(np.random.default_rng(9), 4)

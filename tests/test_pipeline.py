@@ -7,6 +7,7 @@ generator's ground truth.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -333,6 +334,23 @@ class TestRunPipeline:
         payload = res.to_json()
         assert set(payload) >= {"invariant", "layers", "edges"}
         assert payload["edges"] == sorted(payload["edges"])
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("est_cfg", [
+        EstimatorConfig(epsilon=0.3), EstimatorConfig(lambda_n=0.1), EstimatorConfig(lambda_auto=True),
+    ], ids=["epsilon", "lambda_n", "lambda_auto"])
+    def test_population_rejects_an_est_cfg_it_would_ignore(self, est_cfg):
+        # the population estimate thresholds at ZERO_TOL: a set est_cfg would be dropped
+        with pytest.raises(ValueError, match="the population estimator reads no est_cfg"):
+            PipelineConfig(estimator="population", est_cfg=est_cfg)
+        with pytest.raises(ValueError, match="reads no est_cfg"):
+            PipelineConfig.from_json({"estimator": "population", "est_cfg": asdict(est_cfg)})
+        assert PipelineConfig(estimator="dantzig", est_cfg=est_cfg).est_cfg == est_cfg
+
+    def test_population_takes_the_default_est_cfg(self):
+        assert PipelineConfig(estimator="population", est_cfg=EstimatorConfig()) == POP
+        assert PipelineConfig.from_json({"estimator": "population", "est_cfg": {}}) == POP
 
 
 class TestLayeredOrder:

@@ -1,6 +1,6 @@
 """Properties over generated inputs: relabeling and rescaling, loud failure
 of the population pipeline on broken assumptions, the constrained-l1 path's
-symmetries, JSON round-trips, and the draws, cycle check and subset walks
+symmetries, JSON round-trips, and the draws, ancestry relation and subset walks
 behind the generator.
 
 Hypothesis runs derandomized with few examples and no example database, so
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import diffdag as dd
 from diffdag.errors import InvalidModelError
 from diffdag.experiments import _trial_seed, sample_budget
-from diffdag.oracles import _closures, _downsets_above
-from diffdag.sem import _draw_slots, _require_acyclic
+from diffdag.oracles import _downsets_above
+from diffdag.sem import _ancestry, _draw_slots
 from helpers import C07_SWEEP, _scan_topo_positions
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -293,15 +293,14 @@ def test_generator_config_json_round_trip(cfg):
 
 
 def _pipeline_configs():
-    # a fixed radius, or the auto rule with lambda_n left at 0
+    # a fixed radius, or the auto rule with lambda_n left at 0; the population
+    # estimator reads no est_cfg, so it takes only the default
     epsilon = st.floats(1e-3, 1.0)
     est = st.builds(dd.EstimatorConfig, lambda_n=st.floats(0.0, 10.0), epsilon=epsilon) | st.builds(
         dd.EstimatorConfig, epsilon=epsilon, lambda_auto=st.just(True)
     )
-    return st.builds(
-        dd.PipelineConfig,
-        estimator=st.sampled_from(["population", "dantzig"]),
-        est_cfg=est,
+    return st.just(dd.PipelineConfig(estimator="population")) | st.builds(
+        dd.PipelineConfig, estimator=st.just("dantzig"), est_cfg=est
     )
 
 
@@ -347,6 +346,15 @@ def supports(draw):
     return support
 
 
+def _reachable(support, i):
+    """The vertices a breadth-first walk over parents reaches from i, i included."""
+    seen, frontier = {i}, [i]
+    while frontier:
+        frontier = [j for k in frontier for j in np.flatnonzero(support[k]) if j not in seen]
+        seen.update(frontier)
+    return seen
+
+
 @settings(FIXED, max_examples=60)
 @given(supports())
 def test_cycle_check_raises_exactly_when_the_scan_finds_a_cycle(support):
@@ -354,9 +362,12 @@ def test_cycle_check_raises_exactly_when_the_scan_finds_a_cycle(support):
         _scan_topo_positions(support)
     except InvalidModelError as scanned:
         with pytest.raises(InvalidModelError, match=str(scanned)):
-            _require_acyclic(support)
+            _ancestry(support)
         return
-    _require_acyclic(support)
+    reach = _ancestry(support)
+    assert reach.dtype == bool and reach.shape == support.shape
+    p = len(support)
+    assert [set(np.flatnonzero(reach[i])) for i in range(p)] == [_reachable(support, i) for i in range(p)]
 
 
 @st.composite
@@ -381,7 +392,9 @@ def test_subset_walk_matches_brute_force(dag):
     n = len(ranked)
     bit = {lab: 1 << (n - 1 - r) for r, lab in enumerate(ranked)}
     masks = {bit[lab]: sum(bit[q] for q in parents[lab]) for lab in labels}
-    anc = _closures(masks)
+    support = np.array([[q in parents[lab] for q in labels] for lab in labels], dtype=bool)
+    reach = _ancestry(support)
+    anc = {lab: sum(bit[q] for q, up in zip(labels, reach[k]) if up) for k, lab in enumerate(labels)}
 
     closed = [
         frozenset(s)
@@ -401,7 +414,7 @@ def test_subset_walk_matches_brute_force(dag):
     assert walked(0) == closed
     for i in labels:
         for j in parents[i]:
-            assert walked(anc[bit[i]] | anc[bit[j]]) == [s for s in closed if {i, j} <= s]
+            assert walked(anc[i]) == [s for s in closed if {i, j} <= s]
 
 
 def _scalar_slots(rng, prob, addable, lo, hi):

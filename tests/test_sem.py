@@ -260,6 +260,12 @@ class TestCovariancePair:
         with pytest.raises(InvalidCovarianceError, match=r"got shapes \(5, 3\) and \(5, 2\)"):
             CovariancePair.from_data(np.ones((5, 3)), np.ones((5, 2)))
 
+    @pytest.mark.parametrize("rows1, rows2", [(0, 0), (0, 5), (5, 0)])
+    def test_from_data_without_rows_gives_both_shapes(self, rows1, rows2):
+        with pytest.raises(InvalidCovarianceError,
+                           match=rf"with rows and equal columns, got shapes \({rows1}, 3\) and \({rows2}, 3\)"):
+            CovariancePair.from_data(np.ones((rows1, 3)), np.ones((rows2, 3)))
+
     def test_restriction_record_stays_out_of_repr(self):
         sub = CovariancePair(np.eye(3), 2.0 * np.eye(3)).restrict({0, 2})
         assert repr(sub) == repr(CovariancePair(sub.sigma1, sub.sigma2, sub.n1, sub.n2, sub.labels))
