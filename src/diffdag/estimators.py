@@ -40,18 +40,23 @@ depends on the ones before it. Per estimate only the matrix values and row
 bounds are built; the rest depends only on |R| and is built once per size.
 
 The population solve needs numpy alone, and so does the rest of the package.
-scipy, whose bundled HiGHS binding solves the program, is imported on the
-first ``dantzig_selector`` call (through ``_highs``), not at import: the
-generator, ``check_assumptions``, the population pipeline and the CLI
-commands that solve no program never load it. On a 2-core host that keeps
-``import diffdag`` at about 0.16 s and 29 MB of peak RSS, against 0.6-0.9 s
-and 78 MB with scipy.optimize loaded.
+The program is solved by the HiGHS extension bundled with scipy, which
+``_highs`` loads on the first ``dantzig_selector`` call: that one file, in
+5-9 ms, and no scipy module besides. The package never imports
+``scipy.optimize``, which would cost about 0.4 s and 37 MB per process on a
+2-core host. The generator, ``check_assumptions``, the population pipeline
+and the CLI commands that solve no program never load HiGHS either, and
+``import diffdag`` takes about 0.16 s and 29 MB of peak RSS.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, replace
 
@@ -69,19 +74,33 @@ from .sem import CovariancePair, _Labeled, _matrix, _real, _symmetrize
 SOLVER_TOL = 1e-7
 MAX_ITER = 50_000
 _THREAD = threading.local()  # .highs: the thread's one HiGHS instance
+_CORE = "scipy.optimize._highspy._core"
+_LOADING = threading.Lock()  # one thread loads the binding, the rest wait
 
 
 @functools.cache
 def _highs():
     """scipy's bundled HiGHS binding (its private ``_core`` module).
 
-    The one place that imports it. Importing it loads ``scipy.optimize``,
-    which takes longer and more memory than the rest of the package, so it
-    happens on the first ``dantzig_selector`` call and not at import.
+    The one place that loads it. Only the extension file is loaded, in
+    milliseconds: scipy's package directory is found without running scipy,
+    and ``scipy.optimize`` is never imported. The module is registered under
+    scipy's own name before it runs, so a later ``import scipy.optimize``
+    reuses it instead of loading a second pybind11 copy, which would fail;
+    one already imported is returned as it is. (scipy's import statements
+    then find it, but the package attribute ``_highspy._core`` stays unset.)
     """
-    from scipy.optimize._highspy import _core
-
-    return _core
+    with _LOADING:
+        if _CORE in sys.modules:
+            return sys.modules[_CORE]
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        where = os.path.join(scipy_dir, "optimize", "_highspy")
+        spec = importlib.machinery.PathFinder.find_spec(_CORE, [where])
+        if spec is None:
+            raise ImportError(f"scipy's HiGHS binding {_CORE} not found in {where}")
+        core = sys.modules[_CORE] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+        return core
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,9 +332,12 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     times the larger of 1 and the entry's magnitude, |S1| |D| |S2| + |S2 - S1|.
     A bad radius, a matrix that ``sem._matrix`` rejects or two shapes that
     differ raise ``ValueError`` before HiGHS is called.
+
+    The first call loads scipy's HiGHS extension alone, in milliseconds
+    (``_highs``); ``scipy.optimize`` is not imported.
     """
     # the binding is loaded even when no program is solved, so that a caller's
-    # first call, and not a later one, pays for the import
+    # first call, and not a later one, pays for the load
     model_status = _highs().HighsModelStatus
     _real("lambda_n", lambda_n)
     s1, s2 = _matrix("sigma1", sigma1, ValueError), _matrix("sigma2", sigma2, ValueError)

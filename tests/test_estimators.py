@@ -7,9 +7,11 @@ fresh from the same submatrices for each restriction, and the program's
 matrix built from coordinates through scipy.sparse for its array build.
 """
 
+import importlib.machinery
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -498,6 +500,14 @@ def test_highs_binding_has_everything_the_program_uses():
     assert list(highs.getSolution().col_value) == [0.5]
 
 
+def test_a_missing_highs_binding_names_the_directory_searched(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
+    where = re.escape(os.path.join("scipy", "optimize", "_highspy"))
+    with pytest.raises(ImportError, match=f"_highspy._core not found in .*{where}$"):
+        estimators._highs.__wrapped__()
+
+
 _SCIPY_ONLY_FOR_THE_PROGRAM = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -520,10 +530,97 @@ assert not dantzig_selector(np.eye(3), 2.0 * np.eye(3), 1.0).any()
 assert "scipy.optimize._highspy._core" in sys.modules, scipy_modules()
 """
 
+# argv: the package's parent directory, then an output path. Runs a
+# constrained-l1 pipeline and writes one estimate_dantzig matrix, after
+# importing scipy.optimize first when FIRST says so
+_HIGHS_LOAD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import diffdag as dd
+from diffdag import estimators
 
-def test_scipy_loads_only_with_the_first_dantzig_selector_call():
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+if FIRST:
+    import scipy.optimize
+    assert estimators._highs() is sys.modules["scipy.optimize._highspy._core"]
+sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=6, seed=29))
+cov = dd.CovariancePair.from_data(dd.sample(sem1, 1000, seed=1), dd.sample(sem2, 1000, seed=2))
+cfg = dd.EstimatorConfig(lambda_auto=True)
+dd.run_pipeline(cov, dd.PipelineConfig(estimator="dantzig", est_cfg=cfg))
+estimators.estimate_dantzig(cov, cfg).matrix.tofile(sys.argv[2])
+if not FIRST:
+    loaded = scipy_modules()
+    assert "scipy.optimize._highspy._core" in loaded, loaded
+    for name in ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
+        assert name not in loaded, loaded
+    # scipy's own import reuses the loaded binding: no second pybind11 copy
+    import scipy.optimize
+    import scipy.optimize._highspy._core as core
+    assert core is estimators._highs()
+    x = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs").x
+    assert list(x) == [1.0, 0.0], x
+"""
+
+
+def test_scipy_loads_only_with_the_first_dantzig_selector_call(tmp_path):
     src = str(Path(estimators.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", _SCIPY_ONLY_FOR_THE_PROGRAM, src],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    # loaded alone, the binding is scipy's module under scipy's name; loaded
+    # after scipy.optimize, it is the module scipy loaded; both solve alike
+    written = []
+    for first in (False, True):
+        out = tmp_path / f"first-{first}.bin"
+        run = subprocess.run(
+            [sys.executable, "-c", f"FIRST = {first}\n{_HIGHS_LOAD}", src, str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1] and np.frombuffer(written[0]).reshape(6, 6).any()
+
+
+# argv: the package's parent directory. Eight threads make the process's
+# first _highs calls at once, and building the module waits 50 ms, so
+# without the lock each thread would build it (overlapping first loads of
+# the extension can return a module that lacks its names)
+_HIGHS_THREADS = """
+import importlib.util, sys, threading, time
+sys.path.insert(0, sys.argv[1])
+from diffdag import estimators
+
+build, builds = importlib.util.module_from_spec, []
+
+def slow_build(spec):
+    builds.append(spec.name)
+    time.sleep(0.05)
+    return build(spec)
+
+importlib.util.module_from_spec = slow_build
+barrier, loaded = threading.Barrier(8), []
+
+def load():
+    barrier.wait()
+    loaded.append(estimators._highs())
+
+threads = [threading.Thread(target=load) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+assert not any(thread.is_alive() for thread in threads)
+assert len(loaded) == 8 and len(builds) == 1, (loaded, builds)
+assert all(core is sys.modules["scipy.optimize._highspy._core"] for core in loaded)
+assert loaded[0].HighsModelStatus.kOptimal is not None
+"""
+
+
+def test_threads_that_load_the_highs_binding_at_once_share_one_module():
+    src = str(Path(estimators.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _HIGHS_THREADS, src],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
 

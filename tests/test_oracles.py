@@ -382,6 +382,21 @@ class TestCheckAssumptions:
         assert sum(report.subsets_checked for report in reports) == 2943
         assert digest.hexdigest() == "d8392a391afbab3197224fc8c9970b38bb89bf10895de6312d7c3b57bb4a4421"
 
+    def test_p30_exhaustions_are_pinned(self):
+        # the ten seeds in 0-99 whose p = 30 draw exhausts its attempts, with
+        # each message's gate and check_assumptions rejection counts: a
+        # change to the draws, the gate or the checker would move the digest
+        digest = hashlib.sha256()
+        for seed in (20, 25, 30, 35, 37, 39, 78, 82, 86, 87):
+            with pytest.raises(dd.GenerationExhaustedError) as info:
+                dd.generate_sem_pair(dd.SemPairGenConfig(p=30, seed=seed))
+            digest.update(f"{seed}: {info.value}\n".encode())
+        assert str(info.value) == (
+            "no acceptable SEM pair after 1000 attempts: 981 rejected by the "
+            "min_delta_omega=0.25 gate, 19 by check_assumptions (separation: 19)"
+        )
+        assert digest.hexdigest() == "fa6e101b12fc5b6093648d770f9623af4ddfe223b17933331966cc48d12683ba"
+
     def test_report_dict_round_trip(self):
         sem = random_sem(np.random.default_rng(9), 4)
         payload = check_assumptions(sem, sem, 0.1).to_dict()
