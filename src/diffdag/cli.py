@@ -35,6 +35,7 @@ from .sem import (
     Sem,
     SemPairGenConfig,
     _real,
+    _reject_constant,
     _write_json,
     _write_lines,
     generate_sem_pair,
@@ -49,10 +50,6 @@ _DEFAULT_EPSILON = EstimatorConfig().epsilon
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. malformed config file)."""
-
-
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a finite number")
 
 
 def _load_json(path: str) -> dict:

@@ -135,8 +135,7 @@ class DeltaPrecision(_Labeled):
 
     def zero_rows(self) -> frozenset:
         """Labels whose entire row is exactly zero."""
-        mask = np.abs(self.matrix).max(axis=1) == 0.0 if self.p else np.array([])
-        return frozenset(self.labels[i] for i in np.flatnonzero(mask))
+        return frozenset(self.labels[i] for i in np.flatnonzero(~self.matrix.any(axis=1)))
 
     def nonzero_partners(self, label) -> list:
         i = self.index(label)
@@ -155,14 +154,6 @@ class DeltaPrecision(_Labeled):
             "matrix": [[float(v) for v in row] for row in self.matrix],
             "threshold": self.threshold_applied,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DeltaPrecision":
-        return cls(
-            matrix=np.array(obj["matrix"], dtype=float),
-            labels=tuple(obj.get("labels") or ()),
-            threshold_applied=obj.get("threshold", 0.0),
-        )
 
 
 @dataclass(frozen=True)

@@ -148,9 +148,6 @@ class SweepConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
         kwargs = dict(obj)
-        for key in ("p_values", "c_values"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         if "gen" in kwargs:
             kwargs["gen"] = SemPairGenConfig.from_json(kwargs["gen"])
         if "pipeline" in kwargs:

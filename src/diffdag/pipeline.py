@@ -126,22 +126,6 @@ class PipelineResult:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PipelineResult":
-        """The result ``to_json`` wrote; the edges range over the layers' vertices."""
-        order = LayeredOrder(tuple(obj["layers"]))
-        return cls(
-            delta=DagEdgeSet(frozenset().union(*order.layers), frozenset(tuple(e) for e in obj["edges"])),
-            invariant_vertices=frozenset(obj["invariant"]),
-            order=order,
-            trace=tuple(
-                {**entry, "delta": DeltaPrecision.from_json(entry["delta"])}
-                if "delta" in entry
-                else dict(entry)
-                for entry in obj.get("trace", ())
-            ),
-        )
-
 
 def estimate(cov: CovariancePair, cfg: PipelineConfig) -> DeltaPrecision:
     """The thresholded precision difference in the configured mode.

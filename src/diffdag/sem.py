@@ -21,7 +21,10 @@ ancestors too.
 The package's on-disk formats are decided here: ``_write_json`` and
 ``_write_lines`` write every artifact, and ``_output_order`` orders every
 label list the package writes, by ``repr`` when the labels mix types that
-cannot be compared.
+cannot be compared. The package reads its inputs, not its artifacts:
+``load_sem`` and ``load_data_csv`` read the model and sample files, and
+JSON inputs, configs included, reject ``NaN`` and ``Infinity`` through
+``_reject_constant``.
 
 The module also hosts the random pair generator used by the benchmark
 harness: an Erdos-Renyi DAG under a random topological order, a second model
@@ -250,13 +253,6 @@ class DagEdgeSet:
     def to_json(self) -> dict:
         return {"vertices": _output_order(self.vertices), "edges": [list(e) for e in self.sorted_edges()]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "DagEdgeSet":
-        return cls(
-            vertices=frozenset(obj["vertices"]),
-            edges=frozenset(tuple(e) for e in obj["edges"]),
-        )
-
 
 def difference_edge_set(sem1: Sem, sem2: Sem) -> DagEdgeSet:
     """Support of B1 - B2 as a directed edge set over the full vertex set."""
@@ -293,23 +289,10 @@ def sample(sem: Sem, n: int, seed) -> np.ndarray:
     identical outputs.
     """
     n = _integer("n", n, least=1)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     eps = rng.standard_normal((n, sem.p)) * np.sqrt(sem.noise_vars)
     a = np.eye(sem.p) - sem.b
     return np.linalg.solve(a, eps.T).T
-
-
-def empirical_covariance(data: np.ndarray) -> np.ndarray:
-    """Uncentered second-moment matrix (1/n) X^T X.
-
-    The generative model is zero-mean by construction, so no centering is
-    applied. The result is exactly symmetric.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError("data must be a non-empty 2-d array")
-    m = data.T @ data / data.shape[0]
-    return _symmetrize(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,19 +357,17 @@ class CovariancePair(_Labeled):
 
     @classmethod
     def from_data(cls, x1: np.ndarray, x2: np.ndarray, labels: tuple = ()) -> "CovariancePair":
+        """The uncentered second-moment matrices (1/n) X^T X of two samples,
+        made exactly symmetric. The generative model is zero-mean by
+        construction, so no centering is applied."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1] or min(len(x1), len(x2)) == 0:
             raise InvalidCovarianceError(
                 f"data matrices must be 2-d, with rows and equal columns, got shapes {x1.shape} and {x2.shape}"
             )
-        return cls(
-            empirical_covariance(x1),
-            empirical_covariance(x2),
-            x1.shape[0],
-            x2.shape[0],
-            labels,
-        )
+        s1, s2 = (_symmetrize(x.T @ x / x.shape[0]) for x in (x1, x2))
+        return cls(s1, s2, x1.shape[0], x2.shape[0], labels)
 
 
 @dataclass(frozen=True)
@@ -557,11 +538,19 @@ def save_sem(sem: Sem, path) -> None:
     _write_json(obj, path)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_sem(path) -> Sem:
-    """The SEM that ``save_sem`` wrote; a file of another shape raises
-    ``ValueError`` naming the path and the field."""
+    """The SEM that ``save_sem`` wrote; a file that is not JSON, holds NaN
+    or Infinity, has another shape or a ``"p"`` other than the size of
+    ``"b"`` raises ``ValueError`` naming the path and the field."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: a SEM file holds a JSON object, not a {type(obj).__name__}")
     arrays = {}
@@ -575,7 +564,10 @@ def load_sem(path) -> Sem:
     labels = obj.get("labels") or []
     if not (isinstance(labels, list) and all(isinstance(lab, (str, int, float)) for lab in labels)):
         raise ValueError(f"{path}: field 'labels' is not a list of strings or numbers")
-    return Sem(b=arrays["b"], noise_vars=arrays["noise_vars"], labels=tuple(labels))
+    sem = Sem(b=arrays["b"], noise_vars=arrays["noise_vars"], labels=tuple(labels))
+    if "p" in obj and _integer(f"{path}: field 'p'", obj["p"]) != sem.p:
+        raise ValueError(f"{path}: field 'p' is {obj['p']}, but 'b' is {sem.p} x {sem.p}")
+    return sem
 
 
 def save_data_csv(data: np.ndarray, path) -> None:
@@ -590,8 +582,8 @@ def save_data_csv(data: np.ndarray, path) -> None:
 
 def load_data_csv(path) -> np.ndarray:
     """The sample matrix that ``save_data_csv`` wrote; a file with no rows,
-    a cell that is not a number or a ragged row raises ``ValueError`` naming
-    the path."""
+    a cell that is not a finite number or a ragged row raises ``ValueError``
+    naming the path."""
     with warnings.catch_warnings():
         # the error below says it, and names the file
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -601,4 +593,6 @@ def load_data_csv(path) -> np.ndarray:
             raise ValueError(f"{path}: {exc}") from None
     if not data.size:
         raise ValueError(f"{path}: the data file has no rows")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: the data file has non-finite cells (NaN or inf)")
     return data

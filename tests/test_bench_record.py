@@ -1,6 +1,7 @@
 """``tools/bench_record.py`` rejects a pair count its quartiles cannot use,
 counts a tree's ``src/`` lines, counts each end-to-end metric's wins in the direction ``BENCHMARK.json`` calls
-better, and gives each metric a verdict against the bound it fixes."""
+better, gives each metric a verdict against the bound it fixes, and spans
+each per-layer metric over its traced runs."""
 
 import importlib.util
 import subprocess
@@ -58,6 +59,16 @@ def test_wins_follow_each_metrics_better_side():
         "ops_per_s": {"wins": 2, "losses": 0, "pairs": 3},
         "peak_rss_mb": {"wins": 1, "losses": 1, "pairs": 3},
         "f_score_mean": {"wins": 0, "losses": 0, "pairs": 3},
+    }
+
+
+def test_layer_spread_gives_each_metrics_median_min_and_max():
+    runs = [{"estimators.lp.s": 0.30, "estimators.lp.calls": 69},
+            {"estimators.lp.s": 0.10, "estimators.lp.calls": 69},
+            {"estimators.lp.s": 0.20, "estimators.lp.calls": 69}]
+    assert _tool().layer_spread(runs) == {
+        "estimators.lp.s": {"median": 0.20, "min": 0.10, "max": 0.30},
+        "estimators.lp.calls": {"median": 69, "min": 69, "max": 69},
     }
 
 

@@ -60,8 +60,7 @@ class TestGenerate:
         sem1, _, delta = dd.generate_sem_pair(dd.SemPairGenConfig(p=6, seed=5))
         loaded = dd.load_sem(out / "sem1.json")
         np.testing.assert_array_equal(loaded.b, sem1.b)
-        stored = json.loads((out / "true_delta.json").read_text())
-        assert dd.DagEdgeSet.from_json(stored) == delta
+        assert json.loads((out / "true_delta.json").read_text()) == delta.to_json()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "gen.json"
@@ -125,7 +124,8 @@ class TestRunPipeline:
         assert payload["edges"] == []
         assert sorted(payload["invariant"]) == sorted(sem.labels)
 
-    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "1,2\n3\n"], ids=["not-a-number", "ragged-row"])
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "1,2\n3\n", "1,nan\n3,4\n"],
+                             ids=["not-a-number", "ragged-row", "nan-cell"])
     def test_malformed_data_file_is_a_domain_error_naming_the_file(self, tmp_path, capsys, text):
         bad, good = tmp_path / "bad.csv", tmp_path / "x2.csv"
         bad.write_text(text)
@@ -174,26 +174,28 @@ class TestRunPipeline:
         ]
 
     @pytest.mark.parametrize("mode", ["population", "data"])
-    def test_traced_result_round_trips_through_from_json(self, tmp_path, mode):
+    def test_pipeline_json_is_the_library_result_written(self, tmp_path, mode):
         # the data run re-estimates between peels, so its trace also holds
         # order_estimate deltas
         sem1, sem2, _, a, b = _write_pair(tmp_path, seed=3, p=10)
         if mode == "population":
             inputs = ["--sem1", a, "--sem2", b]
+            cov, cfg = dd.CovariancePair.from_sems(sem1, sem2), POP
         else:
             d1, d2 = tmp_path / "x1.csv", tmp_path / "x2.csv"
             dd.save_data_csv(dd.sample(sem1, 2000, seed=4), d1)
             dd.save_data_csv(dd.sample(sem2, 2000, seed=5), d2)
             inputs = ["--data1", str(d1), "--data2", str(d2), "--lambda-auto"]
-        out = tmp_path / "out"
-        assert main(["run-pipeline", *inputs, "--trace", "--output-dir", str(out)]) == 0
-        text = (out / "pipeline.json").read_text()
-        result = dd.PipelineResult.from_json(json.loads(text))
-        assert json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n" == text
+            cov = dd.CovariancePair.from_data(dd.load_data_csv(d1), dd.load_data_csv(d2))
+            cfg = dd.PipelineConfig(estimator="dantzig", est_cfg=dd.EstimatorConfig(lambda_auto=True))
+        payload = dd.run_pipeline(cov, cfg).to_json()
         if mode == "data":
-            assert "order_estimate" in {entry["stage"] for entry in result.trace}
-        assert result.delta.vertices == frozenset().union(*result.order.layers)
-        assert all(isinstance(entry["delta"], dd.DeltaPrecision) for entry in result.trace if "delta" in entry)
+            assert "order_estimate" in {entry["stage"] for entry in payload["trace"]}
+        untraced = {key: value for key, value in payload.items() if key != "trace"}
+        for flags, expected in (([], untraced), (["--trace"], payload)):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["run-pipeline", *inputs, *flags, "--output-dir", str(out)]) == 0
+            assert (out / "pipeline.json").read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("command, flags", [
         ("run-pipeline", ["--data1", "x.csv", "--data2", "y.csv", "--lambda", "5", "--lambda-auto"]),
@@ -481,6 +483,27 @@ class TestCheckAssumptions:
             json.dump(obj, fh)
         assert main(["check-assumptions", "--sem1", a, "--sem2", b]) == 1
         assert capsys.readouterr().err == f"error: {a}: missing field 'b'\n"
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("p", 9, "field 'p' is 9, but 'b' is 5 x 5"),
+        ("p", "x", "field 'p' must be an integer, got 'x'"),
+        ("b", "NaN", "NaN is not a finite number"),
+        ("noise_vars", "Infinity", "Infinity is not a finite number"),
+    ], ids=["p-mismatch", "p-not-integer", "nan", "infinity"])
+    def test_sem_file_with_a_bad_value_is_a_domain_error_naming_it(
+        self, tmp_path, capsys, field, value, problem
+    ):
+        _, _, _, a, b = _write_pair(tmp_path)
+        with open(a) as fh:
+            obj = json.load(fh)
+        if field == "p":
+            obj["p"] = value
+        else:
+            obj[field][0] = float(value)  # json writes it as the bare constant
+        with open(a, "w") as fh:
+            json.dump(obj, fh)
+        assert main(["check-assumptions", "--sem1", a, "--sem2", b]) == 1
+        assert capsys.readouterr().err == f"error: {a}: {problem}\n"
 
 
 class TestSweep:

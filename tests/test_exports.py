@@ -35,9 +35,12 @@ def test_all_is_pinned():
 def test_deleted_names_stay_gone():
     assert "IncoherenceReport" not in dd.__all__
     assert not hasattr(dd.estimators, "IncoherenceReport")
-    # used only inside sem, by CovariancePair.from_data
+    # inlined into CovariancePair.from_data, its one caller
     assert "empirical_covariance" not in dd.__all__
-    assert not hasattr(dd, "empirical_covariance")
+    assert not hasattr(dd.sem, "empirical_covariance")
+    # the package reads its inputs, not the artifacts it writes
+    for cls in (dd.PipelineResult, dd.DeltaPrecision, dd.DagEdgeSet):
+        assert not hasattr(cls, "from_json"), cls.__name__
     # nothing in the package runs them: the two closed forms are in
     # tests/helpers.py, and the other two were wrappers
     for name in ("marginalize_sem", "delta_omega_entry", "is_terminal_invariant",

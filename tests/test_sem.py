@@ -31,7 +31,7 @@ from diffdag import (
 )
 from diffdag.estimators import DeltaPrecision
 from diffdag.oracles import check_assumptions
-from diffdag.sem import ZERO_TOL, _output_order, _write_json, empirical_covariance
+from diffdag.sem import ZERO_TOL, _output_order, _write_json
 from helpers import random_sem, topological_order
 
 
@@ -96,7 +96,7 @@ class TestCovariance:
     def test_monte_carlo_agreement(self):
         sem = random_sem(np.random.default_rng(7), p=5)
         data = sample(sem, 1_000_000, seed=42)
-        emp = empirical_covariance(data)
+        emp = CovariancePair.from_data(data, data).sigma1
         assert np.abs(emp - covariance(sem)).max() < 1e-2
 
 
@@ -138,7 +138,8 @@ class TestSample:
 
     def test_law_of_large_numbers(self):
         sem = random_sem(np.random.default_rng(5), p=5)
-        emp = empirical_covariance(sample(sem, 1_000_000, seed=5))
+        data = sample(sem, 1_000_000, seed=5)
+        emp = CovariancePair.from_data(data, data).sigma1
         assert np.abs(emp - covariance(sem)).max() < 1e-2
 
     @pytest.mark.parametrize("n, message", [
@@ -153,18 +154,21 @@ class TestSample:
 
 
 class TestEmpiricalCovariance:
-    def test_single_row_outer_product(self):
-        row = np.array([[1.5, -2.0, 0.5]])
-        np.testing.assert_allclose(empirical_covariance(row), np.outer(row[0], row[0]))
+    # CovariancePair.from_data's uncentered second moments (1/n) X^T X
+    def test_mean_of_row_outer_products(self):
+        data = np.array([[1.5, -2.0, 0.5], [0.0, 1.0, 2.0], [-1.0, 0.5, 0.0]])
+        expected = sum(np.outer(row, row) for row in data) / 3
+        np.testing.assert_allclose(CovariancePair.from_data(data, data).sigma1, expected)
 
     def test_two_basis_rows(self):
         data = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(empirical_covariance(data), 0.5 * np.eye(2))
+        np.testing.assert_allclose(CovariancePair.from_data(data, data).sigma1, 0.5 * np.eye(2))
 
     def test_exactly_symmetric(self):
-        data = np.random.default_rng(1).standard_normal((17, 6))
-        emp = empirical_covariance(data)
-        assert np.array_equal(emp, emp.T)
+        rng = np.random.default_rng(1)
+        cov = CovariancePair.from_data(rng.standard_normal((17, 6)), rng.standard_normal((9, 6)))
+        for emp in (cov.sigma1, cov.sigma2):
+            assert np.array_equal(emp, emp.T)
 
 
 # Every labeled type checks its labels alike: (constructor at p with the
@@ -487,7 +491,8 @@ class TestSerialization:
     @pytest.mark.parametrize("text, problem", [
         ("a,b\n1,2\n", "could not convert string 'a' to float64 at row 0, column 1"),
         ("1,2\n3\n", "the number of columns changed from 2 to 1 at row 2"),
-    ], ids=["not-a-number", "ragged-row"])
+        ("1,nan\n3,4\n", "the data file has non-finite cells (NaN or inf)"),
+    ], ids=["not-a-number", "ragged-row", "nan-cell"])
     def test_malformed_data_csv_rejected_naming_the_file(self, tmp_path, text, problem):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -497,7 +502,8 @@ class TestSerialization:
 
     def test_edge_set_json_round_trip(self):
         es = DagEdgeSet(vertices=frozenset(range(4)), edges=frozenset({(0, 2), (1, 3)}))
-        assert DagEdgeSet.from_json(es.to_json()) == es
+        payload = {"vertices": [0, 1, 2, 3], "edges": [[0, 2], [1, 3]]}
+        assert es.to_json() == json.loads(json.dumps(es.to_json())) == payload
 
     @pytest.mark.parametrize("labels", [tuple(np.arange(5)), tuple(np.array(list("abcde")))])
     def test_numpy_scalar_labels_are_written(self, tmp_path, labels):
@@ -512,9 +518,9 @@ class TestSerialization:
         assert cov.labels == labels
         result = dd.run_pipeline(cov, dd.PipelineConfig())
         assert result.delta.edges == difference_edge_set(sem1, sem2).edges
-        text = json.dumps(result.to_json(), sort_keys=True)
-        back = dd.PipelineResult.from_json(json.loads(text))
-        assert json.dumps(back.to_json(), sort_keys=True) == text
+        payload = json.loads(json.dumps(result.to_json()))
+        assert payload["trace"][0]["labels"] == list(labels)
+        assert payload["edges"] == [list(e) for e in result.delta.sorted_edges()]
 
 
 def test_output_order_sorts_and_falls_back_to_repr():

@@ -9,7 +9,8 @@ at a time, from each tree's own files:
 - for each workload, ``--pairs`` pairs of
   ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
   alternating which tree runs first, with seed ``--seed-base + k`` for pair k;
-- one traced run (``--trace 1 --seed 0``) per workload and tree;
+- ``TRACED_RUNS`` traced runs (``--trace 1 --seed 0``) per workload and
+  tree, alternating which tree runs first;
 - the C07/C08 acceptance fixture's sweep (360 Dantzig trials) in a fresh
   interpreter, timed (Tier-1 pins the ``records.csv`` it writes);
 - the Tier-1 suite, timed.
@@ -18,8 +19,9 @@ The file holds each tree's ``src/`` line count, every run's end-to-end
 metrics, each metric's median and quartiles per side, the pairs the change
 wins and loses on each end-to-end metric (in the direction the change
 checkout's ``BENCHMARK.json`` calls better; a tie counts for neither side),
-one verdict per workload and end-to-end metric (see ``verdict``), the traced
-per-layer metrics, and the host's core count and RAM.
+one verdict per workload and end-to-end metric (see ``verdict``), every
+traced run's per-layer metrics with each metric's median, min and max per
+side, and the host's core count and RAM.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from pathlib import Path
 
 WORKLOADS = ("sweep-dantzig", "pipeline-large", "sweep-population")
 SIDES = ("parent", "change")
+# a single traced reading of a per-layer time can move 1.7x with nothing
+# behind it, so each side's per-layer metrics are read over several runs
+TRACED_RUNS = 3
 
 # Writes the records.csv of the C07 grid, which the trend_records fixture of
 # tests/test_acceptance.py runs: C07_SWEEP of the tree's own tests/helpers.py.
@@ -80,6 +85,28 @@ def traced(tree: Path, workload: str) -> dict:
     with open(tree / "perfbench" / "out" / f"{workload}-seed0-trace.json", encoding="utf-8") as fh:
         absent = json.load(fh)["absent"]
     return {"absent": absent, "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def layer_spread(runs: list[dict]) -> dict:
+    """Each per-layer metric's median, min and max over ``runs``, one dict
+    of metric values per traced run."""
+    values: dict = {}
+    for run in runs:
+        for name, value in run.items():
+            values.setdefault(name, []).append(value)
+    return {name: {"median": statistics.median(v), "min": min(v), "max": max(v)}
+            for name, v in values.items()}
+
+
+def traced_runs(trees: dict, workload: str) -> dict:
+    """Per side, ``TRACED_RUNS`` traced runs, the first tree alternating
+    from run to run, and their ``layer_spread``."""
+    runs: dict = {side: [] for side in SIDES}
+    for k in range(TRACED_RUNS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            runs[side].append(traced(trees[side], workload))
+    return {side: {"runs": runs[side], "summary": layer_spread([r["metrics"] for r in runs[side]])}
+            for side in SIDES}
 
 
 def c07_grid(tree: Path) -> dict:
@@ -224,7 +251,7 @@ def main() -> int:
             f"{m} {v}" for m, v in record["workloads"][workload]["verdicts"].items()), flush=True)
         save()
     for workload in WORKLOADS:
-        record["traced"][workload] = {side: traced(trees[side], workload) for side in SIDES}
+        record["traced"][workload] = traced_runs(trees, workload)
         save()
     record["c07_grid"] = {side: c07_grid(trees[side]) for side in SIDES}
     save()
