@@ -36,7 +36,9 @@ from .estimators import (
 )
 from .sem import ZERO_TOL, CovariancePair, DagEdgeSet, _output_order
 
-# a run makes at most PRUNE_BUDGET distinct prune estimates
+# a run makes at most PRUNE_BUDGET distinct prune estimates. It guards against
+# prune's exponential cost and is not tuned: the heaviest op of the benchmark
+# pools makes 33 (sweep-dantzig) and the heaviest C07 trial 297
 PRUNE_BUDGET = 2048
 
 

@@ -545,7 +545,8 @@ def _reject_constant(name: str):
 def load_sem(path) -> Sem:
     """The SEM that ``save_sem`` wrote; a file that is not JSON, holds NaN
     or Infinity, has another shape or a ``"p"`` other than the size of
-    ``"b"`` raises ``ValueError`` naming the path and the field."""
+    ``"b"`` raises ``ValueError`` naming the path and the field, and a model
+    that ``Sem`` rejects raises its ``InvalidModelError`` prefixed with the path."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh, parse_constant=_reject_constant)
@@ -564,7 +565,10 @@ def load_sem(path) -> Sem:
     labels = obj.get("labels") or []
     if not (isinstance(labels, list) and all(isinstance(lab, (str, int, float)) for lab in labels)):
         raise ValueError(f"{path}: field 'labels' is not a list of strings or numbers")
-    sem = Sem(b=arrays["b"], noise_vars=arrays["noise_vars"], labels=tuple(labels))
+    try:
+        sem = Sem(b=arrays["b"], noise_vars=arrays["noise_vars"], labels=tuple(labels))
+    except InvalidModelError as exc:
+        raise InvalidModelError(f"{path}: {exc}") from None
     if "p" in obj and _integer(f"{path}: field 'p'", obj["p"]) != sem.p:
         raise ValueError(f"{path}: field 'p' is {obj['p']}, but 'b' is {sem.p} x {sem.p}")
     return sem

@@ -237,7 +237,7 @@ def test_c07_normalized_hamming_trend(trend_records):
 # sha256 of the C07 grid's records.csv. A change that moves it, or any of the
 # sweep artifact pins below, updates the pin and says in CHANGES.md which
 # records moved and why.
-C07_RECORDS_SHA256 = "f7a7a8fdb46c3c6c557f1e05347627f254ecd84b4bff52e3e866b2ac1e617a90"
+C07_RECORDS_SHA256 = "6a3db439f6947860c2bde9e9b106d2655dbac007efae7f6578f07eacc169cee4"
 
 
 def test_c07_records_csv_is_pinned(trend_records, tmp_path):
@@ -263,9 +263,9 @@ def _artifact_sha256s(records, tmp_path) -> dict:
 def test_c07_sweep_artifacts_are_pinned(trend_records, tmp_path):
     # records.csv is C07_RECORDS_SHA256, checked above
     digests = _artifact_sha256s(trend_records, tmp_path)
-    assert digests["summary.json"] == "aeef00c29cec98b72552032851f7a1ca0320433305133d0e79eb32f019f38fc5"
-    assert digests["plot.tsv"] == "ddbcd79e6d03c0b5ae8bfce98ef404be7c8477d2a613e6bc8862a2805b53a689"
-    assert digests["table.txt"] == "455e26ba1f5bcfb972806e67314539db217f07a0e90d9c74956f565a7db42b2b"
+    assert digests["summary.json"] == "9c86f35c3d2bd115c30328397eddad6e5ccc21140c39e807bc8251f947c61179"
+    assert digests["plot.tsv"] == "d7d7b0d6fd7736fe561d1d0ad5656a35002208630da827536fbc68a568f7030e"
+    assert digests["table.txt"] == "5fa51192c65684170ca444e35c2ee8c2a3f2c8002dfe3f8cb57325d7fc92e727"
 
 
 @pytest.fixture(scope="module")
@@ -288,10 +288,10 @@ def fixed_n_records():
 
 def test_c08_fixed_n_sweep_artifacts_are_pinned(fixed_n_records, tmp_path):
     assert _artifact_sha256s(fixed_n_records, tmp_path) == {
-        "records.csv": "150d8d64fac31f8161a00e6142c34020ed45f87e75c4c1db4b34ed17dc12a81e",
-        "summary.json": "98e979a30ea1fd9a024e48e57d646ddce6493a015b3d4635c4327ebbea00230d",
-        "plot.tsv": "8dfb88d2828166b41a064efc68b48d205f453d60da1ec016ceb4143dc454d2b7",
-        "table.txt": "3fdfb08e5115b6834b876659604dcbfc5318e49e53703ea7ae5397f162e0eb94",
+        "records.csv": "0d7bb458020464d04f144591995788389eebbff18799e9cdce5c2eaf3ef02679",
+        "summary.json": "7446ddaabdfab01e7cbb3fc1bbec4f31a2d9f8c53dbd5a70c279f10797199629",
+        "plot.tsv": "7351a8b9018798cfdbdc2676f9efc7ac5f1d1e8012b901db02ac640fd438d617",
+        "table.txt": "fa2165f6dcff4bfd86719131a68f9b0762563f6a34e39d51b6f36ed2f94e29bc",
     }
 
 

@@ -444,6 +444,13 @@ class TestCheckAssumptions:
         a, b = self._planted(tmp_path)
         assert main(["check-assumptions", "--sem1", a, "--sem2", b, "--strict"]) == 1
 
+    def test_invalid_sem_file_is_a_domain_error_naming_the_file(self, tmp_path, capsys):
+        _, _, _, a, _ = _write_pair(tmp_path)
+        bad = tmp_path / "cycle.json"
+        bad.write_text(json.dumps({"b": [[0.0, 1.0], [1.0, 0.0]], "noise_vars": [1.0, 1.0]}))
+        assert main(["check-assumptions", "--sem1", a, "--sem2", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: edge support contains a directed cycle\n"
+
     @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
     def test_bad_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):
         _, _, _, a, b = _write_pair(tmp_path)

@@ -137,6 +137,46 @@ class TestSolvePopulation:
             solve_population(CovariancePair(near_singular, np.eye(3), n1=5, n2=5))
 
 
+class TestSymmetrization:
+    # estimate_dantzig keeps the smaller-magnitude entry of each pair;
+    # solve_population, whose solves are symmetric to rounding, averages
+    RAW = np.array([[0.0, 0.3], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("raw, off", [
+        ([[0.0, 0.3], [0.0, 0.0]], 0.0),
+        ([[0.0, -0.2], [0.4, 0.0]], -0.2),
+        ([[0.0, 0.3], [0.3, 0.0]], 0.3),
+        ([[0.0, 0.3], [-0.3, 0.0]], 0.0),
+    ], ids=["one-zero", "smaller-kept-with-its-sign", "tie-same-sign", "tie-opposite-signs"])
+    def test_smaller_magnitude_rule(self, raw, off):
+        got = estimators._smaller_magnitude(np.array(raw))
+        np.testing.assert_array_equal(got, [[0.0, off], [off, 0.0]])
+        DeltaPrecision(got)  # symmetric, so a valid difference matrix
+
+    def test_permuting_the_labels_permutes_the_result(self):
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal((6, 6))
+        raw[1, 4], raw[4, 1] = 0.5, -0.5  # one tie of each kind
+        raw[2, 3] = raw[3, 2] = -0.7
+        perm = rng.permutation(6)
+        got = estimators._smaller_magnitude(raw)
+        moved = estimators._smaller_magnitude(raw[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(moved, got[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_estimate_drops_a_pair_with_one_zero_entry(self, monkeypatch):
+        # averaging would keep 0.15 > epsilon at (0, 1)
+        monkeypatch.setattr(estimators, "dantzig_selector", lambda *args: self.RAW.copy())
+        cov = CovariancePair(np.eye(2), 2.0 * np.eye(2), n1=50, n2=50)
+        dp = estimate_dantzig(cov, EstimatorConfig(lambda_n=0.1, epsilon=0.125))
+        assert dp.support_size() == 0
+
+    def test_population_solve_still_averages(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_exact_solve", lambda s1, s2: self.RAW.copy())
+        dp = solve_population(CovariancePair(np.eye(2), 2.0 * np.eye(2), n1=50, n2=50))
+        np.testing.assert_array_equal(dp.matrix, [[0.0, 0.15], [0.15, 0.0]])
+
+
 class TestDantzig:
     def test_population_lambda_zero_equals_exact_solution(self):
         _, _, cov = _population_pair(3, p=6)
@@ -276,8 +316,8 @@ def _outcome(solve, s1, s2, lam):
 
 
 def _support(raw):
-    """Support of the symmetrized estimate at the default epsilon 0.125."""
-    return np.abs(raw + raw.T) / 2.0 > 0.125
+    """Support of the estimate ``estimate_dantzig`` makes of raw, at the default epsilon 0.125."""
+    return np.abs(estimators._smaller_magnitude(raw)) > 0.125
 
 
 def _reference_cases():
@@ -794,7 +834,7 @@ def test_the_crash_start_matches_a_cold_start_in_fewer_iterations(p, n_rule):
     assert crash_status == cold_status == HighsModelStatus.kOptimal
     l1_cold = np.abs(cold).sum()
     assert abs(np.abs(crash).sum() - l1_cold) <= 1e-9 * l1_cold
-    supports = [threshold(DeltaPrecision(estimators._symmetrize(raw), cov.labels), 0.125).matrix != 0
+    supports = [threshold(DeltaPrecision(estimators._smaller_magnitude(raw), cov.labels), 0.125).matrix != 0
                 for raw in (crash, cold)]
     np.testing.assert_array_equal(*supports)
     assert crash_iters < cold_iters

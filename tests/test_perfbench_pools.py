@@ -25,8 +25,8 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 # workload -> (sha256 of repr of the per-op records, LPs, prune estimates,
 # most prune estimates in one op)
 PINS = {
-    "sweep-dantzig": ("dbaa12b35f2d330e3d0bd4e3094b92250a0948ab7b9083cdb87f76b920620a0d", 1849, 1813, 1029),
-    "pipeline-large": ("50680661a201babbfcb8b08596c2fa929f20475b89301818ae9384802fd27489", 69, 63, 48),
+    "sweep-dantzig": ("9593fdda5164ccf52c6df7922d117415a1aa09bad4c43a4d49a197676d25737b", 148, 113, 33),
+    "pipeline-large": ("50680661a201babbfcb8b08596c2fa929f20475b89301818ae9384802fd27489", 45, 39, 24),
     "sweep-population": ("0f99f72624e1ef8cd7ad66ddb01804aaa8c62eada3e6a99d9567628e5ec6053c", 0, 165, 128),
 }
 

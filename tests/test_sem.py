@@ -500,6 +500,20 @@ class TestSerialization:
             dd.load_data_csv(path)
         assert str(info.value).startswith(f"{path}: {problem}")
 
+    @pytest.mark.parametrize("obj, problem", [
+        ({"b": [[0.0, 1.0]], "noise_vars": [1.0, 1.0]}, "edge-weight matrix must be square, got (1, 2)"),
+        ({"b": [[0.5]], "noise_vars": [1.0]}, "edge-weight matrix must have zero diagonal"),
+        ({"b": [[0.0]], "noise_vars": [1.0, 1.0]}, "noise_vars length must match matrix dimension"),
+        ({"b": [[0.0]], "noise_vars": [0.0]}, "noise variances must be strictly positive and finite"),
+        ({"b": [[0.0, 1.0], [1.0, 0.0]], "noise_vars": [1.0, 1.0]}, "edge support contains a directed cycle"),
+    ], ids=["non-square", "nonzero-diagonal", "noise-length", "non-positive-variance", "cycle"])
+    def test_invalid_model_rejected_naming_the_file(self, tmp_path, obj, problem):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidModelError) as info:
+            dd.load_sem(path)
+        assert str(info.value) == f"{path}: {problem}"
+
     def test_edge_set_json_round_trip(self):
         es = DagEdgeSet(vertices=frozenset(range(4)), edges=frozenset({(0, 2), (1, 3)}))
         payload = {"vertices": [0, 1, 2, 3], "edges": [[0, 2], [1, 3]]}
