@@ -299,9 +299,10 @@ def sample(sem: Sem, n: int, seed) -> np.ndarray:
 class CovariancePair(_Labeled):
     """Two covariance matrices over a shared label ordering.
 
-    Entries must be finite. ``n1 == n2 == 0`` marks population-exact
-    matrices, which must be positive definite; empirical matrices only need
-    to be symmetric, but a positive sample count below p is rejected.
+    Entries must be finite. A sample count of 0 marks its matrix as
+    population-exact, which must be positive definite; empirical matrices
+    only need to be symmetric, but a positive sample count below p is
+    rejected.
     """
 
     sigma1: np.ndarray
@@ -326,13 +327,13 @@ class CovariancePair(_Labeled):
                     "the empirical covariance is singular"
                 )
         self._set_labels(p, InvalidCovarianceError)
-        if self.n1 == 0 and self.n2 == 0:
-            for name, s in (("sigma1", s1), ("sigma2", s2)):
+        for name, count, s in (("sigma1", "n1", s1), ("sigma2", "n2", s2)):
+            if getattr(self, count) == 0:
                 try:
                     np.linalg.cholesky(s)
                 except np.linalg.LinAlgError:
                     raise InvalidCovarianceError(
-                        f"population {name} must be positive definite"
+                        f"population {name} ({count}=0) must be positive definite"
                     ) from None
         object.__setattr__(self, "sigma1", s1)
         object.__setattr__(self, "sigma2", s2)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus
+from scipy.optimize._highspy._core import HighsBasisStatus, HighsModelStatus, MatrixFormat
 
 import diffdag as dd
 from diffdag import (
@@ -266,6 +266,13 @@ class TestDantzig:
         with pytest.raises(ValueError):
             estimate_dantzig(cov, EstimatorConfig(lambda_auto=True))
 
+    def test_lambda_auto_names_the_sample_counts(self):
+        # one population matrix and one sampled: min(n1, n2) is 0
+        _, _, pop = _population_pair(1, p=4)
+        cov = CovariancePair(pop.sigma1, pop.sigma2, 0, 5)
+        with pytest.raises(ValueError, match="auto lambda needs positive sample counts, got n1=0 and n2=5"):
+            estimate_dantzig(cov, EstimatorConfig(lambda_auto=True))
+
     @pytest.mark.parametrize("seed", range(50))
     def test_support_recovery_at_generous_samples(self, seed, recovery_counter):
         # tallied across all 50 seeds; asserted once in the fixture finalizer
@@ -496,7 +503,7 @@ def test_highs_binding_has_everything_the_program_uses():
     assert hasattr(core.simplex_constants.SimplexStrategy, "kSimplexStrategyDual")
     for method in (
         "setOptionValue", "passModel", "setBasis", "getBasis", "run", "getModelStatus",
-        "getSolution", "getInfo", "clearSolver", "clearModel",
+        "getSolution", "getInfo", "getLp", "clearSolver",
     ):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
@@ -530,7 +537,7 @@ def test_a_missing_highs_binding_names_the_directory_searched(monkeypatch):
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
     where = re.escape(os.path.join("scipy", "optimize", "_highspy"))
     with pytest.raises(ImportError, match=f"_highspy._core not found in .*{where}$"):
-        estimators._highs.__wrapped__()
+        estimators._highs()
 
 
 _SCIPY_ONLY_FOR_THE_PROGRAM = """
@@ -550,7 +557,8 @@ cov = dd.CovariancePair.from_sems(sem1, sem2)
 dd.run_pipeline(cov, dd.PipelineConfig(estimator="population"))
 assert cli.main(["bound", "--p", "10", "--d", "2"]) == 0
 assert not scipy_modules(), scipy_modules()
-# zero is feasible at this radius, so no program is solved
+# zero is feasible at this radius: the program is solved from the crash
+# basis in 0 iterations
 assert not dantzig_selector(np.eye(3), 2.0 * np.eye(3), 1.0).any()
 assert "scipy.optimize._highspy._core" in sys.modules, scipy_modules()
 """
@@ -765,7 +773,9 @@ def test_consecutive_estimates_reuse_the_thread_s_highs(monkeypatch):
 
 
 def _reference_arrays(s1, s2):
-    """The program's matrix built from coordinates through scipy.sparse."""
+    """The program's matrix built from coordinates through scipy.sparse, as
+    column-wise (start, index, value) without explicit zeros, which HiGHS
+    drops from the matrix it is passed."""
     p = s1.shape[0]
     n = p * p
     i, j, k = np.indices((p, p, p)).reshape(3, -1)
@@ -785,18 +795,53 @@ def _reference_arrays(s1, s2):
         ),
         shape=(2 * n, 3 * n),
     )
+    a.eliminate_zeros()
     return a.indptr, a.indices, a.data
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 8])
 @pytest.mark.parametrize("zero_vertex", [None, 0])
 def test_array_build_matches_the_coordinate_build(p, zero_vertex):
-    # zero_vertex leaves explicit zeros in S1, which both builds keep
+    # the model HiGHS holds: zero_vertex leaves explicit zeros in S1, which
+    # HiGHS drops; the ranged rows run b -+ lambda, the equality rows 0
     cov = _sampled_pair(p, 2000, zero_vertex)
-    got = estimators._program_arrays(cov.sigma1, cov.sigma2)
+    lam = resolve_lambda(cov, DANTZIG.est_cfg).lambda_n
+    lp = estimators._program(cov.sigma1, cov.sigma2, lam).getLp()
+    a = lp.a_matrix_
+    assert a.format_ == MatrixFormat.kColwise
+    got = (a.start_, a.index_, a.value_)
     for name, g, ref in zip(("start", "index", "value"), got, _reference_arrays(cov.sigma1, cov.sigma2)):
         np.testing.assert_array_equal(g, ref, err_msg=name)
-    assert got[0].dtype == got[1].dtype == np.int32
+    n = p * p
+    b = (cov.sigma2 - cov.sigma1).flatten(order="F")
+    np.testing.assert_array_equal(lp.row_lower_, np.concatenate([b - lam, np.zeros(n)]))
+    np.testing.assert_array_equal(lp.row_upper_, np.concatenate([b + lam, np.zeros(n)]))
+    np.testing.assert_array_equal(lp.col_cost_, np.repeat([1.0, 0.0], [2 * n, n]))
+    np.testing.assert_array_equal(lp.col_lower_, np.repeat([0.0, -np.inf], [2 * n, n]))
+    np.testing.assert_array_equal(lp.col_upper_, np.full(3 * n, np.inf))
+    assert all(x.dtype == np.int32 for x in estimators._structure(p)[:2])
+
+
+@pytest.mark.parametrize("case", ["at the largest entry", "above it", "equal matrices", "zero row"])
+def test_the_crash_basis_is_optimal_where_zero_is_feasible(case):
+    # beta = 0 and m = 0 hold every ranged row when |S2 - S1| <= lambda_n, so
+    # the crash basis is optimal: HiGHS returns zero, sign bits included,
+    # without a pivot
+    cov = _sampled_pair(8, 2000, zero_vertex=0 if case == "zero row" else None)
+    s1, s2 = cov.sigma1, cov.sigma1 if case == "equal matrices" else cov.sigma2
+    largest = float(np.abs(s2 - s1).max())
+    lam = {
+        "at the largest entry": largest,
+        "above it": 2.0 * largest,
+        "equal matrices": resolve_lambda(cov, DANTZIG.est_cfg).lambda_n,
+        "zero row": largest,
+    }[case]
+    raw = dantzig_selector(s1, s2, lam)
+    assert raw.dtype == np.float64 and raw.tobytes() == np.zeros((8, 8)).tobytes()
+    highs = estimators._program(s1, s2, lam)
+    highs.run()
+    assert highs.getModelStatus() == HighsModelStatus.kOptimal
+    assert highs.getInfo().simplex_iteration_count == 0
 
 
 def _raw(highs, p):

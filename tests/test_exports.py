@@ -76,6 +76,8 @@ def test_unneeded_members_stay_gone():
     # a convergence failure's message names the residual; nothing read a field
     assert "__init__" not in vars(dd.EstimatorConvergenceError)
     assert not hasattr(dd.EstimatorConvergenceError("stopped"), "best_residual")
+    # _program builds the one program per solve; no second builder seam
+    assert not hasattr(dd.estimators, "_program_arrays")
 
 
 def test_config_fields_are_pinned():

@@ -192,6 +192,18 @@ class TestCovariancePair:
         with pytest.raises(InvalidCovarianceError):
             CovariancePair(m, np.eye(2), n1=10, n2=10)
 
+    @pytest.mark.parametrize("name", ["n1", "n2"])
+    def test_a_zero_count_requires_its_matrix_positive_definite(self, name):
+        # a zero count marks its matrix as population-exact, whatever the
+        # other count is; the sampled matrix need only be symmetric
+        singular = np.ones((2, 2))
+        sigma = "sigma" + name[-1]
+        counts = {"n1": 5, "n2": 5, name: 0}
+        with pytest.raises(InvalidCovarianceError, match=rf"population {sigma} \({name}=0\) must be positive definite"):
+            CovariancePair(**{"sigma1": np.eye(2), "sigma2": np.eye(2), sigma: singular}, **counts)
+        other = {"sigma1": "sigma2", "sigma2": "sigma1"}[sigma]
+        assert CovariancePair(**{sigma: np.eye(2), other: singular}, **counts).p == 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected_naming_the_matrix(self, bad):
         m = np.eye(2)
