@@ -34,14 +34,11 @@ from .experiments import (
     ScoreResult,
     SweepConfig,
     aggregate,
-    format_summary_table,
     run_sweep,
     run_trial,
     sample_budget,
     score,
-    write_plot_tsv,
-    write_records_csv,
-    write_summary_json,
+    write_sweep,
 )
 from .oracles import (
     AssumptionReport,
@@ -108,7 +105,6 @@ __all__ = [
     "difference_edge_set",
     "estimate",
     "estimate_dantzig",
-    "format_summary_table",
     "generate_sem_pair",
     "load_data_csv",
     "load_sem",
@@ -126,7 +122,5 @@ __all__ = [
     "score",
     "solve_population",
     "threshold",
-    "write_plot_tsv",
-    "write_records_csv",
-    "write_summary_json",
+    "write_sweep",
 ]

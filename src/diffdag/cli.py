@@ -19,15 +19,7 @@ from pathlib import Path
 
 from .errors import DiffDagError
 from .estimators import EstimatorConfig, threshold
-from .experiments import (
-    SweepConfig,
-    aggregate,
-    format_summary_table,
-    run_sweep,
-    write_plot_tsv,
-    write_records_csv,
-    write_summary_json,
-)
+from .experiments import SweepConfig, run_sweep, write_sweep
 from .oracles import check_assumptions, minimax_sample_bound
 from .pipeline import PipelineConfig, estimate, run_pipeline
 from .sem import (
@@ -37,7 +29,6 @@ from .sem import (
     _real,
     _reject_constant,
     _write_json,
-    _write_lines,
     generate_sem_pair,
     load_data_csv,
     load_sem,
@@ -190,12 +181,8 @@ def _cmd_sweep(args, parser) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad sweep config: {exc}") from None
     records = run_sweep(cfg)
-    summaries = aggregate(records)
     out = _out_dir(args)
-    write_records_csv(records, out / "records.csv")
-    write_summary_json(summaries, out / "summary.json")
-    write_plot_tsv(summaries, out / "plot.tsv")
-    _write_lines(format_summary_table(summaries).splitlines(), out / "table.txt")
+    summaries = write_sweep(records, out)
     print(f"wrote records.csv, summary.json, plot.tsv, table.txt to {out} "
           f"({len(records)} trials, {len(summaries)} cells)")
     return 0

@@ -333,12 +333,10 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     A bad radius, a matrix that ``sem._matrix`` rejects or two shapes that
     differ raise ``ValueError`` before HiGHS is called.
 
-    The first call loads scipy's HiGHS extension alone, in milliseconds
-    (``_highs``); ``scipy.optimize`` is not imported.
+    The first call that builds a program loads scipy's HiGHS extension
+    alone, in milliseconds (``_highs``); ``scipy.optimize`` is not imported,
+    and a call that the exact solve answers loads nothing.
     """
-    # the binding is loaded even when the exact solve answers, so that a
-    # caller's first call, and not a later one, pays for the load
-    model_status = _highs().HighsModelStatus
     _real("lambda_n", lambda_n)
     s1, s2 = _matrix("sigma1", sigma1, ValueError), _matrix("sigma2", sigma2, ValueError)
     if s1.shape != s2.shape or not s1.size:
@@ -353,6 +351,7 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     highs = _program(s1, s2, lambda_n)
     highs.run()
     status = highs.getModelStatus()
+    model_status = _highs().HighsModelStatus
     if status in (model_status.kInfeasible, model_status.kModelError):
         raise InfeasibleEstimateError(
             f"constrained l1 program infeasible at lambda_n={lambda_n:g}; "

@@ -3,16 +3,17 @@
 A sweep walks a grid of vertex counts and sample-size constants, runs
 repeated trials with per-trial derived seeds, and scores each recovered edge
 set against the generator's ground truth. Records are deterministic given the
-base seed; the emitted CSV, JSON summary and plot table are byte-stable
-across runs, and no runtime is measured. A ``records.csv`` row is built from
-``CSV_COLUMNS``, and every file is written through ``sem._write_lines`` or
-``sem._write_json``.
+base seed, and no runtime is measured. ``write_sweep`` writes a sweep's four
+files (``records.csv``, ``summary.json``, ``plot.tsv`` and ``table.txt``),
+byte-stable across runs: a ``records.csv`` row is built from ``CSV_COLUMNS``,
+and every file is written through ``sem._write_lines`` or ``sem._write_json``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -281,41 +282,35 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_records_csv(records: list[ExperimentRecord], path) -> None:
-    """Long-format trial records, one row per trial, one column per name in
-    ``CSV_COLUMNS``.
+def write_sweep(records: list[ExperimentRecord], out_dir) -> list[CellSummary]:
+    """Write the four files of ``diffdag sweep`` into ``out_dir`` and return
+    the cell summaries.
 
-    Repeated runs with the same seeds produce byte-identical files. The
-    trailing failure column holds the exception class name of a failed trial
-    and is empty otherwise.
+    ``records.csv`` has one row per trial and one column per name in
+    ``CSV_COLUMNS``; its trailing failure column holds the exception class
+    name of a failed trial and is empty otherwise. ``summary.json`` holds the
+    cells, ``plot.tsv`` each cell's mean normalized Hamming distance, and
+    ``table.txt`` the mean (sd) of precision, recall and F-score per cell.
+    Repeated runs with the same seeds write byte-identical files.
     """
+    out = Path(out_dir)
+    summaries = aggregate(records)
     columns = CSV_COLUMNS.split(",")
     rows = [",".join(_csv_cell(getattr(r, col)) for col in columns) for r in records]
-    _write_lines([CSV_COLUMNS, *rows], path)
+    _write_lines([CSV_COLUMNS, *rows], out / "records.csv")
+    _write_json({"cells": [asdict(s) for s in summaries]}, out / "summary.json")
 
-
-def write_summary_json(summaries: list[CellSummary], path) -> None:
-    _write_json({"cells": [asdict(s) for s in summaries]}, path)
-
-
-def write_plot_tsv(summaries: list[CellSummary], path) -> None:
-    """Plot-ready table: one row per cell, mean normalized Hamming as y."""
-    lines = ["p\tc_or_n\tmean_norm_hamming"]
-    for s in summaries:
-        lines.append(f"{s.p}\t{s.c if s.c is not None else s.n}\t{s.means['norm_hamming']!r}")
-    _write_lines(lines, path)
-
-
-def format_summary_table(summaries: list[CellSummary]) -> str:
-    """Mean (sd) table for precision, recall and F-score, one row per cell."""
-
-    def cell(summary: CellSummary, metric: str) -> str:
+    def mean_sd(summary: CellSummary, metric: str) -> str:
         return f"{summary.means[metric]:.2f} ({summary.sds[metric]:.2f})"
 
-    lines = ["p\tc_or_n\tprecision\trecall\tf_score"]
+    plot = ["p\tc_or_n\tmean_norm_hamming"]
+    table = ["p\tc_or_n\tprecision\trecall\tf_score"]
     for s in summaries:
-        lines.append(
-            f"{s.p}\t{s.c if s.c is not None else s.n}\t"
-            f"{cell(s, 'precision')}\t{cell(s, 'recall')}\t{cell(s, 'f_score')}"
+        key = f"{s.p}\t{s.c if s.c is not None else s.n}"
+        plot.append(f"{key}\t{s.means['norm_hamming']!r}")
+        table.append(
+            f"{key}\t{mean_sd(s, 'precision')}\t{mean_sd(s, 'recall')}\t{mean_sd(s, 'f_score')}"
         )
-    return "\n".join(lines) + "\n"
+    _write_lines(plot, out / "plot.tsv")
+    _write_lines(table, out / "table.txt")
+    return summaries

@@ -23,15 +23,7 @@ from diffdag import (
     SweepConfig,
 )
 from diffdag.estimators import dantzig_selector
-from diffdag.experiments import (
-    _trial_seed,
-    aggregate,
-    format_summary_table,
-    run_trial,
-    write_plot_tsv,
-    write_records_csv,
-    write_summary_json,
-)
+from diffdag.experiments import _trial_seed, run_trial, write_sweep
 from helpers import C07_SWEEP, marginalize_sem, perturb_sem, random_sem
 
 
@@ -240,24 +232,18 @@ def test_c07_normalized_hamming_trend(trend_records):
 C07_RECORDS_SHA256 = "6a3db439f6947860c2bde9e9b106d2655dbac007efae7f6578f07eacc169cee4"
 
 
-def test_c07_records_csv_is_pinned(trend_records, tmp_path):
-    path = tmp_path / "records.csv"
-    write_records_csv(trend_records, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == C07_RECORDS_SHA256
-
-
 def _artifact_sha256s(records, tmp_path) -> dict:
-    """sha256 of each file ``diffdag sweep`` writes for these records."""
-    summaries = aggregate(records)
-    write_records_csv(records, tmp_path / "records.csv")
-    write_summary_json(summaries, tmp_path / "summary.json")
-    write_plot_tsv(summaries, tmp_path / "plot.tsv")
-    digests = {
+    """sha256 of each file ``write_sweep``, and so ``diffdag sweep``, writes
+    for these records."""
+    write_sweep(records, tmp_path)
+    return {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("records.csv", "summary.json", "plot.tsv")
+        for name in ("records.csv", "summary.json", "plot.tsv", "table.txt")
     }
-    digests["table.txt"] = hashlib.sha256(format_summary_table(summaries).encode()).hexdigest()
-    return digests
+
+
+def test_c07_records_csv_is_pinned(trend_records, tmp_path):
+    assert _artifact_sha256s(trend_records, tmp_path)["records.csv"] == C07_RECORDS_SHA256
 
 
 def test_c07_sweep_artifacts_are_pinned(trend_records, tmp_path):
@@ -321,9 +307,9 @@ def test_c10_sweep_determinism(tmp_path):
         ),
         seed_base=11,
     )
-    p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    write_records_csv(dd.run_sweep(cfg), p1)
-    write_records_csv(dd.run_sweep(cfg), p2)
-    same = p1.read_bytes() == p2.read_bytes()
+    one, two = tmp_path / "one", tmp_path / "two"
+    one.mkdir()
+    two.mkdir()
+    same = _artifact_sha256s(dd.run_sweep(cfg), one) == _artifact_sha256s(dd.run_sweep(cfg), two)
     line = _verdict("C10", same, "repeated sweeps wrote byte-identical CSV records")
     assert same, line

@@ -531,6 +531,19 @@ class TestSweep:
         for name in ("records.csv", "summary.json", "plot.tsv", "table.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_writes_what_write_sweep_writes(self, tmp_path, capsys):
+        cfg = {"p_values": [5], "c_values": [5, 10], "repetitions": 2, "gen": {"p": 5},
+               "seed_base": 3}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(cli_out)]) == 0
+        assert "(4 trials, 2 cells)" in capsys.readouterr().out
+        lib_out.mkdir()
+        dd.write_sweep(dd.run_sweep(dd.SweepConfig.from_json(cfg)), lib_out)
+        for name in ("records.csv", "summary.json", "plot.tsv", "table.txt"):
+            assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

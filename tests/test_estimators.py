@@ -557,6 +557,9 @@ cov = dd.CovariancePair.from_sems(sem1, sem2)
 dd.run_pipeline(cov, dd.PipelineConfig(estimator="population"))
 assert cli.main(["bound", "--p", "10", "--d", "2"]) == 0
 assert not scipy_modules(), scipy_modules()
+# at radius 0 the exact solve answers, and no program is built
+assert np.array_equal(dantzig_selector(np.eye(3), 2.0 * np.eye(3), 0.0), 0.5 * np.eye(3))
+assert not scipy_modules(), scipy_modules()
 # zero is feasible at this radius: the program is solved from the crash
 # basis in 0 iterations
 assert not dantzig_selector(np.eye(3), 2.0 * np.eye(3), 1.0).any()

@@ -19,13 +19,7 @@ from diffdag import (
     sample_budget,
     score,
 )
-from diffdag.experiments import (
-    format_summary_table,
-    run_trial,
-    write_plot_tsv,
-    write_records_csv,
-    write_summary_json,
-)
+from diffdag.experiments import run_trial, write_sweep
 
 
 class TestSampleBudget:
@@ -224,9 +218,8 @@ class TestRunSweep:
         rec = run_trial(cfg, 10, 20, 3)
         assert rec.failure == "OrderStallError"
         assert rec.failed
-        path = tmp_path / "records.csv"
-        write_records_csv([rec], path)
-        row = path.read_text().splitlines()[1].split(",")
+        write_sweep([rec], tmp_path)
+        row = (tmp_path / "records.csv").read_text().splitlines()[1].split(",")
         assert row[11] == "1"
         assert row[-1] == "OrderStallError"
 
@@ -276,12 +269,14 @@ class TestRunSweep:
 
 class TestOutputs:
     def test_records_csv_deterministic_and_schema(self, tmp_path):
-        records = run_sweep(_tiny_sweep())
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(records, p1)
-        write_records_csv(run_sweep(_tiny_sweep()), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
+        one, two = tmp_path / "one", tmp_path / "two"
+        one.mkdir()
+        two.mkdir()
+        write_sweep(run_sweep(_tiny_sweep()), one)
+        write_sweep(run_sweep(_tiny_sweep()), two)
+        for name in ("records.csv", "summary.json", "plot.tsv", "table.txt"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        header = (one / "records.csv").read_text().splitlines()[0]
         assert header == (
             "p,c,n,rep,seed,d_prime,hamming,norm_hamming,precision,recall,"
             "f_score,failed,failure"
@@ -289,19 +284,17 @@ class TestOutputs:
 
     def test_summary_json_and_plot_tsv(self, tmp_path):
         records = run_sweep(_tiny_sweep())
-        cells = aggregate(records)
-        jpath, tpath = tmp_path / "s.json", tmp_path / "p.tsv"
-        write_summary_json(cells, jpath)
-        write_plot_tsv(cells, tpath)
-        payload = json.loads(jpath.read_text())
+        cells = write_sweep(records, tmp_path)
+        assert cells == aggregate(records)
+        payload = json.loads((tmp_path / "summary.json").read_text())
         assert len(payload["cells"]) == 2
-        lines = tpath.read_text().splitlines()
+        lines = (tmp_path / "plot.tsv").read_text().splitlines()
         assert lines[0] == "p\tc_or_n\tmean_norm_hamming"
         assert len(lines) == 3
 
-    def test_table_has_one_mean_sd_row_per_cell_and_nothing_else(self):
-        cells = aggregate(run_sweep(_tiny_sweep()))
-        lines = format_summary_table(cells).splitlines()
+    def test_table_has_one_mean_sd_row_per_cell_and_nothing_else(self, tmp_path):
+        cells = write_sweep(run_sweep(_tiny_sweep()), tmp_path)
+        lines = (tmp_path / "table.txt").read_text().splitlines()
         assert lines[0] == "p\tc_or_n\tprecision\trecall\tf_score"
         assert len(lines) == 1 + len(cells)
         for line, s in zip(lines[1:], cells):

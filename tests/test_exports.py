@@ -24,11 +24,9 @@ def test_all_is_pinned():
         "PipelineResult", "PruneBudgetError", "ScoreResult", "Sem", "SemPairGenConfig",
         "SweepConfig", "VertexMismatchError", "aggregate", "check_assumptions", "compute_order",
         "covariance", "dantzig_selector", "difference_edge_set", "estimate", "estimate_dantzig",
-        "format_summary_table", "generate_sem_pair", "load_data_csv", "load_sem",
-        "minimax_sample_bound", "orient_edges", "precision", "prune", "run_pipeline", "run_sweep",
-        "run_trial", "sample", "sample_budget", "save_data_csv", "save_sem", "score",
-        "solve_population", "threshold", "write_plot_tsv", "write_records_csv",
-        "write_summary_json",
+        "generate_sem_pair", "load_data_csv", "load_sem", "minimax_sample_bound", "orient_edges",
+        "precision", "prune", "run_pipeline", "run_sweep", "run_trial", "sample", "sample_budget",
+        "save_data_csv", "save_sem", "score", "solve_population", "threshold", "write_sweep",
     ]
 
 
@@ -78,6 +76,11 @@ def test_unneeded_members_stay_gone():
     assert not hasattr(dd.EstimatorConvergenceError("stopped"), "best_residual")
     # _program builds the one program per solve; no second builder seam
     assert not hasattr(dd.estimators, "_program_arrays")
+    # write_sweep writes the four files of a sweep; no writer per file
+    for name in ("write_records_csv", "write_summary_json", "write_plot_tsv",
+                 "format_summary_table"):
+        assert not hasattr(dd, name), name
+        assert not hasattr(dd.experiments, name), name
 
 
 def test_config_fields_are_pinned():

@@ -11,8 +11,9 @@ at a time, from each tree's own files:
   alternating which tree runs first, with seed ``--seed-base + k`` for pair k;
 - ``TRACED_RUNS`` traced runs (``--trace 1 --seed 0``) per workload and
   tree, alternating which tree runs first;
-- the C07/C08 acceptance fixture's sweep (360 Dantzig trials) in a fresh
-  interpreter, timed (Tier-1 pins the ``records.csv`` it writes);
+- the C07/C08 acceptance fixture's sweep (360 Dantzig trials), run alone in
+  a fresh interpreter and timed; nothing is written (Tier-1 pins the files
+  ``write_sweep`` writes from its records);
 - the Tier-1 suite, timed.
 
 The file holds each tree's ``src/`` line count, every run's end-to-end
@@ -32,7 +33,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -42,14 +42,14 @@ SIDES = ("parent", "change")
 # behind it, so each side's per-layer metrics are read over several runs
 TRACED_RUNS = 3
 
-# Writes the records.csv of the C07 grid, which the trend_records fixture of
+# Runs the C07 grid, which the trend_records fixture of
 # tests/test_acceptance.py runs: C07_SWEEP of the tree's own tests/helpers.py.
+# It calls run_sweep alone, so it runs on trees before and after any change
+# to the writers.
 C07_GRID = """
-import sys
 import diffdag as dd
-from diffdag.experiments import write_records_csv
 from helpers import C07_SWEEP
-write_records_csv(dd.run_sweep(C07_SWEEP), sys.argv[1])
+dd.run_sweep(C07_SWEEP)
 """
 
 
@@ -112,11 +112,9 @@ def traced_runs(trees: dict, workload: str) -> dict:
 def c07_grid(tree: Path) -> dict:
     env = _env(tree)
     env["PYTHONPATH"] += os.pathsep + str(tree / "tests")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "records.csv"
-        t = time.perf_counter()
-        subprocess.run([sys.executable, "-c", C07_GRID, str(path)], env=env, check=True)
-        return {"s": time.perf_counter() - t}
+    t = time.perf_counter()
+    subprocess.run([sys.executable, "-c", C07_GRID], env=env, check=True)
+    return {"s": time.perf_counter() - t}
 
 
 def tier1(tree: Path) -> dict:
