@@ -47,9 +47,12 @@ def _load_json(path: str) -> dict:
     """A config file's object; NaN and Infinity, which json accepts, are not."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            obj = json.load(fh, parse_constant=_reject_constant)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: a config file holds a JSON object, not a {type(obj).__name__}")
+    return obj
 
 
 def _finite_nonnegative(text: str) -> float:
@@ -132,7 +135,8 @@ def _inputs(
 
 
 def _cmd_estimate_delta(args, parser) -> int:
-    _require_positive_epsilon(args, parser)
+    if args.sem1 or args.sem2:  # _inputs checks it for data inputs
+        _require_positive_epsilon(args, parser)
     cfg, cov, sems = _inputs(args, parser)
     dp = estimate(cov, cfg)
     if sems and args.epsilon is not None:

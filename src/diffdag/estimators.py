@@ -142,10 +142,6 @@ class DeltaPrecision(_Labeled):
                 raise ValueError("entries at or below the threshold must be exactly zero")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
     def entry(self, i, j) -> float:
         return float(self.matrix[self.index(i), self.index(j)])
 
@@ -367,7 +363,7 @@ def dantzig_selector(sigma1: np.ndarray, sigma2: np.ndarray, lambda_n: float) ->
     residual = np.abs(s1 @ delta @ s2 - (s2 - s1))
     magnitude = np.abs(s1) @ np.abs(delta) @ np.abs(s2) + np.abs(s2 - s1)
     excess = residual - lambda_n - 100.0 * SOLVER_TOL * np.maximum(magnitude, 1.0)
-    if excess.max() > 0.0:
+    if not excess.max() <= 0.0:  # NaN fails too
         raise EstimatorConvergenceError(
             f"LP solution violates the residual bound "
             f"({residual.flat[excess.argmax()]:g} > {lambda_n:g} + tol)"

@@ -11,7 +11,7 @@ candidate common-children subsets removed; an edge whose entry can be zeroed
 that way is an artifact of shared children and is pruned.
 
 Every estimate after the first is over ``CovariancePair.restrict`` of the
-pair, and ``compute_order`` and ``prune`` append each step to the run's trace.
+pair; the run's trace holds the estimates, rough edges and prune tests alone.
 Prune makes at most ``PRUNE_BUDGET`` distinct estimates in a run and raises
 ``PruneBudgetError`` before the next one, so a run either prunes every edge
 in full or fails; it never returns a partly pruned edge set.
@@ -48,27 +48,25 @@ class LayeredOrder:
 
     Layer k holds vertices removed at stage k; vertices eliminated later sit
     earlier in the causal order of the difference DAG (terminal vertices come
-    out first).
+    out first). Each label's layer is mapped once, and ``layer_of`` reads it.
     """
 
     layers: tuple = ()
 
     def __post_init__(self):
         layers = tuple(frozenset(layer) for layer in self.layers)
-        seen: set = set()
-        for layer in layers:
-            if not layer:
-                raise ValueError("layers must be nonempty")
-            if layer & seen:
-                raise ValueError("layers must be pairwise disjoint")
-            seen |= layer
+        if not all(layers):
+            raise ValueError("layers must be nonempty")
+        rank = {label: k for k, layer in enumerate(layers) for label in layer}
+        if len(rank) < sum(map(len, layers)):
+            raise ValueError("layers must be pairwise disjoint")
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_rank", rank)
 
     def layer_of(self, label) -> int:
-        for k, layer in enumerate(self.layers):
-            if label in layer:
-                return k
-        raise KeyError(f"label {label!r} is in no layer")
+        if label not in self._rank:
+            raise KeyError(f"label {label!r} is in no layer")
+        return self._rank[label]
 
     def to_json(self) -> list:
         return [_output_order(layer) for layer in self.layers]
@@ -105,9 +103,11 @@ class PipelineConfig:
 class PipelineResult:
     """Everything the pipeline produced, including the elimination order.
 
-    ``trace`` lists the run's steps in order, one dict per step keyed by
-    ``"stage"``: the full estimate, the invariant vertices, each peeled layer
-    and re-estimate, the oriented edges, and each prune test and removal.
+    ``trace`` lists, in order, what the run measured that the result does
+    not hold, one dict per step keyed by ``"stage"``: the full estimate, each
+    re-estimate between peels, the rough oriented edges and each prune test.
+    The invariant vertices and layers are fields, and a removal is the test
+    whose entry is 0.0, so the trace does not state them a second time.
     """
 
     delta: DagEdgeSet
@@ -153,29 +153,25 @@ def compute_order(
     than one vertex remains; a final leftover vertex becomes its own layer, so
     the layers partition the input labels. If some iteration finds no zero
     diagonal the run stalls, which signals an assumption violation or a badly
-    chosen threshold. Each peel and re-estimate is appended to ``trace``.
+    chosen threshold. Each re-estimate is appended to ``trace``.
     """
     remaining = list(cov.labels)
     layers: list[frozenset] = []
     dp = initial
     while len(remaining) > 1:
-        peeled = [lab for lab in remaining if dp.entry(lab, lab) == 0.0]
+        peeled = frozenset(lab for lab in remaining if dp.entry(lab, lab) == 0.0)
         if not peeled:
             raise OrderStallError(
                 f"no zero-diagonal vertex among {len(remaining)} remaining; "
                 "assumptions violated or epsilon too small",
                 stuck_delta=dp,
             )
-        layers.append(frozenset(peeled))
-        peeled_set = set(peeled)
-        remaining = [lab for lab in remaining if lab not in peeled_set]
-        trace.append(
-            {"stage": "order_layer", "layer": _output_order(peeled), "remaining": _output_order(remaining)}
-        )
+        layers.append(peeled)
+        remaining = [lab for lab in remaining if lab not in peeled]
         if len(remaining) <= 1:
             break
         dp = estimate(cov.restrict(remaining), cfg)
-        trace.append({"stage": "order_estimate", "labels": _output_order(remaining), "delta": dp})
+        trace.append({"stage": "order_estimate", "delta": dp})
     if len(remaining) == 1:
         layers.append(frozenset(remaining))
     return LayeredOrder(tuple(layers))
@@ -184,20 +180,21 @@ def compute_order(
 def orient_edges(dp: DeltaPrecision, order: LayeredOrder) -> DagEdgeSet:
     """Turn difference support pairs into directed edges along the layers.
 
-    For each layer in elimination order and each vertex i in it, every
-    support partner j outside the layer contributes the edge (i, j) unless
-    the reverse was already added. Earlier-eliminated vertices therefore end
-    up as children. The result does not depend on the order of the vertices
-    within a layer, or of their partners.
+    Each nonzero off-diagonal D_ij whose endpoints lie in different layers
+    gives the edge from the endpoint eliminated earlier: (i, j) when
+    layer(i) < layer(j), otherwise (j, i). Earlier-eliminated vertices
+    therefore end up as children. Estimates have a symmetric support; a
+    hand-built D may not (``DeltaPrecision`` allows asymmetry up to 1e-10),
+    and a pair with one nonzero entry is oriented by the same rule.
     """
-    delta: set = set()
-    for layer in order.layers:
-        for i in layer:
-            for j in dp.nonzero_partners(i):
-                if j in layer or (j, i) in delta:
-                    continue
-                delta.add((i, j))
-    return DagEdgeSet(vertices=frozenset(dp.labels), edges=frozenset(delta))
+    rank = order.layer_of
+    edges = {
+        (i, j) if rank(i) < rank(j) else (j, i)
+        for i in dp.labels
+        for j in dp.nonzero_partners(i)
+        if rank(i) != rank(j)
+    }
+    return DagEdgeSet(vertices=frozenset(dp.labels), edges=frozenset(edges))
 
 
 def prune(
@@ -216,7 +213,7 @@ def prune(
     kills the edge. Estimates are cached by retained set across edges, and the
     run may make ``PRUNE_BUDGET`` distinct ones; the next raises
     ``PruneBudgetError``, naming the budget, the count and the edge under
-    test. Each test and removal is appended to ``trace``.
+    test. Each test is appended to ``trace``.
     """
     kept = set(delta.edges)
     cache: dict[tuple, DeltaPrecision] = {}  # by retained labels, in cov's order
@@ -240,7 +237,6 @@ def prune(
             trace.append({"stage": "prune_test", "edge": [i, j], "dropped": dropped, "entry": entry})
             if entry == 0.0:
                 kept.discard((i, j))
-                trace.append({"stage": "prune_remove", "edge": [i, j], "dropped": dropped})
                 break
     return DagEdgeSet(vertices=delta.vertices, edges=frozenset(kept))
 
@@ -256,10 +252,7 @@ def run_pipeline(cov: CovariancePair, cfg: PipelineConfig) -> PipelineResult:
     dp_full = estimate(cov, cfg)
     invariant = dp_full.zero_rows()
     v_labels = [lab for lab in cov.labels if lab not in invariant]
-    trace: list = [
-        {"stage": "estimate_full", "labels": _output_order(cov.labels), "delta": dp_full},
-        {"stage": "invariant_vertices", "invariant": _output_order(invariant)},
-    ]
+    trace: list = [{"stage": "estimate_full", "delta": dp_full}]
     if not v_labels:
         return PipelineResult(
             delta=DagEdgeSet(frozenset(), frozenset()),

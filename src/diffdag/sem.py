@@ -20,11 +20,11 @@ ancestors too.
 
 The package's on-disk formats are decided here: ``_write_json`` and
 ``_write_lines`` write every artifact, and ``_output_order`` orders every
-label list the package writes, by ``repr`` when the labels mix types that
-cannot be compared. The package reads its inputs, not its artifacts:
-``load_sem`` and ``load_data_csv`` read the model and sample files, and
-JSON inputs, configs included, reject ``NaN`` and ``Infinity`` through
-``_reject_constant``.
+set of labels the package writes, by ``repr`` when the labels mix types
+that cannot be compared; a matrix's labels keep the matrix's order. The
+package reads its inputs, not its artifacts: ``load_sem`` and
+``load_data_csv`` read the model and sample files, and JSON inputs, configs
+included, reject ``NaN`` and ``Infinity`` through ``_reject_constant``.
 
 The module also hosts the random pair generator used by the benchmark
 harness: an Erdos-Renyi DAG under a random topological order, a second model
@@ -102,7 +102,7 @@ def _matrix(name: str, value, error: type[Exception], symmetric_tol: float = 0.0
 
 def _output_order(items) -> list:
     """``items`` sorted, or sorted by ``repr`` when they cannot be compared
-    (labels of mixed types): the order of every label list the package writes."""
+    (labels of mixed types): the order of every label set the package writes."""
     try:
         return sorted(items)
     except TypeError:

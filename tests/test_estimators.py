@@ -493,6 +493,18 @@ def test_residual_bound_on_a_unit_scale_entry(past, raises, monkeypatch):
         np.testing.assert_allclose(dantzig_selector(s1, s2, lam), delta)
 
 
+def test_residual_check_rejects_a_nan_solution(monkeypatch):
+    # a NaN compares False with everything, so the check asks that every
+    # excess be at most 0 rather than that none exceed it
+    s1 = np.array([[1.0, 0.2], [0.2, 1.0]])
+    s2 = np.array([[1.5, 0.1], [0.1, 1.0]])
+    x = np.zeros(12)
+    x[0] = np.nan
+    monkeypatch.setattr(estimators, "_program", lambda *args: _Reports(x))
+    with pytest.raises(EstimatorConvergenceError, match="violates the residual bound"):
+        dantzig_selector(s1, s2, 0.01)
+
+
 def test_highs_binding_has_everything_the_program_uses():
     # scipy's HiGHS binding is private; this pins the names the program and
     # these tests rely on, so a scipy that moves them fails here

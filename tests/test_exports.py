@@ -76,6 +76,8 @@ def test_unneeded_members_stay_gone():
     assert not hasattr(dd.EstimatorConvergenceError("stopped"), "best_residual")
     # _program builds the one program per solve; no second builder seam
     assert not hasattr(dd.estimators, "_program_arrays")
+    # a DeltaPrecision's size is its labels' count; nothing read .p
+    assert not hasattr(dd.DeltaPrecision, "p")
     # write_sweep writes the four files of a sweep; no writer per file
     for name in ("write_records_csv", "write_summary_json", "write_plot_tsv",
                  "format_summary_table"):

@@ -128,6 +128,13 @@ class TestOrientEdges:
         order = LayeredOrder((frozenset({0}), frozenset({1})))
         assert orient_edges(dp, order).edges == frozenset({(0, 1)})
 
+    def test_asymmetric_support_pair_is_oriented_along_the_layers(self):
+        # DeltaPrecision allows asymmetry up to 1e-10, so a hand-built D can
+        # hold a pair with one nonzero entry; vertex 1 is eliminated first
+        dp = DeltaPrecision(np.array([[0.4, 5e-11], [0.0, 0.0]]))
+        order = LayeredOrder((frozenset({1}), frozenset({0})))
+        assert orient_edges(dp, order).edges == frozenset({(1, 0)})
+
     def test_common_child_pattern_creates_spurious_edge(self):
         # child 2 of both 0 and 1; the changed edge (2, 0) leaves a difference
         # entry between the co-parents 0 and 1 that only pruning can explain
@@ -184,8 +191,8 @@ class TestPrune:
         with pytest.raises(dd.PruneBudgetError, match=rf"prune budget {k} spent: {k} distinct "
                            r"estimates made, and edge \(2, 0\) needs another"):
             prune(rough, cov, order, POP, trace)
-        # the spurious edge (1, 0) went before the budget ran out
-        assert [e["edge"] for e in trace if e["stage"] == "prune_remove"] == [[1, 0]]
+        # the spurious edge (1, 0) went before the budget ran out: a test zeroed it
+        assert [e["edge"] for e in trace if e["stage"] == "prune_test" and e["entry"] == 0.0] == [[1, 0]]
 
     def test_budget_of_exactly_the_run_prunes_in_full(self, monkeypatch):
         cov, order, rough = self._common_child_setup()
@@ -294,12 +301,35 @@ class TestRunPipeline:
 
     def test_trace_records_stages(self):
         sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=6, seed=8))
-        res = run_pipeline(_pair_cov(sem1, sem2), POP)
-        stages = {entry["stage"] for entry in res.trace}
-        assert "estimate_full" in stages
-        assert "invariant_vertices" in stages
+        cov = _pair_cov(sem1, sem2)
+        res = run_pipeline(cov, POP)
+        assert [entry["stage"] for entry in res.trace] == ["estimate_full", "orient_edges", "prune_test"]
+        assert res.trace[0]["delta"].labels == cov.labels
         payload = res.to_json()
-        assert "trace" in payload
+        assert payload["trace"][0]["delta"]["labels"] == list(cov.labels)
+
+    @pytest.mark.parametrize("mode", ["population", "data"])
+    def test_trace_holds_what_the_result_does_not(self, mode):
+        # the invariant vertices and the layers are fields, an estimate holds
+        # its labels, and a removal is the prune test whose entry is 0.0
+        if mode == "population":
+            sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=10, seed=1))
+            cov, cfg = _pair_cov(sem1, sem2), POP
+        else:
+            sem1, sem2, _ = dd.generate_sem_pair(dd.SemPairGenConfig(p=10, seed=3))
+            cov = CovariancePair.from_data(dd.sample(sem1, 2000, seed=4), dd.sample(sem2, 2000, seed=5))
+            cfg = PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(lambda_auto=True))
+        res = run_pipeline(cov, cfg)
+        stages = [entry["stage"] for entry in res.trace]
+        assert set(stages) == {"estimate_full", "orient_edges", "prune_test"} | (
+            {"order_estimate"} if mode == "data" else set()
+        )
+        assert not {"invariant_vertices", "order_layer", "prune_remove"} & set(stages)
+        assert not [entry for entry in res.trace if "labels" in entry]
+        (rough,) = [entry["edges"] for entry in res.trace if entry["stage"] == "orient_edges"]
+        removed = {tuple(entry["edge"]) for entry in res.trace
+                   if entry["stage"] == "prune_test" and entry["entry"] == 0.0}
+        assert removed and {tuple(e) for e in rough} - res.delta.edges == removed
 
     @pytest.mark.parametrize("estimator", ["population", "dantzig"])
     def test_each_estimate_is_checked_once_and_no_restriction_is(self, monkeypatch, estimator):
@@ -376,6 +406,11 @@ def test_mixed_type_labels_are_recovered_and_written():
     assert res.delta.edges == edges
     assert any(len({type(lab) for lab in layer}) > 1 for layer in res.order.layers)
     payload = json.loads(json.dumps(res.to_json()))
-    assert payload["trace"][0]["labels"] == ["a", 1, 2, 3, 4]
+    # an estimate lists its labels in matrix order; the rough edges and the
+    # drop-sets are sorted
+    assert payload["trace"][0]["delta"]["labels"] == ["a", 1, 2, 3, 4]
+    (rough,) = [entry["edges"] for entry in payload["trace"] if entry["stage"] == "orient_edges"]
+    assert rough == [["a", 4], [1, 4], [2, 3]]
+    assert ["a", 1] in [entry["dropped"] for entry in payload["trace"] if entry["stage"] == "prune_test"]
     assert payload["edges"] == [list(e) for e in sorted(edges, key=repr)]
     assert payload["layers"] == [sorted(layer, key=repr) for layer in res.order.layers]

@@ -534,8 +534,9 @@ class TestSerialization:
     @pytest.mark.parametrize("labels", [tuple(np.arange(5)), tuple(np.array(list("abcde")))])
     def test_numpy_scalar_labels_are_written(self, tmp_path, labels):
         # numpy scalars are stored as the equal Python scalars, which every
-        # JSON writer takes
-        sem1, sem2, _ = generate_sem_pair(SemPairGenConfig(p=5, seed=1))
+        # JSON writer takes. The pair has two difference edges, so its trace
+        # holds sorted label lists
+        sem1, sem2, _ = generate_sem_pair(SemPairGenConfig(p=5, seed=3))
         sem1, sem2 = (Sem(s.b, s.noise_vars, labels) for s in (sem1, sem2))
         path = tmp_path / "sem.json"
         dd.save_sem(sem1, path)
@@ -545,8 +546,10 @@ class TestSerialization:
         result = dd.run_pipeline(cov, dd.PipelineConfig())
         assert result.delta.edges == difference_edge_set(sem1, sem2).edges
         payload = json.loads(json.dumps(result.to_json()))
-        assert payload["trace"][0]["labels"] == list(labels)
+        assert payload["trace"][0]["delta"]["labels"] == list(labels)
         assert payload["edges"] == [list(e) for e in result.delta.sorted_edges()]
+        (rough,) = [entry["edges"] for entry in payload["trace"] if entry["stage"] == "orient_edges"]
+        assert rough == sorted(rough) and len(rough) > len(payload["edges"]) > 0
 
 
 def test_output_order_sorts_and_falls_back_to_repr():
