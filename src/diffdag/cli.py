@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import DiffDagError
@@ -26,8 +27,8 @@ from .sem import (
     CovariancePair,
     Sem,
     SemPairGenConfig,
+    _read_json_object,
     _real,
-    _reject_constant,
     _write_json,
     generate_sem_pair,
     load_data_csv,
@@ -43,16 +44,23 @@ class UsageError(Exception):
     """Bad invocation detected after argparse (e.g. malformed config file)."""
 
 
-def _load_json(path: str) -> dict:
-    """A config file's object; NaN and Infinity, which json accepts, are not."""
+def _config(cls, args, kind: str):
+    """The ``cls`` config in ``--config`` (``{}`` without one) under each field's
+    flag that is given. A file ``_read_json_object`` rejects, a field without a
+    default that neither gives, and a config ``cls`` rejects are ``UsageError``s."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh, parse_constant=_reject_constant)
+        obj = _read_json_object(args.config, "config") if getattr(args, "config", None) else {}
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise UsageError(f"{path}: a config file holds a JSON object, not a {type(obj).__name__}")
-    return obj
+        raise UsageError(str(exc)) from None
+    for f in fields(cls):
+        if getattr(args, f.name, None) is not None:
+            obj[f.name] = getattr(args, f.name)
+        if f.name not in obj and f.default is MISSING:
+            raise UsageError(f"{args.command} needs --{f.name} or a config file with {f.name}")
+    try:
+        return cls.from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {kind} config: {exc}") from None
 
 
 def _finite_nonnegative(text: str) -> float:
@@ -77,22 +85,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_generate(args, parser) -> int:
-    cfg_dict = _load_json(args.config) if args.config else {}
-    overrides = {
-        "p": args.p,
-        "seed": args.seed,
-        "expected_neighbors": args.expected_neighbors,
-        "edge_change_prob": args.edge_change_prob,
-        "min_delta_omega": args.min_delta_omega,
-    }
-    cfg_dict.update({k: v for k, v in overrides.items() if v is not None})
-    if "p" not in cfg_dict:
-        raise UsageError("generate needs --p or a config file with p")
-    try:
-        cfg = SemPairGenConfig.from_json(cfg_dict)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad generator config: {exc}") from None
-    sem1, sem2, delta = generate_sem_pair(cfg)
+    sem1, sem2, delta = generate_sem_pair(_config(SemPairGenConfig, args, "generator"))
     out = _out_dir(args)
     save_sem(sem1, out / "sem1.json")
     save_sem(sem2, out / "sem2.json")
@@ -116,21 +109,14 @@ def _inputs(
             parser.error("--sem1 and --sem2 must be given together")
         if args.data1 or args.data2:
             parser.error("give either SEM files or data files, not both")
-        if args.lambda_ is not None or args.lambda_auto:
+        if args.lambda_n is not None or args.lambda_auto:
             parser.error("SEM inputs are solved exactly; they take no --lambda or --lambda-auto")
         sems = load_sem(args.sem1), load_sem(args.sem2)
         return PipelineConfig(estimator="population"), CovariancePair.from_sems(*sems), sems
     if not (args.data1 and args.data2):
         parser.error("need --sem1/--sem2 or --data1/--data2")
     _require_positive_epsilon(args, parser)
-    kwargs = {}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.lambda_ is not None:
-        kwargs["lambda_n"] = args.lambda_
-    if args.lambda_auto:
-        kwargs["lambda_auto"] = True
-    cfg = PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(**kwargs))
+    cfg = PipelineConfig(estimator="dantzig", est_cfg=_config(EstimatorConfig, args, "estimator"))
     return cfg, CovariancePair.from_data(load_data_csv(args.data1), load_data_csv(args.data2)), None
 
 
@@ -177,14 +163,7 @@ def _cmd_check_assumptions(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    cfg_dict = _load_json(args.config) if args.config else {}
-    if args.seed is not None:
-        cfg_dict["seed_base"] = args.seed
-    try:
-        cfg = SweepConfig.from_json(cfg_dict)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad sweep config: {exc}") from None
-    records = run_sweep(cfg)
+    records = run_sweep(_config(SweepConfig, args, "sweep"))
     out = _out_dir(args)
     summaries = write_sweep(records, out)
     print(f"wrote records.csv, summary.json, plot.tsv, table.txt to {out} "
@@ -211,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data2", help="second sample matrix as CSV")
         p.add_argument("--epsilon", type=_finite_nonnegative, default=None, help=epsilon_help)
         radius = p.add_mutually_exclusive_group()
-        radius.add_argument("--lambda", dest="lambda_", type=_finite_nonnegative, default=None,
+        radius.add_argument("--lambda", dest="lambda_n", type=_finite_nonnegative, default=None,
                             help="constraint radius of the l1 program (data inputs only)")
         radius.add_argument("--lambda-auto", action="store_true",
                             help="set the radius from the sample sizes (data inputs only)")
@@ -250,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="run the synthetic benchmark grid")
     s.add_argument("--config", help="sweep config JSON")
-    s.add_argument("--seed", type=int, default=None, help="override the base seed")
+    s.add_argument("--seed", dest="seed_base", type=int, default=None, help="override the base seed")
     s.add_argument("--output-dir", default=".")
     s.set_defaults(func=_cmd_sweep)
 

@@ -84,7 +84,7 @@ from .errors import (
     InfeasibleEstimateError,
     InvalidCovarianceError,
 )
-from .sem import CovariancePair, _Labeled, _matrix, _real, _symmetrize
+from .sem import CovariancePair, _Config, _Labeled, _matrix, _real, _symmetrize
 
 # HiGHS's primal feasibility tolerance, which also sets the slack of the
 # residual check, and its simplex/IPM iteration limit.
@@ -169,8 +169,8 @@ class DeltaPrecision(_Labeled):
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Knobs of the constrained-l1 estimator.
+class EstimatorConfig(_Config):
+    """Knobs of the constrained-l1 estimator, read from JSON by ``from_json``.
 
     ``lambda_n`` is the constraint radius and ``epsilon`` the hard threshold
     on the estimate; both must be finite. With ``lambda_auto`` the radius is
@@ -189,10 +189,6 @@ class EstimatorConfig:
             raise ValueError(f"lambda_auto must be true or false, got {self.lambda_auto!r}")
         if self.lambda_auto and self.lambda_n > 0.0:
             raise ValueError(f"lambda_n={self.lambda_n!r} and lambda_auto both set the radius; set one")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EstimatorConfig":
-        return cls(**obj)
 
 
 def resolve_lambda(cov: CovariancePair, cfg: EstimatorConfig) -> EstimatorConfig:

@@ -28,7 +28,7 @@ from .errors import (
 from .estimators import EstimatorConfig
 from .pipeline import PipelineConfig, run_pipeline
 from .sem import CovariancePair, DagEdgeSet, SemPairGenConfig, generate_sem_pair, sample
-from .sem import _integer, _write_json, _write_lines
+from .sem import _Config, _integer, _write_json, _write_lines
 
 _METRICS = ("hamming", "norm_hamming", "precision", "recall", "f_score")
 
@@ -110,12 +110,14 @@ class ExperimentRecord:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Config):
     """Grid and machinery of one synthetic study.
 
-    ``gen`` acts as a template; its vertex count and seed are overridden per
-    trial. ``fixed_n`` replaces the c-schedule with one sample count (the
-    head-to-head comparison setting). A pipeline configured with the
+    ``gen`` and ``pipeline`` are sections (``sem._Config``). ``gen`` acts as
+    a template; its vertex count and seed are overridden per trial.
+    ``fixed_n`` replaces the c-schedule with one sample count (the
+    head-to-head comparison setting), so with it ``c_values`` other than the
+    default are rejected rather than ignored. A pipeline configured with the
     population estimator short-circuits sampling and uses exact covariances.
     """
 
@@ -130,6 +132,7 @@ class SweepConfig:
     seed_base: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         # a SEM pair needs two vertices, and the sample budget c >= 1
         for name, least in (("p_values", 2), ("c_values", 1)):
             values = tuple(_integer(f"{name} entry", v, least) for v in getattr(self, name))
@@ -145,15 +148,8 @@ class SweepConfig:
                 f"fixed_n={self.fixed_n} is below the largest p={max(self.p_values)}; "
                 "every trial needs at least p samples per model"
             )
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SweepConfig":
-        kwargs = dict(obj)
-        if "gen" in kwargs:
-            kwargs["gen"] = SemPairGenConfig.from_json(kwargs["gen"])
-        if "pipeline" in kwargs:
-            kwargs["pipeline"] = PipelineConfig.from_json(kwargs["pipeline"])
-        return cls(**kwargs)
+        if self.fixed_n is not None and self.c_values != SweepConfig.c_values:
+            raise ValueError(f"a fixed_n sweep reads no c_values, got {self.c_values!r}")
 
 
 def _trial_seed(seed_base: int, p: int, c_key: int, rep: int) -> int:

@@ -34,7 +34,7 @@ from .estimators import (
     solve_population,
     threshold,
 )
-from .sem import ZERO_TOL, CovariancePair, DagEdgeSet, _output_order
+from .sem import ZERO_TOL, CovariancePair, DagEdgeSet, _Config, _output_order
 
 # a run makes at most PRUNE_BUDGET distinct prune estimates. It guards against
 # prune's exponential cost and is not tuned: the heaviest op of the benchmark
@@ -73,30 +73,25 @@ class LayeredOrder:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_Config):
     """How the pipeline estimates and reads the precision difference.
 
     ``estimator`` picks exact population solves or the constrained-l1
-    program; ``estimate`` says how each is read. The population estimate
-    thresholds at ``ZERO_TOL`` and reads no ``est_cfg``, so with it an
-    ``est_cfg`` other than the default is rejected rather than dropped.
+    program; ``estimate`` says how each is read. ``est_cfg`` is a section
+    (``sem._Config``). The population estimate thresholds at ``ZERO_TOL``
+    and reads no ``est_cfg``, so with it an ``est_cfg`` other than the
+    default is rejected rather than dropped.
     """
 
     estimator: str = "population"
     est_cfg: EstimatorConfig = EstimatorConfig()
 
     def __post_init__(self):
+        super().__post_init__()
         if self.estimator not in ("population", "dantzig"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "population" and self.est_cfg != EstimatorConfig():
             raise ValueError(f"the population estimator reads no est_cfg, got {self.est_cfg!r}")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PipelineConfig":
-        kwargs = dict(obj)
-        if "est_cfg" in kwargs:
-            kwargs["est_cfg"] = EstimatorConfig.from_json(kwargs["est_cfg"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ The package's on-disk formats are decided here: ``_write_json`` and
 ``_write_lines`` write every artifact, and ``_output_order`` orders every
 set of labels the package writes, by ``repr`` when the labels mix types
 that cannot be compared; a matrix's labels keep the matrix's order. The
-package reads its inputs, not its artifacts: ``load_sem`` and
-``load_data_csv`` read the model and sample files, and JSON inputs, configs
-included, reject ``NaN`` and ``Infinity`` through ``_reject_constant``.
+package reads its inputs, not its artifacts, one reader per kind: JSON
+files through ``_read_json_object``, configs through ``_Config.from_json``
+and sample files through ``load_data_csv``.
 
 The module also hosts the random pair generator used by the benchmark
 harness: an Erdos-Renyi DAG under a random topological order, a second model
@@ -39,7 +39,7 @@ import json
 import numbers
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,6 +81,33 @@ def _real(name: str, value, positive: bool = False) -> float:
         sign = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
     return float(value)
+
+
+class _Config:
+    """Base of the frozen config dataclasses. A field whose default is a config
+    is a section: ``from_json`` reads it from its own object, and ``__post_init__``
+    (called first by a config with sections) rejects one of another type."""
+
+    @classmethod
+    def _sections(cls) -> dict:
+        return {f.name: type(f.default) for f in fields(cls) if isinstance(f.default, _Config)}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """The config in the JSON object ``obj``. A section that is not an
+        object raises ``ValueError`` naming its key and the JSON type."""
+        kwargs = dict(obj)
+        for name, section in cls._sections().items():
+            if name in kwargs:
+                if not isinstance(kwargs[name], dict):
+                    raise ValueError(f"{name} must be a JSON object, got {type(kwargs[name]).__name__}")
+                kwargs[name] = section.from_json(kwargs[name])
+        return cls(**kwargs)
+
+    def __post_init__(self):
+        for name, section in self._sections().items():
+            if not isinstance(getattr(self, name), section):
+                raise ValueError(f"{name} must be of type {section.__name__}, got {getattr(self, name)!r}")
 
 
 def _matrix(name: str, value, error: type[Exception], symmetric_tol: float = 0.0) -> np.ndarray:
@@ -372,8 +399,8 @@ class CovariancePair(_Labeled):
 
 
 @dataclass(frozen=True)
-class SemPairGenConfig:
-    """Parameters of the random SEM pair generator.
+class SemPairGenConfig(_Config):
+    """Parameters of the random SEM pair generator, read by ``from_json``.
 
     ``expected_neighbors`` and ``edge_change_prob`` left unset stay None, and
     ``generate_sem_pair`` resolves them at the config's p, as sqrt(p) (at most
@@ -400,10 +427,6 @@ class SemPairGenConfig:
         if neighbors is not None and not 0.0 < _real("expected_neighbors", neighbors) <= self.p - 1:
             raise ValueError(f"expected_neighbors must lie in (0, p-1], got {neighbors!r}")
         _real("min_delta_omega", self.min_delta_omega)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SemPairGenConfig":
-        return cls(**obj)
 
 
 def _draw_slots(
@@ -543,18 +566,25 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
-def load_sem(path) -> Sem:
-    """The SEM that ``save_sem`` wrote; a file that is not JSON, holds NaN
-    or Infinity, has another shape or a ``"p"`` other than the size of
-    ``"b"`` raises ``ValueError`` naming the path and the field, and a model
-    that ``Sem`` rejects raises its ``InvalidModelError`` prefixed with the path."""
+def _read_json_object(path, kind: str) -> dict:
+    """The object in the JSON ``kind`` file at ``path``; a file that is not JSON,
+    holds ``NaN`` or ``Infinity`` or another value raises ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh, parse_constant=_reject_constant)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: a SEM file holds a JSON object, not a {type(obj).__name__}")
+        raise ValueError(f"{path}: a {kind} file holds a JSON object, not a {type(obj).__name__}")
+    return obj
+
+
+def load_sem(path) -> Sem:
+    """The SEM that ``save_sem`` wrote. A file that ``_read_json_object`` rejects,
+    of another shape or with a ``"p"`` other than the size of ``"b"`` raises
+    ``ValueError`` naming the path and the field; a model that ``Sem`` rejects
+    raises its ``InvalidModelError`` prefixed with the path."""
+    obj = _read_json_object(path, "SEM")
     arrays = {}
     for field in ("b", "noise_vars"):
         if field not in obj:

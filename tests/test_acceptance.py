@@ -158,9 +158,10 @@ def test_c06_finite_sample_support_recovery():
     # constant of the earlier floor(c * d'^2 * ln p) budget, kept as it was
     # rather than derived for this one.
     p, c = 10, 20
+    # each trial runs at its own fixed_n, which reads no c_values: c keys the
+    # trial seeds and is passed to run_trial
     cfg = SweepConfig(
         p_values=(p,),
-        c_values=(c,),
         repetitions=50,
         gen=SemPairGenConfig(p=p),
         pipeline=PipelineConfig(

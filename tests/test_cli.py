@@ -35,6 +35,20 @@ def _write_mixed_label_pair(tmp_path):
     return edges, str(a), str(b)
 
 
+def _write_planted_pair(tmp_path):
+    """A SEM pair that fails the assumption check."""
+    b1 = np.zeros((3, 3))
+    b1[1, 0] = 0.6
+    b1[2, 0] = 1.0
+    b1[2, 1] = 0.6
+    b2 = np.zeros((3, 3))
+    b2[2, 0] = 1.0
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    dd.save_sem(dd.Sem(b1, np.ones(3)), a)
+    dd.save_sem(dd.Sem(b2, np.ones(3)), b)
+    return str(a), str(b)
+
+
 class TestBound:
     def test_prints_threshold(self, capsys):
         assert main(["bound", "--p", "32", "--d", "2"]) == 0
@@ -354,6 +368,19 @@ class TestRunPipeline:
         assert exc.value.code == 2
 
 
+    def test_strict_on_a_failing_pair_is_a_domain_error(self, tmp_path, capsys):
+        a, b = _write_planted_pair(tmp_path)
+        report = dd.check_assumptions(dd.load_sem(a), dd.load_sem(b), 0.125)
+        assert not report.passed
+        out = tmp_path / "out"
+        assert main(["run-pipeline", "--sem1", a, "--sem2", b, "--strict",
+                     "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: assumption check failed: {report.failed_condition}: {report.detail}\n"
+        )
+        assert not out.exists()
+
+
 class TestEstimateDelta:
     def test_population_golden_against_library(self, tmp_path):
         sem1, sem2, _, a, b = _write_pair(tmp_path, seed=7, p=5)
@@ -374,6 +401,18 @@ class TestEstimateDelta:
         matrix = np.array(json.loads((out / "delta.json").read_text())["matrix"])
         np.testing.assert_array_equal(matrix != 0.0, truth)
         assert f"({truth.sum()} nonzero entries)" in capsys.readouterr().out
+
+    def test_sem_inputs_with_epsilon_threshold_the_exact_estimate(self, tmp_path, capsys):
+        sem1, sem2, _, a, b = _write_pair(tmp_path, seed=3, p=5)
+        out = tmp_path / "out"
+        assert main(["estimate-delta", "--sem1", a, "--sem2", b, "--epsilon", "0.5",
+                     "--output-dir", str(out)]) == 0
+        exact = dd.estimate(dd.CovariancePair.from_sems(sem1, sem2), POP)
+        thresholded = dd.threshold(exact, 0.5)
+        # the threshold zeros some of the exact support, not all of it
+        assert 0 < thresholded.support_size() < exact.support_size()
+        assert json.loads((out / "delta.json").read_text()) == thresholded.to_json()
+        assert f"({thresholded.support_size()} nonzero entries)" in capsys.readouterr().out
 
     def test_data_golden_against_library(self, tmp_path):
         sem1, sem2, _, _, _ = _write_pair(tmp_path, seed=13, p=5)
@@ -421,18 +460,6 @@ class TestEstimateDelta:
 
 
 class TestCheckAssumptions:
-    def _planted(self, tmp_path):
-        b1 = np.zeros((3, 3))
-        b1[1, 0] = 0.6
-        b1[2, 0] = 1.0
-        b1[2, 1] = 0.6
-        b2 = np.zeros((3, 3))
-        b2[2, 0] = 1.0
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        dd.save_sem(dd.Sem(b1, np.ones(3)), a)
-        dd.save_sem(dd.Sem(b2, np.ones(3)), b)
-        return str(a), str(b)
-
     def test_passing_pair_exit_zero(self, tmp_path, capsys):
         _, _, _, a, b = _write_pair(tmp_path, seed=3)
         assert main(["check-assumptions", "--sem1", a, "--sem2", b]) == 0
@@ -447,13 +474,13 @@ class TestCheckAssumptions:
         assert {tuple(e) for e in payload["delta_edges"]} == edges
 
     def test_failing_pair_advisory_by_default(self, tmp_path, capsys):
-        a, b = self._planted(tmp_path)
+        a, b = _write_planted_pair(tmp_path)
         assert main(["check-assumptions", "--sem1", a, "--sem2", b]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is False
 
     def test_failing_pair_strict_exit_one(self, tmp_path, capsys):
-        a, b = self._planted(tmp_path)
+        a, b = _write_planted_pair(tmp_path)
         assert main(["check-assumptions", "--sem1", a, "--sem2", b, "--strict"]) == 1
 
     def test_invalid_sem_file_is_a_domain_error_naming_the_file(self, tmp_path, capsys):
@@ -472,7 +499,7 @@ class TestCheckAssumptions:
         assert f"must be finite and non-negative, got {epsilon}" in capsys.readouterr().err
 
     def test_zero_epsilon_is_accepted(self, tmp_path, capsys):
-        a, b = self._planted(tmp_path)
+        a, b = _write_planted_pair(tmp_path)
         assert main(["check-assumptions", "--sem1", a, "--sem2", b, "--epsilon", "0",
                      "--strict"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
@@ -669,6 +696,34 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("section, message", [
+        ({"pipeline": "x"}, "pipeline must be a JSON object, got str"),
+        ({"gen": [1]}, "gen must be a JSON object, got list"),
+        ({"pipeline": {"estimator": "dantzig", "est_cfg": 3}}, "est_cfg must be a JSON object, got int"),
+    ], ids=["pipeline", "gen", "est_cfg"])
+    def test_config_section_that_is_not_an_object_is_usage_error(
+        self, tmp_path, capsys, section, message
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"p_values": [5], "c_values": [5], "repetitions": 1, **section}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: bad sweep config: {message}\n"
+        assert not out.exists()
+
+    def test_c_values_with_fixed_n_is_usage_error(self, tmp_path, capsys):
+        # a fixed-n sweep runs one cell per p and would ignore the c-schedule
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"p_values": [5], "c_values": [7], "repetitions": 1,
+                                   "fixed_n": 50}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(bad), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: bad sweep config: a fixed_n sweep reads no c_values, got (7,)\n"
+        )
+        assert not out.exists()
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -679,3 +734,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["estimate-delta", "run-pipeline"])
+    @pytest.mark.parametrize("given", ["--sem1", "--sem2"])
+    def test_one_sem_file_alone_is_usage_error(self, tmp_path, capsys, command, given):
+        _, _, _, a, _ = _write_pair(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, given, a, "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "error: --sem1 and --sem2 must be given together" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["estimate-delta", "run-pipeline"])
+    def test_no_inputs_is_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "error: need --sem1/--sem2 or --data1/--data2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -134,6 +134,55 @@ def _tiny_sweep(seed_base=0):
 
 
 class TestSweepConfig:
+    def test_empty_p_values_rejected(self):
+        with pytest.raises(ValueError, match="^p_values must be nonempty$"):
+            SweepConfig(p_values=())
+
+    def test_empty_c_values_without_fixed_n_rejected(self):
+        with pytest.raises(ValueError, match="^need c_values or fixed_n$"):
+            SweepConfig(c_values=())
+
+    @pytest.mark.parametrize("c_values", [(7,), ()], ids=["set", "empty"])
+    def test_c_values_other_than_the_default_with_fixed_n_rejected(self, c_values):
+        # a fixed-n sweep runs one cell per p and would ignore them
+        with pytest.raises(ValueError) as info:
+            SweepConfig(p_values=(5,), c_values=c_values, repetitions=1, fixed_n=50)
+        assert str(info.value) == f"a fixed_n sweep reads no c_values, got {c_values!r}"
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("gen", [1], "SemPairGenConfig"),
+        ("gen", {"p": 5}, "SemPairGenConfig"),
+        ("pipeline", "x", "PipelineConfig"),
+        ("pipeline", EstimatorConfig(), "PipelineConfig"),
+    ], ids=["gen-list", "gen-dict", "pipeline-str", "pipeline-estimator-config"])
+    def test_section_of_another_type_rejected_naming_it(self, field, value, kind):
+        # it used to construct, and run_sweep failed on it later
+        with pytest.raises(ValueError) as info:
+            SweepConfig(**{field: value})
+        assert str(info.value) == f"{field} must be of type {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"pipeline": "x"}, "pipeline must be a JSON object, got str"),
+        ({"gen": [1]}, "gen must be a JSON object, got list"),
+        ({"pipeline": {"estimator": "dantzig", "est_cfg": 3}}, "est_cfg must be a JSON object, got int"),
+    ], ids=["pipeline", "gen", "est_cfg"])
+    def test_from_json_names_a_section_that_is_not_an_object(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            SweepConfig.from_json(obj)
+        assert str(info.value) == message
+
+    def test_from_json_reads_each_section_from_its_own_object(self):
+        cfg = SweepConfig.from_json({
+            "gen": {"p": 6, "seed": 2},
+            "pipeline": {"estimator": "dantzig", "est_cfg": {"epsilon": 0.2}},
+        })
+        assert cfg.gen == dd.SemPairGenConfig(p=6, seed=2)
+        assert cfg.pipeline == PipelineConfig(estimator="dantzig", est_cfg=EstimatorConfig(epsilon=0.2))
+
+    def test_from_json_rejects_an_unknown_key_in_a_section(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+            SweepConfig.from_json({"pipeline": {"est_cfg": {"nope": 1}}})
+
     def test_fixed_n_below_largest_p_rejected(self):
         with pytest.raises(ValueError, match="fixed_n=9 is below the largest p=10"):
             SweepConfig(p_values=(5, 10), fixed_n=9)
@@ -153,10 +202,13 @@ class TestSweepConfig:
     def test_numpy_integer_counts_and_seeds_are_accepted(self):
         cfg = SweepConfig(
             p_values=(np.int64(5),), c_values=(np.int32(5),), repetitions=np.int64(2),
-            fixed_n=np.int64(6), gen=dd.SemPairGenConfig(p=np.int64(5), seed=np.uint32(3)),
-            seed_base=np.uint64(7),
+            gen=dd.SemPairGenConfig(p=np.int64(5), seed=np.uint32(3)), seed_base=np.uint64(7),
         )
         assert (cfg.p_values, cfg.c_values) == ((5,), (5,))
+        # a fixed-n sweep takes only the default c_values, whatever their integer type
+        default_c = tuple(np.int32(c) for c in SweepConfig().c_values)
+        cfg = SweepConfig(p_values=(np.int64(5),), c_values=default_c, fixed_n=np.int64(6))
+        assert (cfg.c_values, cfg.fixed_n) == (SweepConfig().c_values, 6)
 
 
 class TestRunSweep:

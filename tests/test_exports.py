@@ -85,6 +85,21 @@ def test_unneeded_members_stay_gone():
         assert not hasattr(dd.experiments, name), name
 
 
+def test_one_reader_per_config_input():
+    # one JSON-object reader for SEM and config files, and one from_json for
+    # every config, which reads each section from its own object
+    assert not hasattr(dd.cli, "_load_json")
+    assert dd.cli._read_json_object is dd.sem._read_json_object
+    configs = (dd.EstimatorConfig, dd.PipelineConfig, dd.SemPairGenConfig, dd.SweepConfig)
+    for cls in configs:
+        assert "from_json" not in vars(cls), cls.__name__
+        assert cls.from_json.__func__ is dd.sem._Config.from_json.__func__
+    assert {cls.__name__: list(cls._sections()) for cls in configs} == {
+        "EstimatorConfig": [], "PipelineConfig": ["est_cfg"], "SemPairGenConfig": [],
+        "SweepConfig": ["gen", "pipeline"],
+    }
+
+
 def test_config_fields_are_pinned():
     # the trace, the prune cap, the HiGHS limits and the auto radius's
     # scale are not settings

@@ -210,6 +210,12 @@ class TestIsTerminalInvariant:
 
 
 class TestCheckAssumptions:
+    def test_models_with_different_labels_rejected(self):
+        sem = random_sem(np.random.default_rng(0), 3)
+        relabeled = Sem(sem.b, sem.noise_vars, labels=("a", "b", "c"))
+        with pytest.raises(ValueError, match="^SEMs must share labels$"):
+            check_assumptions(sem, relabeled, 0.125)
+
     def test_identical_pair_passes_vacuously(self):
         sem = random_sem(np.random.default_rng(0), 6)
         report = check_assumptions(sem, sem, 0.125)

@@ -384,6 +384,25 @@ class TestPipelineConfig:
         assert PipelineConfig.from_json({"estimator": "population", "est_cfg": {}}) == POP
 
 
+    def test_unknown_estimator_rejected_naming_it(self):
+        with pytest.raises(ValueError, match="^unknown estimator 'clime'$"):
+            PipelineConfig(estimator="clime")
+
+    @pytest.mark.parametrize("estimator", ["population", "dantzig"])
+    def test_est_cfg_of_another_type_rejected_naming_it(self, estimator):
+        # a dict used to construct with the dantzig estimator, and run_pipeline
+        # failed on it later
+        with pytest.raises(ValueError) as info:
+            PipelineConfig(estimator=estimator, est_cfg={"epsilon": 0.3})
+        assert str(info.value) == "est_cfg must be of type EstimatorConfig, got {'epsilon': 0.3}"
+
+    @pytest.mark.parametrize("est_cfg, kind", [(3, "int"), ([0.3], "list"), ("x", "str")])
+    def test_from_json_names_an_est_cfg_that_is_not_an_object(self, est_cfg, kind):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.from_json({"estimator": "dantzig", "est_cfg": est_cfg})
+        assert str(info.value) == f"est_cfg must be a JSON object, got {kind}"
+
+
 class TestLayeredOrder:
     def test_layers_must_be_disjoint(self):
         with pytest.raises(ValueError):

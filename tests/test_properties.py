@@ -316,9 +316,13 @@ def test_pipeline_config_json_round_trip(cfg):
 def sweep_configs(draw):
     p_values = tuple(draw(st.lists(st.integers(2, 40), min_size=1, max_size=4)))
     fixed_n = draw(st.none() | st.integers(max(p_values), 5000))
+    # a fixed-n sweep reads no c_values, so it takes only the default
+    c_values = dd.SweepConfig().c_values
+    if fixed_n is None:
+        c_values = tuple(draw(st.lists(st.integers(1, 40), min_size=1, max_size=4)))
     return dd.SweepConfig(
         p_values=p_values,
-        c_values=tuple(draw(st.lists(st.integers(1, 40), min_size=fixed_n is None, max_size=4))),
+        c_values=c_values,
         repetitions=draw(st.integers(1, 50)),
         fixed_n=fixed_n,
         gen=draw(generator_configs()),

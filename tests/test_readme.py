@@ -1,10 +1,13 @@
-"""README's Python quick start runs as written, and its commands parse."""
+"""README's Python quick start runs as written, its commands parse, and its sweep
+config reads."""
 
 import argparse
+import json
 import re
 import shlex
 from pathlib import Path
 
+import diffdag as dd
 from diffdag.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,3 +28,15 @@ def test_command_line_examples_parse():
     commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(commands) == sorted(subparsers.choices)
+
+
+def test_sweep_config_example_reads():
+    # a renamed or removed config key in README's example fails here
+    example = README.read_text(encoding="utf-8").split("A sweep config mirrors `SweepConfig`", 1)[1]
+    obj = json.loads(re.search(r"```json\n(.*?)```", example, re.S).group(1))
+    cfg = dd.SweepConfig.from_json(obj)
+    assert (cfg.p_values, cfg.c_values, cfg.repetitions) == (
+        tuple(obj["p_values"]), tuple(obj["c_values"]), obj["repetitions"]
+    )
+    assert cfg.gen == dd.SemPairGenConfig(**obj["gen"])
+    assert cfg.pipeline.est_cfg == dd.EstimatorConfig(**obj["pipeline"]["est_cfg"])

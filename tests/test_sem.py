@@ -56,6 +56,19 @@ class TestSemInvariants:
         with pytest.raises(ValueError):
             sem.b[0, 1] = 1.0
 
+    def test_unknown_label_is_named(self):
+        sem = Sem(np.zeros((2, 2)), np.ones(2), labels=("a", "b"))
+        assert sem.index("b") == 1
+        with pytest.raises(KeyError) as info:
+            sem.index("z")
+        assert info.value.args == ("unknown vertex label 'z'",)
+
+    def test_difference_of_models_with_different_labels_rejected(self):
+        sem = Sem(np.zeros((2, 2)), np.ones(2))
+        relabeled = Sem(np.zeros((2, 2)), np.ones(2), labels=("a", "b"))
+        with pytest.raises(InvalidModelError, match="^SEMs must share labels to take a difference$"):
+            difference_edge_set(sem, relabeled)
+
     def test_topological_order_parents_first(self):
         # 0 <- 1 <- 2: parents before children means (2, 1, 0)
         b = np.zeros((3, 3))
@@ -73,6 +86,14 @@ class TestDagEdgeSet:
     def test_cycle_rejected(self):
         with pytest.raises(InvalidModelError):
             DagEdgeSet(vertices=frozenset({0, 1}), edges=frozenset({(0, 1), (1, 0)}))
+
+    def test_edge_that_is_not_a_pair_rejected_naming_it(self):
+        with pytest.raises(InvalidModelError, match=r"^edge \(0, 1, 2\) is not a pair$"):
+            DagEdgeSet(vertices=frozenset({0, 1, 2}), edges=frozenset({(0, 1, 2)}))
+
+    def test_self_loop_rejected_naming_the_vertex(self):
+        with pytest.raises(InvalidModelError, match="^self-loop at 1$"):
+            DagEdgeSet(vertices=frozenset({0, 1}), edges=frozenset({(1, 1)}))
 
     def test_max_degree_counts_incident_edges(self):
         es = DagEdgeSet(vertices=frozenset(range(4)), edges=frozenset({(0, 1), (2, 1)}))
@@ -291,6 +312,27 @@ class TestCovariancePair:
         with pytest.raises(KeyError):
             cov.restrict({0, 5})
 
+    def test_restrict_to_no_labels_rejected(self):
+        with pytest.raises(InvalidCovarianceError, match="^cannot restrict to an empty label set$"):
+            CovariancePair(np.eye(2), np.eye(2)).restrict(set())
+
+    @pytest.mark.parametrize("sigma2, shape", [(np.eye(3), (3, 3)), (np.zeros((0, 0)), (0, 0))],
+                             ids=["other-dimension", "empty"])
+    def test_matrices_of_different_or_no_dimension_rejected(self, sigma2, shape):
+        sigma1 = np.eye(2) if shape != (0, 0) else sigma2
+        with pytest.raises(InvalidCovarianceError) as info:
+            CovariancePair(sigma1, sigma2, n1=10, n2=10)
+        assert str(info.value) == (
+            "covariance matrices must be non-empty and share a dimension, "
+            f"got {sigma1.shape} and {shape}"
+        )
+
+    def test_from_sems_with_different_labels_rejected(self):
+        sem = Sem(np.zeros((2, 2)), np.ones(2))
+        relabeled = Sem(np.zeros((2, 2)), np.ones(2), labels=("a", "b"))
+        with pytest.raises(InvalidModelError, match="^SEMs must share labels$"):
+            CovariancePair.from_sems(sem, relabeled)
+
 
 class TestGenerateSemPair:
     def test_tiny_change_prob_gives_empty_difference(self):
@@ -362,6 +404,12 @@ class TestGenerateSemPair:
             SemPairGenConfig(p=5, edge_change_prob=0.0)
         with pytest.raises(ValueError):
             SemPairGenConfig(p=5, min_delta_omega=-0.1)
+
+    @pytest.mark.parametrize("neighbors", [0.0, 4.5, 5])
+    def test_expected_neighbors_outside_zero_to_p_minus_one_rejected(self, neighbors):
+        with pytest.raises(ValueError) as info:
+            SemPairGenConfig(p=5, expected_neighbors=neighbors)
+        assert str(info.value) == f"expected_neighbors must lie in (0, p-1], got {neighbors!r}"
 
     @pytest.mark.parametrize("field", ["expected_neighbors", "edge_change_prob", "min_delta_omega"])
     def test_bool_real_setting_rejected_naming_it(self, field):
@@ -523,6 +571,21 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(InvalidModelError) as info:
+            dd.load_sem(path)
+        assert str(info.value) == f"{path}: {problem}"
+
+    @pytest.mark.parametrize("obj, problem", [
+        ({"b": [[0.0, "x"], [0.0, 0.0]], "noise_vars": [1.0, 1.0]}, "field 'b' is not an array of numbers"),
+        ({"b": [[0.0]], "noise_vars": {"a": 1.0}}, "field 'noise_vars' is not an array of numbers"),
+        ({"b": [[0.0]], "noise_vars": [1.0], "labels": "a"},
+         "field 'labels' is not a list of strings or numbers"),
+        ({"b": [[0.0]], "noise_vars": [1.0], "labels": [["a"]]},
+         "field 'labels' is not a list of strings or numbers"),
+    ], ids=["b-string-entry", "noise_vars-object", "labels-string", "labels-nested"])
+    def test_field_of_the_wrong_type_rejected_naming_the_file(self, tmp_path, obj, problem):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as info:
             dd.load_sem(path)
         assert str(info.value) == f"{path}: {problem}"
 
